@@ -36,7 +36,6 @@ from .policy import (
 from .quadrature import (
     ContractionReport,
     QuadratureScheme,
-    apply_integral,
     build_quadrature,
     check_contraction,
 )
@@ -53,7 +52,6 @@ from .solver import (
     DiscreteOperator,
     SolverConfig,
     dpp_residual,
-    scheme_coefficients,
     solve,
 )
 
@@ -81,7 +79,6 @@ __all__ = [
     "SolverConfig",
     "ValidationReport",
     "analytic_oracle",
-    "apply_integral",
     "build_grid",
     "build_quadrature",
     "check_contraction",
@@ -90,7 +87,6 @@ __all__ = [
     "estimate_value",
     "extract_policy",
     "profit_rate",
-    "scheme_coefficients",
     "simulate_path",
     "simulate_regime_chain",
     "solve",

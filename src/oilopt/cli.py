@@ -27,6 +27,7 @@ import numpy as np
 from . import __version__
 from .config import RunConfig, load_config
 from .errors import ConfigError, NumericalError
+from .grid import csv_handle
 from .policy import curve_table, extract_policy, switching_function, write_curve_csv, write_policy_csv
 from .simulate import estimate_value, simulate_path
 from .solver import solve
@@ -67,17 +68,11 @@ def _manifest(cfg: RunConfig, args, report=None, extra=None) -> dict:
         "config": cfg.raw,
         "grid_shape": list(cfg.grid.shape),
         "solver": dataclasses.asdict(cfg.solver),
-        "simulation": {
-            "n_paths": cfg.simulation.n_paths,
-            "dt": cfg.simulation.dt,
-            "seed": cfg.simulation.seed,
-            "antithetic": cfg.simulation.antithetic,
-            "start": list(cfg.simulation.start),
-        },
+        "simulation": dataclasses.asdict(cfg.simulation),
     }
     if report is not None:
         data["run"] = {
-            "converged": report.converged,
+            "converged": report.final_residual < cfg.solver.tolerance,
             "iterations": report.iterations,
             "final_residual": report.final_residual,
             "mode": report.mode,
@@ -100,7 +95,7 @@ def _write_manifest(out_dir: Path, data: dict):
 
 def _write_convergence(out_dir: Path, report):
     path = out_dir / "convergence.csv"
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with csv_handle(path) as fh:
         fh.write("iteration,residual\n")
         for i, res in enumerate(report.residuals, start=1):
             fh.write(f"{i},{res!r}\n")
@@ -131,10 +126,15 @@ def _cmd_solve(cfg: RunConfig, args, out_dir: Path) -> int:
     return 0
 
 
-def _cmd_policy(cfg: RunConfig, args, out_dir: Path) -> int:
+def _solve_policy(cfg: RunConfig):
+    """Solve, then derive the switching field and the bang-bang policy."""
     field, report = solve(cfg.model, cfg.grid, cfg.solver)
     sw = switching_function(field, cfg.model, mode=cfg.solver.mode)
-    policy = extract_policy(sw, cfg.model)
+    return field, report, sw, extract_policy(sw, cfg.model)
+
+
+def _cmd_policy(cfg: RunConfig, args, out_dir: Path) -> int:
+    _, report, sw, policy = _solve_policy(cfg)
     rows, flagged = curve_table(sw)
     _cap_warning(cfg, rows)
     if flagged:
@@ -153,9 +153,7 @@ def _cmd_policy(cfg: RunConfig, args, out_dir: Path) -> int:
 
 
 def _cmd_simulate(cfg: RunConfig, args, out_dir: Path) -> int:
-    field, report = solve(cfg.model, cfg.grid, cfg.solver)
-    sw = switching_function(field, cfg.model, mode=cfg.solver.mode)
-    policy = extract_policy(sw, cfg.model)
+    field, report, _, policy = _solve_policy(cfg)
     sim = cfg.simulation
     t0 = time.perf_counter()
     est = estimate_value(
@@ -167,17 +165,14 @@ def _cmd_simulate(cfg: RunConfig, args, out_dir: Path) -> int:
     v_grid = float(field.values[sim.start[3], si, xi, yi])
     n_record = max(0, args.record)
     if n_record:
-        streams = np.random.SeedSequence(sim.seed).spawn(max(n_record, 1))
-        with open(out_dir / "paths.csv", "w", encoding="utf-8", newline="") as fh:
+        streams = np.random.SeedSequence(sim.seed).spawn(n_record)
+        with csv_handle(out_dir / "paths.csv") as fh:
             fh.write("path,t,x,y,regime,u,discounted_profit\n")
             for p in range(n_record):
                 rec = simulate_path(cfg.model, policy, sim.start, sim.dt, streams[p])
-                for j in range(len(rec.times)):
-                    fh.write(
-                        f"{p},{float(rec.times[j])!r},{float(rec.x[j])!r},"
-                        f"{float(rec.y[j])!r},{int(rec.regime[j])},{float(rec.u[j])!r},"
-                        f"{float(rec.discounted_profit[j])!r}\n"
-                    )
+                cols = (rec.times, rec.x, rec.y, rec.regime, rec.u, rec.discounted_profit)
+                for t, x, y, m, u, v in zip(*(c.tolist() for c in cols)):
+                    fh.write(f"{p},{t!r},{x!r},{y!r},{m},{u!r},{v!r}\n")
     extra = {
         "estimate": {
             "mean": est.mean,

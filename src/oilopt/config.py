@@ -54,7 +54,6 @@ _SOLVER_KEYS = {
     "sweep",
     "xi",
     "truncation",
-    "dense_controls",
 }
 _SIM_KEYS = {"n_paths", "dt", "seed", "antithetic", "start"}
 _START_KEYS = {"s", "x", "y", "regime"}
@@ -207,7 +206,6 @@ def parse_config(data: dict) -> RunConfig:
         sweep=str(_get(ssec, "sweep", "solver", "jacobi")),
         xi=float(_get(ssec, "xi", "solver", 0.01)),
         truncation=float(_get(ssec, "truncation", "solver", 5.0)),
-        dense_controls=int(_get(ssec, "dense_controls", "solver", 0)),
     )
 
     start_sec = simsec.get("start")

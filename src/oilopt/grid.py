@@ -8,8 +8,9 @@ regime-major, then time-major: shape (M, n_s, n_x, n_y).
 
 from __future__ import annotations
 
-import io
+from contextlib import contextmanager
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -121,59 +122,40 @@ class GridField:
             raise ValueError(f"field shape {values.shape} != grid shape {grid.shape}")
         self.values = values
 
-    def copy(self) -> "GridField":
-        return GridField(self.grid, self.values.copy())
-
-    def neighbor(self, regime, s_idx, x_idx, y_idx, ds=0, dx=0, dy=0):
-        """Read a neighboring node with face clamping (zero-gradient edges)."""
-        g = self.grid
-        return self.values[
-            regime,
-            int(np.clip(s_idx + ds, 0, g.n_s - 1)),
-            int(np.clip(x_idx + dx, 0, g.n_x - 1)),
-            int(np.clip(y_idx + dy, 0, g.n_y - 1)),
-        ]
-
-    def lookup_interpolated(self, s_idx, x, y_idx, regime):
-        """Linear interpolation along the price axis at off-node x, clamped."""
-        g = self.grid
-        pos = np.clip(float(x) / g.price_step, 0.0, g.n_x - 1.0)
-        lo = int(pos)
-        hi = min(lo + 1, g.n_x - 1)
-        w = pos - lo
-        row = self.values[regime, s_idx, :, y_idx]
-        return (1.0 - w) * row[lo] + w * row[hi]
-
     def to_csv(self, path_or_buf, value_name: str = "value", s_indices=None):
         """Write rows ordered s-outer, then x, then y, then regime."""
-        g = self.grid
-        s_indices = range(g.n_s) if s_indices is None else s_indices
-        own = isinstance(path_or_buf, (str, bytes)) or hasattr(path_or_buf, "__fspath__")
-        fh = open(path_or_buf, "w", newline="") if own else path_or_buf
-        # shortest round-trip decimal strings; cached per coordinate for speed
-        s_str = [repr(float(v)) for v in g.s_values]
-        x_str = [repr(float(v)) for v in g.x_values]
-        y_str = [repr(float(v)) for v in g.y_values]
-        regs = list(range(g.n_regimes))
-        try:
-            fh.write(f"s,x,y,regime,{value_name}\n")
-            rows = []
-            for si in s_indices:
-                ss = s_str[si]
-                slab = self.values[:, si].tolist()  # (M, n_x, n_y) as Python floats
-                for xi in range(g.n_x):
-                    xs = x_str[xi]
-                    for yi in range(g.n_y):
-                        prefix = f"{ss},{xs},{y_str[yi]},"
-                        for m in regs:
-                            rows.append(f"{prefix}{m},{slab[m][xi][yi]!r}\n")
-                fh.write("".join(rows))
-                rows.clear()
-        finally:
-            if own:
-                fh.close()
+        write_node_csv(self.grid, (value_name,), (self.values,), path_or_buf, s_indices)
 
-    def to_csv_string(self, value_name: str = "value", s_indices=None) -> str:
-        buf = io.StringIO()
-        self.to_csv(buf, value_name=value_name, s_indices=s_indices)
-        return buf.getvalue()
+
+@contextmanager
+def csv_handle(path_or_buf):
+    """Yield a text handle: a path is opened for writing and closed on exit,
+    an already-open buffer is passed through untouched."""
+    if isinstance(path_or_buf, (str, bytes)) or hasattr(path_or_buf, "__fspath__"):
+        with open(path_or_buf, "w", encoding="utf-8", newline="") as fh:
+            yield fh
+    else:
+        yield path_or_buf
+
+
+def write_node_csv(grid: Grid4D, columns, fields, path_or_buf, s_indices=None):
+    """Node rows s,x,y,regime,<columns> ordered s-outer, then x, then y, then regime.
+
+    fields holds one array of the grid's shape per column. Numbers are
+    written as shortest round-trip decimal strings.
+    """
+    s_indices = range(grid.n_s) if s_indices is None else s_indices
+    s_str = [repr(v) for v in grid.s_values.tolist()]
+    # the "x,y,regime" part of every row of one time slice, in row order
+    xym = [
+        f"{xs},{ys},{m}"
+        for xs in map(repr, grid.x_values.tolist())
+        for ys in map(repr, grid.y_values.tolist())
+        for m in range(grid.n_regimes)
+    ]
+    with csv_handle(path_or_buf) as fh:
+        fh.write(",".join(("s", "x", "y", "regime", *columns)) + "\n")
+        for si in s_indices:
+            cols = [map(repr, f[:, si].transpose(1, 2, 0).ravel().tolist()) for f in fields]
+            rows = zip(repeat(s_str[si], len(xym)), xym, *cols)
+            fh.write("\n".join(map(",".join, rows)) + "\n")

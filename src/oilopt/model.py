@@ -245,12 +245,6 @@ class MarketModel:
             return np.exp(x)
         return x
 
-    def cost(self, t, y, u):
-        e = self.economics
-        y = np.asarray(y, dtype=float)
-        u = np.asarray(u, dtype=float)
-        return e.fixed_cost + e.marginal_cost * u * (e.reserve_slope * y + e.reserve_offset)
-
     def marginal_extraction_cost(self, y):
         """d cost / d u, the per-unit markup entering the switching function."""
         e = self.economics
@@ -258,17 +252,19 @@ class MarketModel:
 
 
 def profit_rate(model: MarketModel, t, x, y, u):
-    """Running profit L = price(x)*u - cost(t, y, u), affine in u.
+    """Running profit L = price(x)*u - (a + m*u*(b*y + c)), affine in u.
 
     Scalar inputs are range-checked; array inputs are assumed pre-validated
-    (the solver calls this on whole grid slabs).
+    (the solver and the simulator call this on whole arrays).
     """
     e = model.economics
     if np.isscalar(u) and not (0.0 <= u <= e.u_max):
         raise ValueError(f"extraction rate u={u} outside [0, {e.u_max}]")
     if np.isscalar(y) and not (0.0 <= y <= e.reserve_capacity):
         raise ValueError(f"reserve y={y} outside [0, {e.reserve_capacity}]")
-    return model.price(x) * np.asarray(u, dtype=float) - model.cost(t, y, u)
+    return model.price(x) * u - (
+        e.fixed_cost + e.marginal_cost * u * (e.reserve_slope * y + e.reserve_offset)
+    )
 
 
 def terminal_value(model: MarketModel, x, y):

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Grid4D, GridField
+from .grid import GridField, csv_handle, write_node_csv
 from .model import MarketModel
 
 
@@ -110,42 +110,16 @@ def curve_table(switching: GridField, s_fractions=(0.0, 0.4, 0.7, 1.0)):
 
 def write_curve_csv(rows, path_or_buf):
     """Rows s,y,regime,x_star; empty cell when there is no crossing."""
-    own = isinstance(path_or_buf, (str, bytes)) or hasattr(path_or_buf, "__fspath__")
-    fh = open(path_or_buf, "w", newline="") if own else path_or_buf
-    try:
+    with csv_handle(path_or_buf) as fh:
         fh.write("s,y,regime,x_star\n")
         for s, y, m, x_star in rows:
             tail = "" if x_star is None else repr(float(x_star))
             fh.write(f"{s!r},{y!r},{m},{tail}\n")
-    finally:
-        if own:
-            fh.close()
 
 
 def write_policy_csv(switching: GridField, policy: GridField, path_or_buf, s_indices=None):
     """Node dump s,x,y,regime,G,u_star in the standard row order."""
-    g = switching.grid
-    s_indices = range(g.n_s) if s_indices is None else s_indices
-    own = isinstance(path_or_buf, (str, bytes)) or hasattr(path_or_buf, "__fspath__")
-    fh = open(path_or_buf, "w", newline="") if own else path_or_buf
-    s_str = [repr(float(v)) for v in g.s_values]
-    x_str = [repr(float(v)) for v in g.x_values]
-    y_str = [repr(float(v)) for v in g.y_values]
-    try:
-        fh.write("s,x,y,regime,G,u_star\n")
-        rows = []
-        for si in s_indices:
-            Gs = switching.values[:, si].tolist()
-            us = policy.values[:, si].tolist()
-            ss = s_str[si]
-            for xi in range(g.n_x):
-                xs = x_str[xi]
-                for yi in range(g.n_y):
-                    prefix = f"{ss},{xs},{y_str[yi]},"
-                    for m in range(g.n_regimes):
-                        rows.append(f"{prefix}{m},{Gs[m][xi][yi]!r},{us[m][xi][yi]!r}\n")
-            fh.write("".join(rows))
-            rows.clear()
-    finally:
-        if own:
-            fh.close()
+    write_node_csv(
+        switching.grid, ("G", "u_star"), (switching.values, policy.values), path_or_buf,
+        s_indices,
+    )

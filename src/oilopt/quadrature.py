@@ -144,32 +144,3 @@ def check_contraction(scheme: QuadratureScheme, discount_rate: float) -> Contrac
         total_mass=scheme.total_mass,
     )
 
-
-def apply_integral(
-    scheme: QuadratureScheme,
-    value_slice,
-    x: float,
-    gamma: float,
-    forward_diff: float,
-    convention: str = "proportional",
-):
-    """Evaluate the discrete jump integral at one point.
-
-    value_slice is a callable x -> value (typically an interpolating lookup
-    into a grid row). forward_diff is the one-sided difference standing in
-    for f_x in the compensator term. The proportional convention displaces
-    to x + gamma*x*z_j; the additive one to x + gamma*z_j.
-    """
-    if scheme.c_nodes.size == 0:
-        return 0.0
-    if convention == "proportional":
-        dest = x + gamma * x * scheme.c_nodes
-        comp = gamma * x * scheme.compensator_sum
-    elif convention == "additive":
-        dest = x + gamma * scheme.c_nodes
-        comp = gamma * scheme.compensator_sum
-    else:
-        raise ValueError(f"unknown jump convention {convention!r}")
-    vals = np.asarray([value_slice(d) for d in np.atleast_1d(dest)], dtype=float)
-    total = float(np.dot(scheme.c_weights, vals))
-    return total - forward_diff * comp - float(value_slice(x)) * scheme.total_mass

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import GridField
-from .model import MarketModel, terminal_value
+from .model import MarketModel, profit_rate, terminal_value
 
 
 def simulate_regime_chain(generator: np.ndarray, start_regime: int, horizon: float,
@@ -193,10 +193,7 @@ def _simulate_block(model, policy_fn, start, dt_target, streams, antithetic=Fals
         alpha = codes[:, step].astype(np.int64)
         u_pol = np.asarray(policy_fn(t, X, Y, alpha), dtype=float)
         u_app = np.clip(np.minimum(u_pol, Y / dt), 0.0, e.u_max)
-        profit = model.price(X) * u_app - (
-            e.fixed_cost + e.marginal_cost * u_app * (e.reserve_slope * Y + e.reserve_offset)
-        )
-        payoff += disc * profit * dt
+        payoff += disc * profit_rate(model, t, X, Y, u_app) * dt
         compensator = gam[alpha] * X * comp_drift if proportional else gam[alpha] * comp_drift
         drift = d.kappa * (mu[alpha] - X) - compensator
         X = X + drift * dt + sig[alpha] * sqrt_dt * normals[:, step]

@@ -61,7 +61,6 @@ class SolverConfig:
     sweep: str = "jacobi"  # or "backward"
     xi: float = 0.01  # quadrature node spacing
     truncation: float = 5.0  # quadrature half-width cap
-    dense_controls: int = 0  # 0 -> endpoints {0, u_max}; n>1 -> n-point grid
 
     def __post_init__(self):
         if self.tolerance <= 0:
@@ -72,13 +71,10 @@ class SolverConfig:
             raise ConfigError(f"mode must be 'upwind' or 'paper_faithful', got {self.mode!r}")
         if self.sweep not in ("jacobi", "backward"):
             raise ConfigError(f"sweep must be 'jacobi' or 'backward', got {self.sweep!r}")
-        if self.dense_controls == 1:
-            raise ConfigError("dense_controls must be 0 or >= 2")
 
 
 @dataclass
 class ConvergenceReport:
-    converged: bool
     iterations: int
     final_residual: float
     residuals: list = field(default_factory=list)
@@ -88,62 +84,15 @@ class ConvergenceReport:
     wall_time: float = 0.0
 
 
-def scheme_coefficients(model: MarketModel, grid: Grid4D, x: float, regime: int,
-                        u: float, scheme, mode: str = "upwind"):
-    """Node coefficients (a, b, c) of the discrete balance equation.
-
-    a and b weight the price-up and price-down neighbors, c is the center
-    coefficient. In paper-faithful mode the drift sits entirely on the
-    forward difference and the sign conditions a > 0, b > 0 are enforced
-    here; the upwind mode splits the drift by sign and is unconditionally
-    signed correctly.
-    """
-    d = model.dynamics
-    r, h, k, l = d.discount_rate, grid.price_step, grid.time_step, grid.reserve_step
-    sig = d.sigma[regime]
-    drift = d.kappa * (d.mu[regime] - x)
-    diff = sig * sig / (2.0 * r * h * h)
-    gamma = d.jump_scale[regime]
-    if model.jump_convention == "proportional":
-        comp = gamma * x * scheme.compensator_sum
-    else:
-        comp = gamma * scheme.compensator_sum
-    q_off = float(np.sum(model.generator[regime])) - float(model.generator[regime, regime])
-    common = (
-        1.0 / (r * k)
-        + sig * sig / (r * h * h)
-        - comp / (r * h)
-        + scheme.total_mass / r
-        + q_off / r
-    )
-    if mode == "paper_faithful":
-        a = diff + drift / (r * h)
-        b = diff
-        if a <= 0.0 or b <= 0.0:
-            if b <= 0.0:
-                detail = "diffusion must be positive for the paper-faithful stencil"
-            else:
-                bound = sig * sig / (2.0 * d.kappa * (x - d.mu[regime]))
-                detail = (
-                    f"restore positivity with a finer price step h < "
-                    f"sigma^2/(2*kappa*(x-mu)) = {bound:.6g}"
-                )
-            raise MonotonicityError(
-                f"paper-faithful coefficient check failed at x={x:.6g}, regime {regime}: "
-                f"a={a:.6g}, b={b:.6g}; {detail}"
-            )
-        c = common + drift / (r * h) - u / (r * l)
-    elif mode == "upwind":
-        a = diff + max(drift, 0.0) / (r * h)
-        b = diff + max(-drift, 0.0) / (r * h)
-        c = common + abs(drift) / (r * h) + u / (r * l)
-    else:
-        raise ConfigError(f"unknown scheme mode {mode!r}")
-    return a, b, c
-
-
 class DiscreteOperator:
-    """Precomputed sweep machinery for one (model, grid, config) triple."""
+    """Precomputed sweep machinery for one (model, grid, config) triple.
+
+    Per regime and price node it holds the price-neighbor weights a_vec and
+    b_vec, the compensator comp_vec, the u-independent part of the center
+    coefficient center_base, and one jump matrix per regime (jump_mat).
+    Per control it holds the running profit and the denominators 1 + c(u)
+    (see control_terms).
+    """
 
     def __init__(self, model: MarketModel, grid: Grid4D, cfg: SolverConfig):
         report = validate_model(model)
@@ -157,87 +106,81 @@ class DiscreteOperator:
         self.grid = grid
         self.cfg = cfg
         self.scheme = build_quadrature(model.measure, cfg.xi, cfg.truncation)
-        d = model.dynamics
-        self.r = d.discount_rate
+        self.r = model.dynamics.discount_rate
         self.contraction = check_contraction(self.scheme, self.r)
         self.contraction.require()
-
-        r, k, h, l = self.r, grid.time_step, grid.price_step, grid.reserve_step
-        M, n_x = grid.n_regimes, grid.n_x
-        x = grid.x_values
-        e = model.economics
-        if cfg.dense_controls >= 2:
-            self.controls = np.linspace(0.0, e.u_max, cfg.dense_controls)
-        else:
-            self.controls = np.unique([0.0, e.u_max])
-
-        self.a_vec = np.empty((M, n_x))
-        self.b_vec = np.empty((M, n_x))
-        self.comp_vec = np.empty((M, n_x))
-        self.center_base = np.empty((M, n_x))
-        self.jump_mat = []
-        comp_sum = self.scheme.compensator_sum
-        for m in range(M):
-            sig, gamma = d.sigma[m], d.jump_scale[m]
-            drift = d.kappa * (d.mu[m] - x)
-            diff = sig * sig / (2.0 * r * h * h)
-            if model.jump_convention == "proportional":
-                comp = gamma * x * comp_sum
-            else:
-                comp = np.full(n_x, gamma * comp_sum)
-            if cfg.mode == "paper_faithful":
-                a = diff + drift / (r * h)
-                b = np.full(n_x, diff)
-                bad = np.flatnonzero((a <= 0.0) | (b <= 0.0))
-                if bad.size:
-                    # reuse the scalar path for its detailed message
-                    scheme_coefficients(
-                        model, grid, float(x[bad[0]]), m, 0.0, self.scheme, cfg.mode
-                    )
-                drift_center = drift / (r * h)
-                self.u_sign = -1.0
-            else:
-                a = diff + np.maximum(drift, 0.0) / (r * h)
-                b = diff + np.maximum(-drift, 0.0) / (r * h)
-                drift_center = np.abs(drift) / (r * h)
-                self.u_sign = 1.0
-            q_off = float(np.sum(model.generator[m]) - model.generator[m, m])
-            self.a_vec[m] = a
-            self.b_vec[m] = b
-            self.comp_vec[m] = comp
-            self.center_base[m] = (
-                1.0 / (r * k)
-                + sig * sig / (r * h * h)
-                + drift_center
-                - comp / (r * h)
-                + self.scheme.total_mass / r
-                + q_off / r
-            )
-            self.jump_mat.append(self._build_jump_matrix(m))
         # the u-dependent center addition is +u/(rl) upwind, -u/(rl) paper-faithful
-        self.dens = {}
+        self.u_sign = -1.0 if cfg.mode == "paper_faithful" else 1.0
+        self._build_coefficients()
+        self.jump_mat = [self._build_jump_matrix(m) for m in range(grid.n_regimes)]
+        self.controls = np.unique([0.0, model.economics.u_max])
+        self._terms = {}
         for u in self.controls:
-            den = 1.0 + self.center_base + self.u_sign * u / (r * l)
-            if np.any(den <= 0.0):
-                m_bad, x_bad = np.unravel_index(int(np.argmin(den)), den.shape)
-                raise NumericalError(
-                    f"center coefficient 1+c = {den[m_bad, x_bad]:.6g} is nonpositive at "
-                    f"x={x[x_bad]:.6g}, regime {m_bad}, u={u:.6g}; the paper-faithful "
-                    "reserve stencil cannot be iterated at this control cap and step size"
-                )
-            self.dens[float(u)] = den
-        # running profit per control, shape (n_x, n_y); the cost family is
-        # time-independent so one slab per control is enough
-        self.profit = {
-            float(u): np.asarray(
-                profit_rate(model, 0.0, x[:, None], grid.y_values[None, :], float(u))
-            )
-            for u in self.controls
-        }
+            self.control_terms(u)  # a nonpositive 1+c at an endpoint fails the build
+        x, y = grid.x_values[:, None], grid.y_values[None, :]
         self.terminal = np.broadcast_to(
-            np.asarray(terminal_value(model, x[:, None], grid.y_values[None, :])),
-            (M, n_x, grid.n_y),
+            np.asarray(terminal_value(model, x, y)), (grid.n_regimes, grid.n_x, grid.n_y)
         ).copy()
+
+    def _build_coefficients(self):
+        """Node weights of the balance equation, shape (M, n_x) each.
+
+        The paper-faithful stencil puts the whole drift on the forward price
+        difference, so its up weight a turns negative where x is far enough
+        above mu; the upwind stencil splits the drift by sign and is signed
+        correctly on any grid.
+        """
+        model, g = self.model, self.grid
+        d = model.dynamics
+        r, k, h = self.r, g.time_step, g.price_step
+        x = g.x_values
+        shape = (g.n_regimes, g.n_x)
+        sig = np.asarray(d.sigma)[:, None]
+        mu = np.asarray(d.mu)[:, None]
+        gamma = np.asarray(d.jump_scale)[:, None]
+        drift = d.kappa * (mu - x)
+        diff = sig * sig / (2.0 * r * h * h)
+        comp_sum = self.scheme.compensator_sum
+        if model.jump_convention == "proportional":
+            comp = gamma * x * comp_sum
+        else:
+            comp = np.broadcast_to(gamma * comp_sum, shape)
+        if self.cfg.mode == "paper_faithful":
+            a = diff + drift / (r * h)
+            b = np.broadcast_to(diff, shape)
+            drift_center = drift / (r * h)
+            bad = np.flatnonzero((a <= 0.0) | (b <= 0.0))
+            if bad.size:
+                m, i = divmod(int(bad[0]), g.n_x)
+                if b[m, i] <= 0.0:
+                    detail = "diffusion must be positive for the paper-faithful stencil"
+                else:
+                    bound = sig[m, 0] * sig[m, 0] / (2.0 * d.kappa * (x[i] - mu[m, 0]))
+                    detail = (
+                        f"restore positivity with a finer price step h < "
+                        f"sigma^2/(2*kappa*(x-mu)) = {bound:.6g}"
+                    )
+                raise MonotonicityError(
+                    f"paper-faithful coefficient check failed at x={x[i]:.6g}, regime {m}: "
+                    f"a={a[m, i]:.6g}, b={b[m, i]:.6g}; {detail}"
+                )
+        else:
+            a = diff + np.maximum(drift, 0.0) / (r * h)
+            b = diff + np.maximum(-drift, 0.0) / (r * h)
+            drift_center = np.abs(drift) / (r * h)
+        Q = model.generator
+        q_off = (Q.sum(axis=1) - np.diag(Q))[:, None]
+        self.a_vec = a
+        self.b_vec = b.copy()
+        self.comp_vec = comp.copy()
+        self.center_base = (
+            1.0 / (r * k)
+            + sig * sig / (r * h * h)
+            + drift_center
+            - comp / (r * h)
+            + self.scheme.total_mass / r
+            + q_off / r
+        )
 
     def _build_jump_matrix(self, m: int):
         """Row x_i of the matrix carries sum_j c_j split linearly onto the
@@ -261,6 +204,31 @@ class DiscreteOperator:
             np.add.at(P, (rows, lo), w * (1.0 - frac))
             np.add.at(P, (rows, hi), w * frac)
         return P
+
+    def control_terms(self, u):
+        """(running profit, 1 + c(u)) for one control, shapes (n_x, n_y) and (M, n_x).
+
+        The cost family is time-independent, so one profit slab per control
+        serves every time slice. Terms are built on first use and cached.
+        """
+        u = float(u)
+        terms = self._terms.get(u)
+        if terms is None:
+            g = self.grid
+            den = 1.0 + self.center_base + self.u_sign * u / (self.r * g.reserve_step)
+            if np.any(den <= 0.0):
+                m_bad, x_bad = np.unravel_index(int(np.argmin(den)), den.shape)
+                raise NumericalError(
+                    f"center coefficient 1+c = {den[m_bad, x_bad]:.6g} is nonpositive at "
+                    f"x={g.x_values[x_bad]:.6g}, regime {m_bad}, u={u:.6g}; the "
+                    "paper-faithful reserve stencil cannot be iterated at this control "
+                    "cap and step size"
+                )
+            profit = np.asarray(
+                profit_rate(self.model, 0.0, g.x_values[:, None], g.y_values[None, :], u)
+            )
+            terms = self._terms[u] = (profit, den)
+        return terms
 
     # -- sweep building blocks ------------------------------------------------
 
@@ -313,13 +281,13 @@ class DiscreteOperator:
         best = None
         for u in controls:
             u = float(u)
-            num = base + self.profit_for(u, m) / r
+            profit, den = self.control_terms(u)
+            num = base + profit / r
             if u != 0.0:
                 if yshift is None:
                     yshift = self._shift_y(Vt)
                 num = num + self.u_sign * (u / (r * l)) * yshift
-            den = self.den_for(u, m)
-            cand = num / den[:, None]
+            cand = num / den[m][:, None]
             if best is None:
                 best = cand
             elif u == 0.0:
@@ -328,23 +296,6 @@ class DiscreteOperator:
                 # extraction is not admissible on an empty reserve
                 np.maximum(best[..., 1:], cand[..., 1:], out=best[..., 1:])
         return best
-
-    def profit_for(self, u, m):
-        slab = self.profit.get(float(u))
-        if slab is None:
-            g = self.grid
-            slab = np.asarray(
-                profit_rate(self.model, 0.0, g.x_values[:, None], g.y_values[None, :], float(u))
-            )
-        return slab
-
-    def den_for(self, u, m):
-        den = self.dens.get(float(u))
-        if den is None:
-            den = 1.0 + self.center_base + self.u_sign * float(u) / (
-                self.r * self.grid.reserve_step
-            )
-        return den[m]
 
     # -- public operations -----------------------------------------------------
 
@@ -368,7 +319,6 @@ class DiscreteOperator:
         """One update with the control pinned to a given policy field."""
         g = self.grid
         r, l = self.r, g.reserve_step
-        e = self.model.economics
         out = np.empty_like(values)
         hi = g.n_s - 1
         out[:, hi] = self.terminal
@@ -376,9 +326,7 @@ class DiscreteOperator:
         for m in range(g.n_regimes):
             base = self._base_block(values, m, 0, hi)
             u = policy[m, :hi]
-            L = self.model.price(x) * u - (
-                e.fixed_cost + e.marginal_cost * u * (e.reserve_slope * y + e.reserve_offset)
-            )
+            L = profit_rate(self.model, 0.0, x, y, u)
             num = base + L / r + self.u_sign * (u / (r * l)) * self._shift_y(values[m, :hi])
             den = 1.0 + self.center_base[m][:, None] + self.u_sign * u / (r * l)
             if np.any(den <= 0.0):
@@ -426,7 +374,6 @@ def solve(model: MarketModel, grid: Grid4D, cfg: SolverConfig | None = None):
     else:
         iterations = _solve_jacobi(op, V, cfg, residuals)
     report = ConvergenceReport(
-        converged=True,
         iterations=iterations,
         final_residual=residuals[-1] if residuals else 0.0,
         residuals=residuals,
@@ -491,25 +438,17 @@ def _solve_backward(op, V, cfg, residuals):
     return total_inner
 
 
-def dpp_residual(field: GridField, op: DiscreteOperator, n_samples: int = 1000,
-                 seed: int = 0):
-    """Max one-step recursion mismatch over sampled nodes.
+def dpp_residual(field: GridField, op: DiscreteOperator):
+    """Max one-step recursion mismatch over every node of the grid.
 
     The mismatch at a node is |V0 - max_u RHS'(u)/(1+c(u))|: the node's
     value against the best of one-step profit plus discounted continuation.
-    Terminal nodes are pinned by construction and contribute zero.
+    Terminal nodes are pinned by construction and contribute zero. Returns
+    (worst mismatch, {"node": (regime, s_idx, x_idx, y_idx), "nodes": count}).
     """
-    rng = np.random.default_rng(seed)
-    g = op.grid
-    swept = op.sweep(field.values)
-    mism = np.abs(swept - field.values)
-    m = rng.integers(0, g.n_regimes, size=n_samples)
-    t = rng.integers(0, g.n_s, size=n_samples)
-    xi = rng.integers(0, g.n_x, size=n_samples)
-    yi = rng.integers(0, g.n_y, size=n_samples)
-    picked = mism[m, t, xi, yi]
-    worst = int(np.argmax(picked))
-    return float(picked[worst]), {
-        "node": (int(m[worst]), int(t[worst]), int(xi[worst]), int(yi[worst])),
-        "sampled": n_samples,
+    mism = np.abs(op.sweep(field.values) - field.values)
+    worst = np.unravel_index(int(np.argmax(mism)), mism.shape)
+    return float(mism[worst]), {
+        "node": tuple(int(i) for i in worst),
+        "nodes": int(mism.size),
     }

@@ -74,20 +74,20 @@ def check_solution(cfg: RunConfig, field, report) -> list[CheckResult]:
     out = [
         CheckResult(
             "convergence",
-            "pass" if report.converged else "fail",
+            "pass" if report.final_residual < cfg.solver.tolerance else "fail",
             f"{report.iterations} iterations, final residual {report.final_residual:.3g} "
             f"(tolerance {cfg.solver.tolerance:.3g}, sweep {report.sweep})",
             report.final_residual,
         )
     ]
     op = DiscreteOperator(cfg.model, cfg.grid, cfg.solver)
-    mismatch, info = dpp_residual(field, op, n_samples=1000, seed=0)
+    mismatch, info = dpp_residual(field, op)
     bound = 10.0 * cfg.solver.tolerance
     out.append(
         CheckResult(
             "balance-residual",
             "pass" if mismatch <= bound else "fail",
-            f"max one-step mismatch {mismatch:.3g} over {info['sampled']} sampled nodes "
+            f"max one-step mismatch {mismatch:.3g} over all {info['nodes']} nodes "
             f"(bound {bound:.3g}); worst node {info['node']}",
             mismatch,
         )
@@ -112,10 +112,9 @@ def check_solution(cfg: RunConfig, field, report) -> list[CheckResult]:
     return out
 
 
-def check_policy_structure(cfg: RunConfig, field) -> list[CheckResult]:
+def check_policy_structure(cfg: RunConfig, switching) -> list[CheckResult]:
     """Bang-bang audit: at most one upward sign change per (s, y, regime) row."""
-    sw = switching_function(field, cfg.model, mode=cfg.solver.mode)
-    rows, flagged = curve_table(sw)
+    rows, flagged = curve_table(switching)
     if flagged:
         worst = flagged[0]
         detail = (
@@ -168,16 +167,16 @@ def check_oracle(cfg: RunConfig, field) -> list[CheckResult]:
     ]
 
 
-def check_monte_carlo(cfg: RunConfig, field,
+def check_monte_carlo(cfg: RunConfig, field, switching,
                       mc_constant: float = MC_DISCRETIZATION_CONSTANT) -> list[CheckResult]:
-    """Simulated payoff under the extracted policy vs the grid value.
+    """Simulated payoff under the policy extracted from the switching field
+    vs the grid value.
 
     The allowance is 3*SE + mc_constant*(h + k + l): statistical noise plus
     a first-order discretization budget.
     """
     sim = cfg.simulation
-    sw = switching_function(field, cfg.model, mode=cfg.solver.mode)
-    policy = extract_policy(sw, cfg.model)
+    policy = extract_policy(switching, cfg.model)
     est = estimate_value(
         cfg.model, policy, sim.start, sim.n_paths, sim.dt, sim.seed, antithetic=sim.antithetic
     )
@@ -212,10 +211,11 @@ def run_verification(cfg: RunConfig, mc_constant: float = MC_DISCRETIZATION_CONS
         results.append(CheckResult("convergence", "fail", str(exc)))
         return results, None, None
     results += check_solution(cfg, field, report)
-    results += check_policy_structure(cfg, field)
+    sw = switching_function(field, cfg.model, mode=cfg.solver.mode)
+    results += check_policy_structure(cfg, sw)
     results += check_oracle(cfg, field)
     if skip_simulation:
         results.append(CheckResult("simulation-gap", "skip", "disabled by flag"))
     else:
-        results += check_monte_carlo(cfg, field, mc_constant)
+        results += check_monte_carlo(cfg, field, sw, mc_constant)
     return results, field, report

@@ -1,4 +1,6 @@
+import dataclasses
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -7,9 +9,10 @@ import numpy as np
 import pytest
 import yaml
 
-from oilopt import ConfigError
+from oilopt import ConfigError, solve
 from oilopt.cli import main
 from oilopt.config import load_config, parse_config
+from oilopt.verify import check_solution
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "src" / "oilopt" / "configs"
 
@@ -207,9 +210,26 @@ class TestCli:
 
     def test_entry_point_runs(self, tmp_path):
         cfg = write_config(tmp_path, SMALL)
+        # the child finds the package where this test session found it
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
         proc = subprocess.run(
             [sys.executable, "-m", "oilopt.cli", "solve", "--config", cfg,
              "--out", str(tmp_path / "run")],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env=env,
         )
         assert proc.returncode == 0, proc.stderr
+
+
+class TestVerifyChecks:
+    def test_convergence_check_compares_residual_with_tolerance(self):
+        cfg = parse_config(deep(SMALL, "schema_version")[0])
+        field, report = solve(cfg.model, cfg.grid, cfg.solver)
+
+        def status(rep):
+            return {r.name: r.status for r in check_solution(cfg, field, rep)}["convergence"]
+
+        assert status(report) == "pass"
+        stale = dataclasses.replace(report, final_residual=2 * cfg.solver.tolerance)
+        assert status(stale) == "fail"

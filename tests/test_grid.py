@@ -3,7 +3,16 @@ import io
 import numpy as np
 import pytest
 
-from oilopt import GridField, build_grid
+from oilopt import (
+    DiscreteOperator,
+    Dynamics,
+    Economics,
+    GridField,
+    LevyMeasure,
+    MarketModel,
+    SolverConfig,
+    build_grid,
+)
 
 
 @pytest.fixture
@@ -45,20 +54,48 @@ def test_nearest_indices(grid):
     assert grid.nearest_indices(10.4, 50.26, -3.0) == (100, 101, 0)
 
 
+def operator_on(grid, measure=None):
+    """Upwind operator on the fixture grid; jump destinations are x + z."""
+    M = grid.n_regimes
+    dyn = Dynamics(kappa=0.01, mu=(55.0,) * M, sigma=(0.2,) * M, jump_scale=(1.0,) * M,
+                   discount_rate=0.05)
+    eco = Economics(fixed_cost=0.0, marginal_cost=20.0, reserve_slope=0.0,
+                    reserve_offset=1.0, u_max=1.0, reserve_capacity=10.0, horizon=10.0,
+                    terminal_offset=20.0)
+    generator = np.zeros((M, M))
+    return DiscreteOperator(
+        MarketModel(generator=generator, dynamics=dyn, economics=eco,
+                    measure=measure or LevyMeasure.null(), jump_convention="additive"),
+        grid, SolverConfig(),
+    )
+
+
 def test_interpolated_lookup(grid):
-    field = GridField(grid)
-    field.values[:] = grid.x_values[None, None, :, None]  # value = x everywhere
-    v = field.lookup_interpolated(0, 50.25, 3, 0)
-    assert v == pytest.approx(50.25)
-    # beyond the cap clamps to the boundary value
-    assert field.lookup_interpolated(0, 250.0, 3, 0) == pytest.approx(100.0)
+    """Jump-matrix rows read the field by linear interpolation along the
+    price axis at off-node destinations, clamped to the face at the cap."""
+    x = grid.x_values  # value = x everywhere
+    near = operator_on(grid, LevyMeasure.atoms([(0.25, 1.0)]))
+    assert (near.jump_mat[0] @ x)[100] == pytest.approx(50.25)
+    assert (near.jump_mat[0] @ x)[-1] == pytest.approx(100.0)
+    # every destination lies past the cap: all mass lands on the last node
+    far = operator_on(grid, LevyMeasure.atoms([(150.0, 1.0)]))
+    P = far.jump_mat[1]
+    np.testing.assert_allclose(P @ x, 100.0)
+    assert np.all(P[:, -1] == 1.0) and np.all(P[:, :-1] == 0.0)
 
 
 def test_neighbor_clamps_at_edges(grid):
-    field = GridField(grid)
-    field.values[:] = np.arange(grid.n_y)[None, None, None, :]
-    edge = field.neighbor(0, 0, 0, 0, 0, 0, -1)
-    assert edge == field.values[0, 0, 0, 0]
+    """The operator's neighbor reads replicate the face value (zero gradient)."""
+    op = operator_on(grid)
+    V = np.random.default_rng(1).normal(size=grid.shape)
+    up, down = op._shift_x(V, up=True), op._shift_x(V, up=False)
+    assert np.array_equal(up[..., :-1, :], V[..., 1:, :])
+    assert np.array_equal(up[..., -1, :], V[..., -1, :])
+    assert np.array_equal(down[..., 1:, :], V[..., :-1, :])
+    assert np.array_equal(down[..., 0, :], V[..., 0, :])
+    below = op._shift_y(V)  # upwind reads the reserve neighbor at y - l
+    assert np.array_equal(below[..., 1:], V[..., :-1])
+    assert np.array_equal(below[..., 0], V[..., 0])
 
 
 def test_csv_round_trip_and_order():

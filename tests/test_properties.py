@@ -1,0 +1,104 @@
+"""Property tests of the upwind scheme over random small models.
+
+Barles & Souganidis (1991): a monotone, stable and consistent scheme
+converges to the viscosity solution. Monotonicity is what these tests pin,
+on the arrays the solver actually iterates: nonnegative neighbor weights,
+positive center denominators, and order preservation of one sweep.
+
+The compensator term sits on the forward price difference, so small-jump
+measures with a nonzero first moment are left out: atoms either come in
+symmetric pairs inside the window |z| < 1 or lie outside it.
+"""
+
+import numpy as np
+from hypothesis import given, settings, strategies as st
+
+from oilopt import (
+    DiscreteOperator,
+    Dynamics,
+    Economics,
+    LevyMeasure,
+    MarketModel,
+    SolverConfig,
+    build_grid,
+)
+
+
+def per_regime(n, lo, hi):
+    return st.tuples(*[st.floats(lo, hi)] * n)
+
+
+@st.composite
+def measures(draw):
+    if draw(st.booleans()):
+        return LevyMeasure.uniform(draw(st.floats(0.1, 2.0)), draw(st.floats(0.0, 2.0)))
+    pairs = []
+    for z, mass in draw(st.lists(st.tuples(st.floats(0.05, 0.95), st.floats(0.0, 1.0)),
+                                 max_size=2)):
+        pairs += [(z, mass), (-z, mass)]
+    pairs += draw(st.lists(st.tuples(st.floats(1.0, 3.0) | st.floats(-3.0, -1.0),
+                                     st.floats(0.0, 1.0)), max_size=2))
+    return LevyMeasure.atoms(pairs or [(2.0, 0.5)])
+
+
+@st.composite
+def small_models(draw):
+    """A 1-2 regime model with a grid of 3 x 21 x 5 nodes per regime."""
+    n = draw(st.integers(1, 2))
+    if n == 1:
+        generator = [[0.0]]
+    else:
+        q01, q10 = draw(st.floats(0.0, 2.0)), draw(st.floats(0.0, 2.0))
+        generator = [[-q01, q01], [q10, -q10]]
+    dyn = Dynamics(
+        kappa=draw(st.floats(0.0, 2.0)),
+        mu=draw(per_regime(n, 0.0, 10.0)),
+        sigma=draw(per_regime(n, 0.0, 3.0)),
+        jump_scale=draw(per_regime(n, 0.0, 0.5)),
+        discount_rate=draw(st.floats(0.01, 0.5)),
+    )
+    eco = Economics(
+        fixed_cost=draw(st.floats(0.0, 5.0)),
+        marginal_cost=draw(st.floats(0.1, 20.0)),
+        reserve_slope=draw(st.floats(0.0, 1.0)),
+        reserve_offset=draw(st.floats(0.0, 1.0)),
+        u_max=draw(st.floats(0.0, 100.0)),
+        reserve_capacity=2.0,
+        horizon=1.0,
+        terminal_offset=draw(st.floats(0.0, 5.0)),
+    )
+    model = MarketModel(
+        generator=np.array(generator),
+        dynamics=dyn,
+        economics=eco,
+        measure=draw(measures()),
+        jump_convention=draw(st.sampled_from(["proportional", "additive"])),
+    )
+    grid = build_grid(horizon=1.0, price_cap=10.0, reserve_capacity=2.0, time_step=0.5,
+                      price_step=0.5, reserve_step=0.5, n_regimes=n)
+    return DiscreteOperator(model, grid, SolverConfig(mode="upwind"))
+
+
+@settings(max_examples=25, deadline=None)
+@given(op=small_models())
+def test_neighbor_weights_nonnegative(op):
+    assert np.all(op.a_vec >= 0.0)
+    assert np.all(op.b_vec >= 0.0)
+
+
+@settings(max_examples=25, deadline=None)
+@given(op=small_models())
+def test_center_denominators_positive(op):
+    for u in np.linspace(0.0, op.model.economics.u_max, 5):
+        _, den = op.control_terms(u)
+        assert np.all(den > 0.0), f"1+c <= 0 at u={u}"
+
+
+@settings(max_examples=25, deadline=None)
+@given(op=small_models(), seed=st.integers(0, 2**32 - 1))
+def test_sweep_preserves_order(op, seed):
+    rng = np.random.default_rng(seed)
+    for _ in range(3):
+        lower = rng.uniform(-100.0, 400.0, size=op.grid.shape)
+        upper = lower + rng.uniform(0.0, 10.0, size=lower.shape)
+        assert np.all(op.sweep(lower) <= op.sweep(upper) + 1e-9)

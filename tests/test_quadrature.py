@@ -4,8 +4,13 @@ from scipy.integrate import quad
 
 from oilopt import (
     ContractionError,
+    DiscreteOperator,
+    Dynamics,
+    Economics,
     LevyMeasure,
-    apply_integral,
+    MarketModel,
+    SolverConfig,
+    build_grid,
     build_quadrature,
     check_contraction,
 )
@@ -110,30 +115,67 @@ def test_contraction_requires_positive_rate():
         check_contraction(scheme, 0.0)
 
 
-def test_apply_integral_constant_field_is_zero():
-    # single atom at z=2, mass 0.3: sum c_j f(dest) and f(x)*Gamma cancel
-    scheme = build_quadrature(LevyMeasure.atoms([(2.0, 0.3)]), xi=0.01)
-    out = apply_integral(scheme, lambda x: 7.0, x=50.0, gamma=0.1, forward_diff=0.0)
-    assert out == pytest.approx(0.0, abs=1e-12)
+def jump_operator(measure, gamma, convention="proportional"):
+    """Single-regime operator on a price grid [0, 100] with step h = 0.5."""
+    dyn = Dynamics(kappa=0.01, mu=(55.0,), sigma=(0.2,), jump_scale=(gamma,),
+                   discount_rate=0.05)
+    eco = Economics(fixed_cost=0.0, marginal_cost=20.0, reserve_slope=0.0,
+                    reserve_offset=1.0, u_max=0.0, reserve_capacity=1.0, horizon=1.0,
+                    terminal_offset=20.0)
+    model = MarketModel(generator=np.array([[0.0]]), dynamics=dyn, economics=eco,
+                        measure=measure, jump_convention=convention)
+    grid = build_grid(horizon=1.0, price_cap=100.0, reserve_capacity=1.0, time_step=0.5,
+                      price_step=0.5, reserve_step=0.5, n_regimes=1)
+    return DiscreteOperator(model, grid, SolverConfig())
 
 
-def test_apply_integral_quadratic_field_closed_form():
-    # f(x) = x^2 under a symmetric uniform measure: the surviving term is
-    # gamma^2 x^2 * sum c_j z_j^2 = gamma^2 x^2 * Gamma/3
-    gamma, x, mass = 0.1, 50.0, 0.5
-    scheme = build_quadrature(LevyMeasure.uniform(1.0, mass), xi=0.01)
-    out = apply_integral(scheme, lambda v: v * v, x=x, gamma=gamma, forward_diff=2 * x)
-    assert out == pytest.approx(gamma**2 * x**2 * mass / 3.0, rel=1e-9)
+def jump_integral(op, f):
+    """The operator's discrete jump integral applied to a price-axis field f:
+
+        I f = P f - comp * (f(x+h) - f(x))/h - Gamma f
+
+    with P the jump matrix and the forward difference clamped at the cap,
+    exactly the terms the sweep splits between its neighbor weights and
+    its center coefficient.
+    """
+    h = op.grid.price_step
+    forward = (np.append(f[1:], f[-1]) - f) / h
+    return op.jump_mat[0] @ f - op.comp_vec[0] * forward - op.scheme.total_mass * f
 
 
-def test_apply_integral_additive_convention():
-    scheme = build_quadrature(LevyMeasure.atoms([(0.5, 1.0)]), xi=0.01)
-    out = apply_integral(scheme, lambda v: float(v), x=10.0, gamma=0.1,
-                         forward_diff=1.0, convention="additive")
-    # identity field: (10 + 0.1*0.5) - 1.0*(0.1*0.5) - 10 = 0
-    assert out == pytest.approx(0.0, abs=1e-12)
+def test_jump_matrix_constant_field_is_zero():
+    # single atom at z=2, mass 0.3: P f and f*Gamma cancel on every row,
+    # including the rows whose destinations are clamped at the cap
+    op = jump_operator(LevyMeasure.atoms([(2.0, 0.3)]), gamma=0.1)
+    out = jump_integral(op, np.full(op.grid.n_x, 7.0))
+    np.testing.assert_allclose(out, 0.0, atol=1e-12)
 
 
-def test_apply_integral_null_measure_is_zero():
-    scheme = build_quadrature(LevyMeasure.null(), xi=0.01)
-    assert apply_integral(scheme, lambda v: v, 50.0, 0.1, 1.0) == 0.0
+def test_jump_matrix_quadratic_field_closed_form():
+    # f(x) = x^2 under a symmetric uniform measure: the exact integral is
+    # gamma^2 x^2 * sum c_j z_j^2 = gamma^2 x^2 * Gamma/3; linear interpolation
+    # between nodes overestimates x^2 by at most h^2/4 per unit of mass
+    gamma, mass = 0.1, 0.5
+    op = jump_operator(LevyMeasure.uniform(1.0, mass), gamma)
+    x, h = op.grid.x_values, op.grid.price_step
+    err = jump_integral(op, x * x) - gamma**2 * x**2 * mass / 3.0
+    inside = x * (1.0 + gamma) <= x[-1]  # no destination past the cap
+    assert inside.sum() > 150
+    assert np.all(err[inside] >= -1e-9)
+    assert np.all(err[inside] <= mass * h * h / 4.0 + 1e-9)
+
+
+def test_jump_matrix_additive_convention():
+    # identity field, atom at z=0.5 scaled by 0.1: on interior rows
+    # (x + 0.05) - 1.0*(0.1*0.5) - x = 0; on the last row the destination
+    # clamps to the cap and the clamped forward difference vanishes
+    op = jump_operator(LevyMeasure.atoms([(0.5, 1.0)]), gamma=0.1, convention="additive")
+    x = op.grid.x_values
+    np.testing.assert_allclose(jump_integral(op, x), 0.0, atol=1e-12)
+
+
+def test_jump_matrix_null_measure_is_zero():
+    op = jump_operator(LevyMeasure.null(), gamma=0.1)
+    assert op.jump_mat == [None]  # the sweep skips the jump term
+    assert op.scheme.total_mass == 0.0
+    assert np.all(op.comp_vec == 0.0)

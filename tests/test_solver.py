@@ -1,9 +1,13 @@
 """Solver unit tests: coefficients, invariants, convergence, mode agreement."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
+import yaml
 
 from oilopt import (
+    ConfigError,
     ConvergenceError,
     DiscreteOperator,
     Dynamics,
@@ -17,9 +21,11 @@ from oilopt import (
     build_grid,
     build_quadrature,
     dpp_residual,
-    scheme_coefficients,
     solve,
 )
+from oilopt.config import parse_config
+
+REFERENCE = Path(__file__).resolve().parents[1] / "src" / "oilopt" / "configs" / "reference.yaml"
 
 
 def single_regime_model(u_max=0.0, fixed_cost=0.0, kappa=0.01, sigma=0.2,
@@ -50,45 +56,52 @@ def small_grid(horizon=1.0, price_cap=100.0, k=0.1, h=0.5, l=0.5, n_regimes=1):
 
 
 class TestCoefficients:
-    """Frozen hand-computed weights: sigma=0.2, r=0.05, h=0.5, kappa=0.01, mu=55."""
+    """Frozen hand-computed weights: sigma=0.2, r=0.05, h=0.5, kappa=0.01, mu=55.
 
-    def setup_method(self):
-        self.model = single_regime_model()
-        self.grid = small_grid()
-        self.scheme = build_quadrature(self.model.measure, xi=0.01)
+    Read off the operator's (regime, price node) arrays; node 70 is x = 35
+    and node 120 is x = 60. The paper-faithful stencil needs a > 0, which
+    holds for x < 59, so its grid stops at 57.5.
+    """
+
+    @staticmethod
+    def operator(mode, price_cap=100.0):
+        grid = small_grid(price_cap=price_cap)
+        return DiscreteOperator(single_regime_model(), grid, SolverConfig(mode=mode))
 
     def test_diffusion_weight(self):
-        a, b, c = scheme_coefficients(self.model, self.grid, 35.0, 0, 0.0,
-                                      self.scheme, mode="paper_faithful")
-        assert b == pytest.approx(1.6)
+        op = self.operator("paper_faithful", price_cap=57.5)
+        np.testing.assert_allclose(op.b_vec, 1.6)
 
     def test_drift_boosted_up_weight(self):
-        a, b, c = scheme_coefficients(self.model, self.grid, 35.0, 0, 0.0,
-                                      self.scheme, mode="paper_faithful")
+        op = self.operator("paper_faithful", price_cap=57.5)
         # 1.6 + 0.01*(55-35)/(0.05*0.5)
-        assert a == pytest.approx(9.6)
+        assert op.a_vec[0, 70] == pytest.approx(9.6)
 
     def test_negative_weight_raises_with_step_bound(self):
-        with pytest.raises(MonotonicityError, match=r"h < sigma\^2"):
-            scheme_coefficients(self.model, self.grid, 60.0, 0, 0.0,
-                                self.scheme, mode="paper_faithful")
+        # the first node with a <= 0 is x = 59.5: a = 1.6 - 0.4*4.5 = -0.2
+        with pytest.raises(MonotonicityError, match=r"h < sigma\^2") as err:
+            self.operator("paper_faithful")
+        msg = str(err.value)
+        assert "x=59.5, regime 0: a=-0.2, b=1.6" in msg
+        assert "= 0.444444" in msg  # 0.2^2 / (2*0.01*4.5)
 
     def test_upwind_splits_drift_by_sign(self):
-        a, b, c = scheme_coefficients(self.model, self.grid, 60.0, 0, 0.0,
-                                      self.scheme, mode="upwind")
-        assert a == pytest.approx(1.6)   # no upward drift at x > mu
-        assert b == pytest.approx(3.6)   # diffusion + downward drift
-        assert a > 0 and b > 0
+        op = self.operator("upwind")
+        assert op.a_vec[0, 120] == pytest.approx(1.6)   # no upward drift at x > mu
+        assert op.b_vec[0, 120] == pytest.approx(3.6)   # diffusion + downward drift
+        assert np.all(op.a_vec > 0) and np.all(op.b_vec > 0)
 
     @pytest.mark.parametrize("mode", ["paper_faithful", "upwind"])
     def test_center_weight_identity(self, mode):
         """With no jumps, no switching, and u = 0 the weights satisfy
         1/(rk) + a + b = c, which is what makes constants invariant under the
         raw balance (the discrete analogue of r*const = 0 + r*const)."""
-        a, b, c = scheme_coefficients(self.model, self.grid, 35.0, 0, 0.0,
-                                      self.scheme, mode=mode)
-        r, k = 0.05, self.grid.time_step
-        assert 1.0 / (r * k) + a + b == pytest.approx(c, rel=1e-12)
+        op = self.operator(mode, price_cap=57.5)
+        r, k = 0.05, op.grid.time_step
+        np.testing.assert_allclose(1.0 / (r * k) + op.a_vec + op.b_vec, op.center_base,
+                                   rtol=1e-12)
+        _, den = op.control_terms(0.0)
+        np.testing.assert_array_equal(den, 1.0 + op.center_base)
 
 
 class TestExactDiscounting:
@@ -104,7 +117,7 @@ class TestExactDiscounting:
         for back, si in enumerate(range(grid.n_s - 1, -1, -1)):
             expected = psi / (1.0 + r * k) ** back
             np.testing.assert_allclose(field.values[0, si], expected, atol=1e-10)
-        assert report.converged
+        assert report.final_residual < 1e-13
 
 
 class TestSolve:
@@ -112,7 +125,7 @@ class TestSolve:
         model = single_regime_model()
         grid = small_grid(horizon=1.0, k=0.05)
         field, report = solve(model, grid, SolverConfig(tolerance=1e-6))
-        assert report.converged
+        assert report.final_residual < 1e-6
         xs = grid.x_values
         inner = (xs >= 10.0) & (xs <= 90.0)
         worst = 0.0
@@ -191,13 +204,16 @@ class TestSolve:
         cfg = SolverConfig(tolerance=1e-8)
         field, _ = solve(model, grid, cfg)
         op = DiscreteOperator(model, grid, cfg)
-        mism, info = dpp_residual(field, op, n_samples=1000, seed=0)
+        mism, info = dpp_residual(field, op)
         assert mism <= 10 * cfg.tolerance
-        # a visible dent in the field must show up as a recursion mismatch
+        assert info["nodes"] == field.values.size
+        # a dent at one node (outside any 1,000-node sample drawn with seed 0)
+        # must show up as the worst recursion mismatch, at that node
         dent = field.values.copy()
         dent[0, 2, 50, 5] -= 0.5
-        gap = np.abs(op.sweep(dent) - dent)
-        assert gap[0, 2, 50, 5] > 0.4
+        mism, info = dpp_residual(GridField(grid, dent), op)
+        assert mism > 0.4
+        assert info["node"] == (0, 2, 50, 5)
 
     def test_contraction_gate_blocks_bad_quadrature(self):
         from oilopt import ContractionError
@@ -210,8 +226,6 @@ class TestSolve:
             solve(model, grid, SolverConfig(xi=0.9))
 
     def test_mismatched_grid_regimes_rejected(self):
-        from oilopt import ConfigError
-
         model = reference_model()
         grid = small_grid(horizon=2.0, n_regimes=1)
         with pytest.raises(ConfigError):
@@ -220,19 +234,19 @@ class TestSolve:
 
 class TestSolverConfig:
     def test_rejects_unknown_mode(self):
-        from oilopt import ConfigError
-
         with pytest.raises(ConfigError):
             SolverConfig(mode="central")
 
     def test_rejects_bad_dense_controls(self):
-        from oilopt import ConfigError
-
-        with pytest.raises(ConfigError):
-            SolverConfig(dense_controls=1)
+        """A dense control scan is sweep(controls=...), not a solver option:
+        the constructor has no such field and the config key is unknown."""
+        with pytest.raises(TypeError):
+            SolverConfig(dense_controls=51)
+        data = yaml.safe_load(REFERENCE.read_text())
+        data["solver"]["dense_controls"] = 51
+        with pytest.raises(ConfigError, match="dense_controls"):
+            parse_config(data)
 
     def test_rejects_nonpositive_tolerance(self):
-        from oilopt import ConfigError
-
         with pytest.raises(ConfigError):
             SolverConfig(tolerance=0.0)
