@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import repeat
 
 import numpy as np
@@ -51,18 +52,18 @@ class Grid4D:
                 raise ValueError(f"{name} must be positive, got {span}")
         if self.n_regimes < 1:
             raise ValueError("n_regimes must be at least 1")
-        # trigger divisibility validation eagerly
+        # validate divisibility eagerly; the counts are cached from here on
         _ = self.n_s, self.n_x, self.n_y
 
-    @property
+    @cached_property
     def n_s(self) -> int:
         return _node_count(self.horizon, self.time_step, "time")
 
-    @property
+    @cached_property
     def n_x(self) -> int:
         return _node_count(self.price_cap, self.price_step, "price")
 
-    @property
+    @cached_property
     def n_y(self) -> int:
         return _node_count(self.reserve_capacity, self.reserve_step, "reserve")
 

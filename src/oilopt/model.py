@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy.integrate import quad
@@ -162,6 +163,12 @@ class LevyMeasure:
         val, _ = quad(lambda z: z * float(np.asarray(self._density(z))), -w, w, limit=200)
         return float(val)
 
+    @cached_property
+    def _envelope(self) -> float:
+        """Flat rejection envelope: the density's maximum on a fine grid."""
+        w = float(self.support)
+        return float(np.max(np.asarray(self._density(np.linspace(-w, w, 4001)))))
+
     def sample_jumps(self, rng: np.random.Generator, n: int) -> np.ndarray:
         """Draw n jump sizes from nu / Gamma. Requires total_mass > 0."""
         if n == 0:
@@ -180,7 +187,7 @@ class LevyMeasure:
             return np.sign(u) * mag
         w = float(self.support)
         dens = self._density
-        level = float(np.max(np.asarray(dens(np.linspace(-w, w, 4001)))))
+        level = self._envelope
         if level <= 0:
             raise ValueError("cannot sample from a degenerate density")
         # uniform family and custom densities: rejection against a flat envelope

@@ -1,11 +1,21 @@
 """Monte Carlo cross-check: Euler paths of the controlled system.
 
 Each path gets its own child random stream (SeedSequence spawning), so
-chunked or parallel evaluation cannot change any number. Per path the draw
+batched or parallel evaluation cannot change any number. Per path the draw
 script is fixed: regime chain first (exact exponential holding times),
 then the jump count over the whole window, jump times, jump sizes, and
 finally one normal per Euler step. The estimator reduction is a fixed-order
 pairwise sum over the path index.
+
+All paths of a batch advance together in one lockstep loop over the Euler
+steps. Everything but the normals is drawn up front and kept as per-step
+events: the steps where a path's regime changes, and the steps where its
+jumps land (their multipliers or addends compounded per step). Each step
+applies its events only to the paths that have one. Normals come last in
+every path's script, so they are drawn NORMAL_BLOCK steps at a time from
+the path's own generator; blocked draws reproduce one long draw bit for
+bit. A block is stored step-major, so a step reads one contiguous row.
+Memory is O(paths x NORMAL_BLOCK), not O(paths x steps).
 
 The applied extraction rate is min(policy rate, Y/dt): a step may not
 extract more than the remaining reserve, which keeps the booked revenue
@@ -16,12 +26,17 @@ applied rate.
 from __future__ import annotations
 
 import math
+import operator
+import time
 from dataclasses import dataclass
 
 import numpy as np
 
 from .grid import GridField
 from .model import MarketModel, profit_rate, terminal_value
+
+NORMAL_BLOCK = 512  # Euler steps per block of drawn normals
+_TILE = 256  # paths per transposed copy when a block is filled
 
 
 def simulate_regime_chain(generator: np.ndarray, start_regime: int, horizon: float,
@@ -82,11 +97,13 @@ class EstimateReport:
 def _policy_callable(policy, model):
     if isinstance(policy, GridField):
         g = policy.grid
-        vals = policy.values
+        # one flat read per path: node (m, s, x, y) sits at this offset
+        flat = policy.values.reshape(-1)
+        per_regime, per_time = g.n_s * g.n_x * g.n_y, g.n_x * g.n_y
 
         def lookup(t, x, y, regime):
             si, xi, yi = g.nearest_indices(t, x, y)
-            return vals[regime, si, xi, yi]
+            return flat[regime * per_regime + si * per_time + xi * g.n_y + yi]
 
         return lookup
     if callable(policy):
@@ -94,79 +111,112 @@ def _policy_callable(policy, model):
     raise TypeError("policy must be a GridField or a callable (t, x, y, regime) -> u")
 
 
-def _draw_path_inputs(model: MarketModel, s0, i0, horizon, n_steps, dt, stream):
-    """Fixed per-path draw script; returns everything the stepper needs."""
+_NO_EVENTS = (np.empty(0, dtype=np.intp), np.empty(0))
+
+
+def _draw_path_inputs(model: MarketModel, s0, i0, horizon, step_starts, dt, stream):
+    """Fixed per-path draw script up to the normals, turned into step events.
+
+    Returns (rng, switches, jumps, n_jumps). rng is left at the path's first
+    normal. switches = (steps, codes): the steps at whose start the regime
+    changes, and the regime entered. jumps = (steps, values): the steps the
+    jumps land in, with the product of their factors 1 + gamma*z
+    (proportional) or the sum of their addends gamma*z (additive),
+    compounded in event order.
+    """
     rng = np.random.default_rng(stream)
-    d = model.dynamics
     times, states = simulate_regime_chain(model.generator, i0, horizon, rng, t0=s0)
     gamma_total = model.measure.total_mass
     if gamma_total > 0.0:
         n_jumps = int(rng.poisson(gamma_total * (horizon - s0)))
     else:
         n_jumps = 0
-    if n_jumps:
-        jump_times = np.sort(rng.uniform(s0, horizon, size=n_jumps))
-        jump_sizes = model.measure.sample_jumps(rng, n_jumps)
+    n_steps = step_starts.size
+    # switch m sets the regime of every step starting at or after times[m];
+    # of several switches before one step starts, the last one counts
+    at = np.searchsorted(step_starts, times[1:], side="left")
+    last = np.ones(at.size, dtype=bool)
+    last[:-1] = at[1:] != at[:-1]
+    keep = last & (at < n_steps)
+    switches = (at[keep], states[1:][keep])
+    if not n_jumps:
+        return rng, switches, _NO_EVENTS, 0
+    jump_times = np.sort(rng.uniform(s0, horizon, size=n_jumps))
+    jump_sizes = model.measure.sample_jumps(rng, n_jumps)
+    ev_codes = states[np.searchsorted(times, jump_times, side="right") - 1]
+    idx = np.minimum(((jump_times - s0) / dt).astype(int), n_steps - 1)
+    effect = np.asarray(model.dynamics.jump_scale)[ev_codes] * jump_sizes
+    if model.jump_convention == "proportional":
+        effect, compound, identity = 1.0 + effect, operator.mul, 1.0
     else:
-        jump_times = np.empty(0)
-        jump_sizes = np.empty(0)
-    normals = rng.standard_normal(n_steps)
-    # regime code at the start of every step
-    step_starts = s0 + dt * np.arange(n_steps)
-    codes = states[np.searchsorted(times, step_starts, side="right") - 1].astype(np.int8)
-    # per-step jump aggregation, exact per-event compounding
-    jump_mult = None
-    jump_add = None
-    if n_jumps:
-        ev_codes = states[np.searchsorted(times, jump_times, side="right") - 1]
-        idx = np.minimum(((jump_times - s0) / dt).astype(int), n_steps - 1)
-        gammas = np.asarray(d.jump_scale)[ev_codes]
-        if model.jump_convention == "proportional":
-            jump_mult = np.ones(n_steps)
-            for i_ev in range(n_jumps):
-                jump_mult[idx[i_ev]] *= 1.0 + gammas[i_ev] * jump_sizes[i_ev]
-        else:
-            jump_add = np.zeros(n_steps)
-            for i_ev in range(n_jumps):
-                jump_add[idx[i_ev]] += gammas[i_ev] * jump_sizes[i_ev]
-    return codes, normals, jump_mult, jump_add, n_jumps
+        compound, identity = operator.add, 0.0
+    steps, values = [], []
+    for step, v in zip(idx.tolist(), effect.tolist()):
+        if not steps or steps[-1] != step:
+            steps.append(step)
+            values.append(identity)
+        values[-1] = compound(values[-1], v)
+    return rng, switches, (np.array(steps, dtype=np.intp), np.array(values)), n_jumps
+
+
+def _step_events(per_path, n_steps):
+    """Merge per-path (steps, values) events into (paths, values, bounds):
+    step j acts on paths[bounds[j]:bounds[j+1]] with the matching values."""
+    counts = [s.size for s, _ in per_path]
+    steps = np.concatenate([s for s, _ in per_path])
+    order = np.argsort(steps, kind="stable")
+    paths = np.repeat(np.arange(len(per_path)), counts)[order]
+    values = np.concatenate([v for _, v in per_path])[order]
+    bounds = np.searchsorted(steps[order], np.arange(n_steps + 1)).tolist()
+    return paths, values, bounds
+
+
+def _draw_normals(rngs, out, antithetic):
+    """Fill out (steps x paths, step-major) with every path's next normals.
+
+    With antithetic pairing the second half of the paths gets the negated
+    normals of the first half.
+    """
+    k = len(rngs)
+    tile = np.empty((min(_TILE, k), out.shape[0]))
+    for lo in range(0, k, _TILE):
+        group = rngs[lo : lo + _TILE]
+        for row, rng in zip(tile, group):
+            rng.standard_normal(out=row)
+        out[:, lo : lo + len(group)] = tile[: len(group)].T
+    if antithetic:
+        np.negative(out[:, :k], out=out[:, k:])
 
 
 def _simulate_block(model, policy_fn, start, dt_target, streams, antithetic=False,
                     record=False):
-    """Advance all paths of one block together; per-path streams, shared clock."""
+    """Advance all paths of one batch in lockstep; per-path streams, shared clock."""
     s0, x0, y0, i0 = start
     e = model.economics
     d = model.dynamics
     horizon = e.horizon
     n_steps = max(1, int(round((horizon - s0) / dt_target)))
     dt = (horizon - s0) / n_steps
-    n = len(streams)
-    codes = np.empty((n, n_steps), dtype=np.int8)
-    normals = np.empty((n, n_steps))
-    jump_mult = None
-    jump_add = None
-    n_jumps = np.zeros(n, dtype=np.int64)
+
+    t_draw = time.perf_counter()
+    step_starts = s0 + dt * np.arange(n_steps)
+    rngs, switches, jumps = [], [], []
+    n_jumps = np.zeros(len(streams), dtype=np.int64)
     for p, stream in enumerate(streams):
-        c, z, jm, ja, nj = _draw_path_inputs(model, s0, i0, horizon, n_steps, dt, stream)
-        codes[p], normals[p], n_jumps[p] = c, z, nj
-        if jm is not None:
-            if jump_mult is None:
-                jump_mult = np.ones((n, n_steps))
-            jump_mult[p] = jm
-        if ja is not None:
-            if jump_add is None:
-                jump_add = np.zeros((n, n_steps))
-            jump_add[p] = ja
+        rng, sw, jp, n_jumps[p] = _draw_path_inputs(model, s0, i0, horizon, step_starts,
+                                                    dt, stream)
+        rngs.append(rng)
+        switches.append(sw)
+        jumps.append(jp)
     if antithetic:
-        normals = np.concatenate([normals, -normals], axis=0)
-        codes = np.concatenate([codes, codes], axis=0)
-        if jump_mult is not None:
-            jump_mult = np.concatenate([jump_mult, jump_mult], axis=0)
-        if jump_add is not None:
-            jump_add = np.concatenate([jump_add, jump_add], axis=0)
+        switches, jumps = switches * 2, jumps * 2
         n_jumps = np.concatenate([n_jumps, n_jumps])
-        n = 2 * n
+    sw_paths, sw_codes, sw_bounds = _step_events(switches, n_steps)
+    jp_paths, jp_values, jp_bounds = _step_events(jumps, n_steps)
+    n = n_jumps.size
+    normals = np.empty((min(NORMAL_BLOCK, n_steps), n))
+    draw_s = time.perf_counter() - t_draw
+    normals_s = 0.0
 
     mu = np.asarray(d.mu)
     sig = np.asarray(d.sigma)
@@ -176,6 +226,9 @@ def _simulate_block(model, policy_fn, start, dt_target, streams, antithetic=Fals
     sqrt_dt = math.sqrt(dt)
     proportional = model.jump_convention == "proportional"
 
+    # the regime and its parameters per path, rewritten at switch events
+    alpha = np.full(n, int(i0), dtype=np.intp)
+    mu_a, gam_a, sig_a = mu[alpha], gam[alpha], sig[alpha] * sqrt_dt
     X = np.full(n, float(x0))
     Y = np.full(n, float(y0))
     payoff = np.zeros(n)
@@ -185,22 +238,33 @@ def _simulate_block(model, policy_fn, start, dt_target, streams, antithetic=Fals
         rec_y = np.empty((n, n_steps + 1))
         rec_u = np.zeros((n, n_steps + 1))
         rec_profit = np.zeros((n, n_steps + 1))
+        rec_codes = np.empty((n, n_steps), dtype=np.int64)
         rec_x[:, 0], rec_y[:, 0] = X, Y
 
+    t_loop = time.perf_counter()
     for step in range(n_steps):
+        row = step % NORMAL_BLOCK
+        if row == 0:
+            t_normals = time.perf_counter()
+            _draw_normals(rngs, normals[: n_steps - step], antithetic)
+            normals_s += time.perf_counter() - t_normals
+        lo, hi = sw_bounds[step], sw_bounds[step + 1]
+        if lo < hi:
+            p, codes = sw_paths[lo:hi], sw_codes[lo:hi]
+            alpha[p], mu_a[p], gam_a[p] = codes, mu[codes], gam[codes]
+            sig_a[p] = sig[codes] * sqrt_dt
         t = s0 + step * dt
         disc = math.exp(-r * (t - s0))
-        alpha = codes[:, step].astype(np.int64)
         u_pol = np.asarray(policy_fn(t, X, Y, alpha), dtype=float)
         u_app = np.clip(np.minimum(u_pol, Y / dt), 0.0, e.u_max)
         payoff += disc * profit_rate(model, t, X, Y, u_app) * dt
-        compensator = gam[alpha] * X * comp_drift if proportional else gam[alpha] * comp_drift
-        drift = d.kappa * (mu[alpha] - X) - compensator
-        X = X + drift * dt + sig[alpha] * sqrt_dt * normals[:, step]
-        if jump_mult is not None:
-            X = X * jump_mult[:, step]
-        if jump_add is not None:
-            X = X + jump_add[:, step]
+        compensator = gam_a * X * comp_drift if proportional else gam_a * comp_drift
+        drift = d.kappa * (mu_a - X) - compensator
+        X = X + drift * dt + sig_a * normals[row]
+        lo, hi = jp_bounds[step], jp_bounds[step + 1]
+        if lo < hi:
+            p = jp_paths[lo:hi]
+            X[p] = X[p] * jp_values[lo:hi] if proportional else X[p] + jp_values[lo:hi]
         neg = X < 0.0
         if np.any(neg):
             clamps += neg
@@ -210,6 +274,9 @@ def _simulate_block(model, policy_fn, start, dt_target, streams, antithetic=Fals
             rec_x[:, step + 1], rec_y[:, step + 1] = X, Y
             rec_u[:, step] = u_app
             rec_profit[:, step + 1] = payoff
+            rec_codes[:, step] = alpha
+    step_s = time.perf_counter() - t_loop - normals_s
+    draw_s += normals_s
 
     disc_T = math.exp(-r * (horizon - s0))
     term = disc_T * np.asarray(terminal_value(model, X, Y), dtype=float)
@@ -222,9 +289,11 @@ def _simulate_block(model, policy_fn, start, dt_target, streams, antithetic=Fals
         "clamps": clamps,
         "dt": dt,
         "n_steps": n_steps,
+        "draw_s": draw_s,
+        "step_s": step_s,
     }
     if record:
-        out["record"] = (rec_x, rec_y, rec_u, rec_profit, codes)
+        out["record"] = (rec_x, rec_y, rec_u, rec_profit, rec_codes)
     return out
 
 
@@ -260,11 +329,14 @@ def simulate_path(model: MarketModel, policy, start, dt, seed_or_stream) -> Path
 
 def estimate_value(model: MarketModel, policy, start, n_paths: int, dt: float,
                    seed: int, antithetic: bool = False,
-                   chunk_size: int = 512) -> EstimateReport:
+                   chunk_size: int = 10_000) -> EstimateReport:
     """Mean payoff under the policy with a standard error.
 
     Antithetic pairing shares each stream's chain and jumps between the
     +normals and -normals members and treats the pair average as one sample.
+    chunk_size streams advance together as one batch; a batch holds
+    O(chunk_size x NORMAL_BLOCK) normals. The diagnostics carry the seconds
+    spent drawing (draw_s) and stepping (step_s).
     """
     _validate_start(model, start, dt)
     if n_paths < 2:
@@ -280,6 +352,7 @@ def estimate_value(model: MarketModel, policy, start, n_paths: int, dt: float,
     payoffs = np.empty(n_paths)
     jumps = np.empty(n_streams, dtype=np.int64)
     clamps = np.empty(n_streams, dtype=np.int64)
+    draw_s = step_s = 0.0
     for lo in range(0, n_streams, chunk_size):
         chunk = streams[lo : lo + chunk_size]
         res = _simulate_block(model, policy_fn, start, dt, chunk, antithetic=antithetic)
@@ -291,6 +364,8 @@ def estimate_value(model: MarketModel, policy, start, n_paths: int, dt: float,
             payoffs[lo : lo + k] = res["payoff"]
         jumps[lo : lo + k] = res["n_jumps"][:k]
         clamps[lo : lo + k] = res["clamps"][:k]
+        draw_s += res["draw_s"]
+        step_s += res["step_s"]
     if antithetic:
         samples = 0.5 * (plus + minus)
         payoffs[0::2] = plus
@@ -311,7 +386,9 @@ def estimate_value(model: MarketModel, policy, start, n_paths: int, dt: float,
             "mean_jumps_per_path": float(np.mean(jumps)),
             "paths_with_price_clamp": int(np.count_nonzero(clamps)),
             "total_price_clamps": int(np.sum(clamps)),
-            "n_steps": int(round((model.economics.horizon - start[0]) / dt)),
+            "n_steps": res["n_steps"],
+            "draw_s": draw_s,
+            "step_s": step_s,
         },
     )
 

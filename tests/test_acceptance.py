@@ -2,7 +2,9 @@
 
 Each test covers one numbered release criterion and reports a PASS/FAIL line
 on the terminal summary board (see conftest.py). Tolerances are pinned here
-and must not be loosened to make a failing criterion green.
+and must not be loosened to make a failing criterion green. The one test
+without a criterion, test_monte_carlo_estimate_is_pinned, pins criterion 5's
+first estimate bit for bit and prints nothing on the board.
 """
 
 import functools
@@ -235,6 +237,19 @@ def test_criterion_5_monte_carlo_cross_validation(reference, reference_policy):
         f"3 starts within allowance (gaps {', '.join(details)}; C={MC_CONSTANT}), "
         f"{MC_PATHS} paths each, {wall:.0f}s"
     )
+
+
+def test_monte_carlo_estimate_is_pinned(reference, reference_policy):
+    """Criterion 5's first start gives exactly the estimate captured before
+    the paths were stepped in one lockstep batch: a change to the draw
+    order, the Euler arithmetic or the reduction moves these bits."""
+    cfg = reference[0]
+    _, policy = reference_policy
+    est = estimate_value(cfg.model, policy, (0.0, 50.0, 4.0, 0), n_paths=MC_PATHS, dt=MC_DT,
+                         seed=MC_SEED)
+    d = est.diagnostics
+    assert (est.mean, est.std_error) == (265.0282268695991, 0.3793706397949546)
+    assert (d["mean_jumps_per_path"], d["total_price_clamps"], d["n_steps"]) == (5.0037, 0, 10000)
 
 
 @criterion(6)

@@ -13,6 +13,7 @@ from oilopt import (
     SolverConfig,
     build_grid,
 )
+from oilopt import grid as grid_module
 
 
 @pytest.fixture
@@ -26,6 +27,18 @@ def test_node_counts(grid):
     assert grid.n_s == 101
     assert grid.n_x == 201
     assert grid.n_y == 21
+
+
+def test_node_counts_computed_once(monkeypatch):
+    """The sizes are validated and counted at construction, then cached."""
+    calls = []
+    count = grid_module._node_count
+    monkeypatch.setattr(grid_module, "_node_count", lambda *a: calls.append(a) or count(*a))
+    g = build_grid(10.0, 100.0, 10.0, 0.1, 0.5, 0.5, 2)
+    for _ in range(5):
+        g.nearest_indices(1.0, np.array([3.0]), np.array([2.0]))
+        assert g.shape == (2, 101, 201, 21)
+    assert len(calls) == 3
 
 
 def test_axis_values(grid):

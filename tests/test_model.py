@@ -150,6 +150,23 @@ class TestLevyMeasure:
         assert m.total_mass == pytest.approx(3.0)
         assert m.density(0.0) == pytest.approx(0.75)
 
+    def test_rejection_envelope_evaluated_once(self):
+        """The flat envelope is the density's maximum on 4,001 points, found
+        on the first draw and reused after it."""
+        sizes = []
+
+        def dens(z):
+            z = np.asarray(z, dtype=float)
+            sizes.append(z.size)
+            return np.exp(-np.abs(z))
+
+        m = LevyMeasure.from_density(dens, 1.0, total_mass=0.5)
+        rng = np.random.default_rng(0)
+        for _ in range(3):
+            s = m.sample_jumps(rng, 50)
+            assert s.size == 50 and np.all(np.abs(s) <= 1.0)
+        assert sizes.count(4001) == 1
+
     def test_sampling_double_exponential_matches_cdf(self):
         m = LevyMeasure.double_exponential(decay=2.0, half_width=5.0, total_mass=1.0)
         rng = np.random.default_rng(0)

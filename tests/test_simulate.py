@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,13 +8,16 @@ import pytest
 from oilopt import (
     Dynamics,
     Economics,
+    GridField,
     LevyMeasure,
     MarketModel,
     analytic_oracle,
+    build_grid,
     estimate_value,
     simulate_path,
     simulate_regime_chain,
 )
+from oilopt import simulate
 
 
 def no_action_model(horizon=1.0, sigma=0.2):
@@ -188,6 +193,108 @@ class TestEstimate:
         with pytest.raises(ValueError):
             estimate_value(model, zero_policy, start, n_paths=11, dt=1e-2, seed=0,
                            antithetic=True)
+
+
+def threshold_policy(t, x, y, regime):
+    return np.where(x > 45.0 + 10.0 * regime, 3.0, 0.0)
+
+
+def fast_switching(model):
+    """The same model with regime switches every fraction of a year."""
+    return dataclasses.replace(model, generator=np.array([[-3.0, 3.0], [2.0, -2.0]]))
+
+
+def grid_policy():
+    g = build_grid(2.0, 100.0, 10.0, 0.1, 0.5, 0.5, 2)
+    return GridField(g, np.random.default_rng(0).uniform(0.0, 5.0, g.shape))
+
+
+PIN_START = (0.0, 50.0, 4.0, 0)
+PIN_KW = dict(n_paths=64, dt=1e-2, seed=5)
+# (model, policy, extra kwargs) -> (mean, SE, mean jumps, paths clamped, clamps),
+# captured before the paths were stepped in one lockstep batch; every case
+# runs 200 steps
+PINNED_ESTIMATES = {
+    "plain": (lambda: (jumpy_model(), full_policy(2.0), {}),
+              (370.91211866249114, 3.6472862326126876, 0.96875, 0, 0)),
+    "antithetic": (lambda: (jumpy_model(), full_policy(2.0), {"antithetic": True}),
+                   (368.84493279824994, 5.541477946333237, 0.84375, 0, 0)),
+    "additive": (lambda: (dataclasses.replace(jumpy_model(), jump_convention="additive"),
+                          full_policy(2.0), {}),
+                 (376.48031795185034, 0.42805254614794386, 0.96875, 0, 0)),
+    "atoms": (lambda: (jumpy_model(measure=LevyMeasure.atoms([(-20.0, 0.1), (0.3, 0.5)])),
+                       full_policy(2.0), {}),
+              (250.59220111150836, 29.5819396562085, 1.140625, 14, 55)),
+    "callable": (lambda: (fast_switching(jumpy_model()), threshold_policy, {}),
+                 (312.1610946509451, 8.333641699570643, 1.0, 0, 0)),
+    "gridfield": (lambda: (fast_switching(jumpy_model()), grid_policy(), {}),
+                  (376.0818482991003, 3.6391369860317164, 1.0, 0, 0)),
+}
+
+
+@pytest.fixture(params=["default", "block7"])
+def normal_block(request, monkeypatch):
+    """Run with the shipped normals block, and with blocks of 7 steps and
+    transpose tiles of 3 paths, so block and tile edges fall mid-run."""
+    if request.param == "block7":
+        monkeypatch.setattr(simulate, "NORMAL_BLOCK", 7)
+        monkeypatch.setattr(simulate, "_TILE", 3)
+    return request.param
+
+
+class TestPinnedNumbers:
+    @pytest.mark.parametrize("case", sorted(PINNED_ESTIMATES))
+    def test_estimate_is_bit_identical(self, case, normal_block):
+        make, pinned = PINNED_ESTIMATES[case]
+        model, policy, extra = make()
+        est = estimate_value(model, policy, PIN_START, **PIN_KW, **extra)
+        d = est.diagnostics
+        got = (est.mean, est.std_error, d["mean_jumps_per_path"],
+               d["paths_with_price_clamp"], d["total_price_clamps"])
+        assert got == pinned
+        assert d["n_steps"] == 200
+
+    def test_recorded_path_is_bit_identical(self, normal_block):
+        rec = simulate_path(fast_switching(jumpy_model()), threshold_policy, PIN_START, 1e-2, 7)
+        got = (rec.total_payoff, rec.x[-1], rec.y[-1], int(rec.regime.sum()), rec.n_jumps,
+               rec.clamp_count, rec.discounted_profit[-1])
+        assert got == (216.59193941014718, 41.56313453109743, 1.6300000000000125, 122, 3, 0,
+                       53.28377315876982)
+
+
+class TestBatch:
+    def test_diagnostics_report_the_simulated_step_count(self):
+        """A start within dt/2 of the horizon still takes the stepper's one step."""
+        model = jumpy_model(horizon=2.0)
+        start = (2.0 - 0.004, 50.0, 4.0, 0)
+        est = estimate_value(model, zero_policy, start, n_paths=4, dt=1e-2, seed=1)
+        rec = simulate_path(model, zero_policy, start, 1e-2, 1)
+        assert est.diagnostics["n_steps"] == len(rec.times) - 1 == 1
+
+    def test_timings_reported(self):
+        est = estimate_value(jumpy_model(), zero_policy, PIN_START, **PIN_KW)
+        assert est.diagnostics["draw_s"] > 0.0 and est.diagnostics["step_s"] > 0.0
+
+    def test_memory_is_bounded_by_the_normals_block(self):
+        """Peak traced memory is O(paths x NORMAL_BLOCK), not O(paths x steps):
+        dense per-path arrays over 5,000 steps would take ~43 MB here."""
+        n_paths, n_steps = 2000, 5000
+        block_bytes = n_paths * simulate.NORMAL_BLOCK * 8
+        # the block, and as much again for generators, events and temporaries
+        bound = 2 * block_bytes
+        was_tracing = tracemalloc.is_tracing()
+        if not was_tracing:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base, _ = tracemalloc.get_traced_memory()
+            estimate_value(jumpy_model(horizon=2.0), zero_policy, PIN_START, n_paths=n_paths,
+                           dt=2.0 / n_steps, seed=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            if not was_tracing:
+                tracemalloc.stop()
+        assert peak - base < bound, f"traced peak {(peak - base) / 1e6:.1f} MB"
 
 
 class TestAnalyticOracle:
