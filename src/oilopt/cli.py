@@ -22,16 +22,13 @@ import sys
 import time
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 from .config import RunConfig, load_config
 from .errors import ConfigError, NumericalError
 from .grid import csv_handle
-from .policy import curve_table, extract_policy, switching_function, write_curve_csv, write_policy_csv
-from .simulate import estimate_value, simulate_path
+from .policy import curve_table, extract_policy, write_curve_csv, write_policy_csv
 from .solver import solve
-from .verify import MC_DISCRETIZATION_CONSTANT, run_verification
+from .verify import MC_DISCRETIZATION_CONSTANT, pipeline, run_verification, simulation_gap
 
 
 def _apply_overrides(cfg: RunConfig, args) -> RunConfig:
@@ -126,15 +123,8 @@ def _cmd_solve(cfg: RunConfig, args, out_dir: Path) -> int:
     return 0
 
 
-def _solve_policy(cfg: RunConfig):
-    """Solve, then derive the switching field and the bang-bang policy."""
-    field, report = solve(cfg.model, cfg.grid, cfg.solver)
-    sw = switching_function(field, cfg.model, mode=cfg.solver.mode)
-    return field, report, sw, extract_policy(sw, cfg.model)
-
-
 def _cmd_policy(cfg: RunConfig, args, out_dir: Path) -> int:
-    _, report, sw, policy = _solve_policy(cfg)
+    _, report, sw = pipeline(cfg)
     rows, flagged = curve_table(sw)
     _cap_warning(cfg, rows)
     if flagged:
@@ -142,7 +132,7 @@ def _cmd_policy(cfg: RunConfig, args, out_dir: Path) -> int:
             f"warning: {len(flagged)} rows show multiple threshold crossings",
             file=sys.stderr,
         )
-    write_policy_csv(sw, policy, out_dir / "policy.csv")
+    write_policy_csv(sw, extract_policy(sw, cfg.model), out_dir / "policy.csv")
     write_curve_csv(rows, out_dir / "switching_curve.csv")
     _write_manifest(out_dir, _manifest(cfg, args, report, {"threshold_rows": len(rows)}))
     print(
@@ -153,23 +143,15 @@ def _cmd_policy(cfg: RunConfig, args, out_dir: Path) -> int:
 
 
 def _cmd_simulate(cfg: RunConfig, args, out_dir: Path) -> int:
-    field, report, _, policy = _solve_policy(cfg)
-    sim = cfg.simulation
+    field, report, sw = pipeline(cfg)
+    policy = extract_policy(sw, cfg.model)
     t0 = time.perf_counter()
-    est = estimate_value(
-        cfg.model, policy, sim.start, sim.n_paths, sim.dt, sim.seed, antithetic=sim.antithetic
-    )
+    est, v_grid, gap = simulation_gap(cfg, field, policy, record=args.record)
     mc_wall = time.perf_counter() - t0
-    g = cfg.grid
-    si, xi, yi = g.nearest_indices(*sim.start[:3])
-    v_grid = float(field.values[sim.start[3], si, xi, yi])
-    n_record = max(0, args.record)
-    if n_record:
-        streams = np.random.SeedSequence(sim.seed).spawn(n_record)
+    if est.paths:
         with csv_handle(out_dir / "paths.csv") as fh:
             fh.write("path,t,x,y,regime,u,discounted_profit\n")
-            for p in range(n_record):
-                rec = simulate_path(cfg.model, policy, sim.start, sim.dt, streams[p])
+            for p, rec in enumerate(est.paths):
                 cols = (rec.times, rec.x, rec.y, rec.regime, rec.u, rec.discounted_profit)
                 for t, x, y, m, u, v in zip(*(c.tolist() for c in cols)):
                     fh.write(f"{p},{t!r},{x!r},{y!r},{m},{u!r},{v!r}\n")
@@ -180,9 +162,9 @@ def _cmd_simulate(cfg: RunConfig, args, out_dir: Path) -> int:
             "n_paths": est.n_paths,
             "antithetic": est.antithetic,
             "dt": est.dt,
-            "seed": sim.seed,
+            "seed": est.seed,
             "grid_value_at_start": v_grid,
-            "gap": abs(est.mean - v_grid),
+            "gap": gap,
             "diagnostics": est.diagnostics,
             "wall_time_s": mc_wall,
         }
@@ -190,7 +172,7 @@ def _cmd_simulate(cfg: RunConfig, args, out_dir: Path) -> int:
     _write_manifest(out_dir, _manifest(cfg, args, report, extra))
     print(
         f"simulated {est.n_paths} paths: mean {est.mean:.4f} (SE {est.std_error:.4f}), "
-        f"grid value {v_grid:.4f}, gap {abs(est.mean - v_grid):.4f} -> {out_dir}"
+        f"grid value {v_grid:.4f}, gap {gap:.4f} -> {out_dir}"
     )
     return 0
 

@@ -8,7 +8,7 @@ layout; only version 1 exists.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 import yaml
@@ -36,25 +36,9 @@ _MODEL_KEYS = {
     "jump_convention",
     "measure",
 }
-_ECONOMICS_KEYS = {
-    "fixed_cost",
-    "marginal_cost",
-    "reserve_slope",
-    "reserve_offset",
-    "u_max",
-    "reserve_capacity",
-    "horizon",
-    "terminal_offset",
-}
 _GRID_KEYS = {"price_cap", "time_step", "price_step", "reserve_step"}
-_SOLVER_KEYS = {
-    "tolerance",
-    "max_iterations",
-    "mode",
-    "sweep",
-    "xi",
-    "truncation",
-}
+_ECONOMICS_KEYS = [f.name for f in fields(Economics)]
+_SOLVER_DEFAULTS = {f.name: f.default for f in fields(SolverConfig)}
 _SIM_KEYS = {"n_paths", "dt", "seed", "antithetic", "start"}
 _START_KEYS = {"s", "x", "y", "regime"}
 _TOP_KEYS = {"schema_version", "model", "economics", "grid", "solver", "simulation"}
@@ -84,8 +68,8 @@ def _require_mapping(obj, where):
     return obj
 
 
-def _check_keys(section: dict, allowed: set, where: str):
-    unknown = sorted(set(section) - allowed)
+def _check_keys(section: dict, allowed, where: str):
+    unknown = sorted(set(section).difference(allowed))
     if unknown:
         raise ConfigError(f"unknown key(s) in {where}: {', '.join(unknown)}")
 
@@ -149,7 +133,7 @@ def parse_config(data: dict) -> RunConfig:
     gsec = _require_mapping(_get(data, "grid", "configuration root"), "grid")
     _check_keys(gsec, _GRID_KEYS, "grid")
     ssec = _require_mapping(data.get("solver", {}) or {}, "solver")
-    _check_keys(ssec, _SOLVER_KEYS, "solver")
+    _check_keys(ssec, _SOLVER_DEFAULTS, "solver")
     simsec = _require_mapping(data.get("simulation", {}) or {}, "simulation")
     _check_keys(simsec, _SIM_KEYS, "simulation")
 
@@ -164,16 +148,7 @@ def parse_config(data: dict) -> RunConfig:
         jump_scale=_floats(_get(msec, "jump_scale", "model"), "jump_scale", "model"),
         discount_rate=float(_get(msec, "discount_rate", "model")),
     )
-    economics = Economics(
-        fixed_cost=float(_get(esec, "fixed_cost", "economics")),
-        marginal_cost=float(_get(esec, "marginal_cost", "economics")),
-        reserve_slope=float(_get(esec, "reserve_slope", "economics")),
-        reserve_offset=float(_get(esec, "reserve_offset", "economics")),
-        u_max=float(_get(esec, "u_max", "economics")),
-        reserve_capacity=float(_get(esec, "reserve_capacity", "economics")),
-        horizon=float(_get(esec, "horizon", "economics")),
-        terminal_offset=float(_get(esec, "terminal_offset", "economics")),
-    )
+    economics = Economics(**{k: float(_get(esec, k, "economics")) for k in _ECONOMICS_KEYS})
     model = MarketModel(
         generator=generator,
         dynamics=dynamics,
@@ -199,13 +174,9 @@ def parse_config(data: dict) -> RunConfig:
     except ValueError as exc:
         raise ConfigError(f"invalid grid: {exc}") from exc
 
+    # each setting is parsed with the type of its SolverConfig default
     solver = SolverConfig(
-        tolerance=float(_get(ssec, "tolerance", "solver", 1e-6)),
-        max_iterations=int(_get(ssec, "max_iterations", "solver", 20000)),
-        mode=str(_get(ssec, "mode", "solver", "upwind")),
-        sweep=str(_get(ssec, "sweep", "solver", "jacobi")),
-        xi=float(_get(ssec, "xi", "solver", 0.01)),
-        truncation=float(_get(ssec, "truncation", "solver", 5.0)),
+        **{k: type(v)(_get(ssec, k, "solver", v)) for k, v in _SOLVER_DEFAULTS.items()}
     )
 
     start_sec = simsec.get("start")

@@ -31,19 +31,20 @@ def switching_function(field: GridField, model: MarketModel, mode: str = "upwind
     g = field.grid
     V = field.values
     l = g.reserve_step
-    dV = np.empty_like(V)
+    G = np.empty_like(V)  # D_y V first, turned into G in place
     if mode == "upwind":
-        dV[..., 1:] = (V[..., 1:] - V[..., :-1]) / l
-        dV[..., 0] = 0.0  # replicated neighbor below y=0
+        np.subtract(V[..., 1:], V[..., :-1], out=G[..., 1:])
+        G[..., 0] = 0.0  # replicated neighbor below y=0
     elif mode == "paper_faithful":
-        dV[..., :-1] = (V[..., 1:] - V[..., :-1]) / l
-        dV[..., -1] = 0.0  # replicated neighbor above y=K
+        np.subtract(V[..., 1:], V[..., :-1], out=G[..., :-1])
+        G[..., -1] = 0.0  # replicated neighbor above y=K
     else:
         raise ValueError(f"unknown scheme mode {mode!r}")
-    margin = model.price(g.x_values)[:, None] - np.asarray(
+    G /= l
+    np.negative(G, out=G)
+    G += model.price(g.x_values)[:, None] - np.asarray(
         model.marginal_extraction_cost(g.y_values)
     )[None, :]
-    G = -dV + margin[None, None, :, :]
     return GridField(g, G)
 
 

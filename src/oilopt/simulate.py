@@ -15,7 +15,10 @@ applies its events only to the paths that have one. Normals come last in
 every path's script, so they are drawn NORMAL_BLOCK steps at a time from
 the path's own generator; blocked draws reproduce one long draw bit for
 bit. A block is stored step-major, so a step reads one contiguous row.
-Memory is O(paths x NORMAL_BLOCK), not O(paths x steps).
+Memory is O(paths x NORMAL_BLOCK), not O(paths x steps). The first N
+paths of a batch can be recorded step by step as it runs: that is how
+estimate_value hands back recorded paths, and simulate_path is its
+one-path case.
 
 The applied extraction rate is min(policy rate, Y/dt): a step may not
 extract more than the remaining reserve, which keeps the booked revenue
@@ -28,7 +31,7 @@ from __future__ import annotations
 import math
 import operator
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -36,6 +39,7 @@ from .grid import GridField
 from .model import MarketModel, profit_rate, terminal_value
 
 NORMAL_BLOCK = 512  # Euler steps per block of drawn normals
+BATCH_PATHS = 10_000  # streams stepped together in one batch
 _TILE = 256  # paths per transposed copy when a block is filled
 
 
@@ -92,6 +96,7 @@ class EstimateReport:
     antithetic: bool
     dt: float
     diagnostics: dict
+    paths: list = field(default_factory=list)  # recorded PathRecords
 
 
 def _policy_callable(policy, model):
@@ -189,8 +194,11 @@ def _draw_normals(rngs, out, antithetic):
 
 
 def _simulate_block(model, policy_fn, start, dt_target, streams, antithetic=False,
-                    record=False):
-    """Advance all paths of one batch in lockstep; per-path streams, shared clock."""
+                    record=0):
+    """Advance all paths of one batch in lockstep; per-path streams, shared clock.
+
+    The first `record` paths are kept step by step and returned as PathRecords.
+    """
     s0, x0, y0, i0 = start
     e = model.economics
     d = model.dynamics
@@ -199,7 +207,8 @@ def _simulate_block(model, policy_fn, start, dt_target, streams, antithetic=Fals
     dt = (horizon - s0) / n_steps
 
     t_draw = time.perf_counter()
-    step_starts = s0 + dt * np.arange(n_steps)
+    times = s0 + dt * np.arange(n_steps + 1)
+    step_starts = times[:-1]
     rngs, switches, jumps = [], [], []
     n_jumps = np.zeros(len(streams), dtype=np.int64)
     for p, stream in enumerate(streams):
@@ -233,13 +242,10 @@ def _simulate_block(model, policy_fn, start, dt_target, streams, antithetic=Fals
     Y = np.full(n, float(y0))
     payoff = np.zeros(n)
     clamps = np.zeros(n, dtype=np.int64)
-    if record:
-        rec_x = np.empty((n, n_steps + 1))
-        rec_y = np.empty((n, n_steps + 1))
-        rec_u = np.zeros((n, n_steps + 1))
-        rec_profit = np.zeros((n, n_steps + 1))
-        rec_codes = np.empty((n, n_steps), dtype=np.int64)
-        rec_x[:, 0], rec_y[:, 0] = X, Y
+    rec_x, rec_y = np.empty((record, n_steps + 1)), np.empty((record, n_steps + 1))
+    rec_u, rec_profit = np.zeros((record, n_steps + 1)), np.zeros((record, n_steps + 1))
+    rec_codes = np.empty((record, n_steps + 1), dtype=np.int64)
+    rec_x[:, 0], rec_y[:, 0] = x0, y0
 
     t_loop = time.perf_counter()
     for step in range(n_steps):
@@ -271,107 +277,83 @@ def _simulate_block(model, policy_fn, start, dt_target, streams, antithetic=Fals
             X = np.where(neg, 0.0, X)
         Y = np.maximum(Y - u_app * dt, 0.0)
         if record:
-            rec_x[:, step + 1], rec_y[:, step + 1] = X, Y
-            rec_u[:, step] = u_app
-            rec_profit[:, step + 1] = payoff
-            rec_codes[:, step] = alpha
+            rec_x[:, step + 1], rec_y[:, step + 1] = X[:record], Y[:record]
+            rec_u[:, step] = u_app[:record]
+            rec_profit[:, step + 1] = payoff[:record]
+            rec_codes[:, step] = alpha[:record]
     step_s = time.perf_counter() - t_loop - normals_s
     draw_s += normals_s
 
     disc_T = math.exp(-r * (horizon - s0))
     term = disc_T * np.asarray(terminal_value(model, X, Y), dtype=float)
     total = payoff + term
-    out = {
+    rec_codes[:, n_steps] = rec_codes[:, n_steps - 1]
+    paths = [
+        PathRecord(times, rec_x[p], rec_y[p], rec_codes[p], rec_u[p], rec_profit[p],
+                   float(term[p]), float(total[p]), int(n_jumps[p]), int(clamps[p]))
+        for p in range(record)
+    ]
+    return {
         "payoff": total,
-        "running": payoff,
-        "terminal": term,
         "n_jumps": n_jumps,
         "clamps": clamps,
-        "dt": dt,
         "n_steps": n_steps,
         "draw_s": draw_s,
         "step_s": step_s,
+        "paths": paths,
     }
-    if record:
-        out["record"] = (rec_x, rec_y, rec_u, rec_profit, rec_codes)
-    return out
 
 
 def simulate_path(model: MarketModel, policy, start, dt, seed_or_stream) -> PathRecord:
     """One fully recorded path. start = (s0, x0, y0, regime0)."""
     _validate_start(model, start, dt)
-    policy_fn = _policy_callable(policy, model)
-    if isinstance(seed_or_stream, np.random.SeedSequence):
-        stream = seed_or_stream
-    else:
-        stream = np.random.SeedSequence(seed_or_stream)
-    res = _simulate_block(model, policy_fn, start, dt, [stream], record=True)
-    rec_x, rec_y, rec_u, rec_profit, codes = res["record"]
-    s0 = start[0]
-    n_steps = res["n_steps"]
-    times = s0 + res["dt"] * np.arange(n_steps + 1)
-    regimes = np.empty(n_steps + 1, dtype=np.int64)
-    regimes[:n_steps] = codes[0]
-    regimes[n_steps] = codes[0, -1]
-    return PathRecord(
-        times=times,
-        x=rec_x[0],
-        y=rec_y[0],
-        regime=regimes,
-        u=rec_u[0],
-        discounted_profit=rec_profit[0],
-        terminal_contribution=float(res["terminal"][0]),
-        total_payoff=float(res["payoff"][0]),
-        n_jumps=int(res["n_jumps"][0]),
-        clamp_count=int(res["clamps"][0]),
-    )
+    if not isinstance(seed_or_stream, np.random.SeedSequence):
+        seed_or_stream = np.random.SeedSequence(seed_or_stream)
+    res = _simulate_block(model, _policy_callable(policy, model), start, dt, [seed_or_stream],
+                          record=1)
+    return res["paths"][0]
 
 
 def estimate_value(model: MarketModel, policy, start, n_paths: int, dt: float,
-                   seed: int, antithetic: bool = False,
-                   chunk_size: int = 10_000) -> EstimateReport:
+                   seed: int, antithetic: bool = False, record: int = 0) -> EstimateReport:
     """Mean payoff under the policy with a standard error.
 
     Antithetic pairing shares each stream's chain and jumps between the
     +normals and -normals members and treats the pair average as one sample.
-    chunk_size streams advance together as one batch; a batch holds
-    O(chunk_size x NORMAL_BLOCK) normals. The diagnostics carry the seconds
-    spent drawing (draw_s) and stepping (step_s).
+    BATCH_PATHS streams advance together as one batch; a batch holds
+    O(BATCH_PATHS x NORMAL_BLOCK) normals. The first `record` streams' paths
+    (their +normals member when antithetic) come back recorded in `paths`.
+    The diagnostics count price clamps on every simulated path, and carry
+    the seconds spent drawing (draw_s) and stepping (step_s).
     """
     _validate_start(model, start, dt)
     if n_paths < 2:
         raise ValueError("n_paths must be at least 2 for a standard error")
     if antithetic and n_paths % 2:
         raise ValueError("antithetic estimation needs an even n_paths")
-    policy_fn = _policy_callable(policy, model)
     n_streams = n_paths // 2 if antithetic else n_paths
+    if not 0 <= record <= n_streams:
+        raise ValueError(f"cannot record {record} paths: {n_streams} streams are simulated")
+    policy_fn = _policy_callable(policy, model)
     streams = np.random.SeedSequence(seed).spawn(n_streams)
-    if antithetic:
-        plus = np.empty(n_streams)
-        minus = np.empty(n_streams)
-    payoffs = np.empty(n_paths)
+    samples = np.empty(n_streams)
     jumps = np.empty(n_streams, dtype=np.int64)
-    clamps = np.empty(n_streams, dtype=np.int64)
+    clamped = clamp_total = 0
+    paths = []
     draw_s = step_s = 0.0
-    for lo in range(0, n_streams, chunk_size):
-        chunk = streams[lo : lo + chunk_size]
-        res = _simulate_block(model, policy_fn, start, dt, chunk, antithetic=antithetic)
+    for lo in range(0, n_streams, BATCH_PATHS):
+        chunk = streams[lo : lo + BATCH_PATHS]
         k = len(chunk)
-        if antithetic:
-            plus[lo : lo + k] = res["payoff"][:k]
-            minus[lo : lo + k] = res["payoff"][k:]
-        else:
-            payoffs[lo : lo + k] = res["payoff"]
+        res = _simulate_block(model, policy_fn, start, dt, chunk, antithetic=antithetic,
+                              record=min(k, max(0, record - lo)))
+        payoff = res["payoff"]
+        samples[lo : lo + k] = 0.5 * (payoff[:k] + payoff[k:]) if antithetic else payoff
         jumps[lo : lo + k] = res["n_jumps"][:k]
-        clamps[lo : lo + k] = res["clamps"][:k]
+        clamped += int(np.count_nonzero(res["clamps"]))
+        clamp_total += int(np.sum(res["clamps"]))
+        paths += res["paths"]
         draw_s += res["draw_s"]
         step_s += res["step_s"]
-    if antithetic:
-        samples = 0.5 * (plus + minus)
-        payoffs[0::2] = plus
-        payoffs[1::2] = minus
-    else:
-        samples = payoffs
     mean = float(np.sum(samples) / samples.size)
     sd = float(np.std(samples, ddof=1))
     se = sd / math.sqrt(samples.size)
@@ -384,12 +366,13 @@ def estimate_value(model: MarketModel, policy, start, n_paths: int, dt: float,
         dt=dt,
         diagnostics={
             "mean_jumps_per_path": float(np.mean(jumps)),
-            "paths_with_price_clamp": int(np.count_nonzero(clamps)),
-            "total_price_clamps": int(np.sum(clamps)),
+            "paths_with_price_clamp": clamped,
+            "total_price_clamps": clamp_total,
             "n_steps": res["n_steps"],
             "draw_s": draw_s,
             "step_s": step_s,
         },
+        paths=paths,
     )
 
 

@@ -82,6 +82,7 @@ class ConvergenceReport:
     sweep: str = "jacobi"
     contraction: ContractionReport | None = None
     wall_time: float = 0.0
+    operator: DiscreteOperator | None = None  # the operator the solve iterated
 
 
 class DiscreteOperator:
@@ -381,6 +382,7 @@ def solve(model: MarketModel, grid: Grid4D, cfg: SolverConfig | None = None):
         sweep=cfg.sweep,
         contraction=op.contraction,
         wall_time=time.perf_counter() - t0,
+        operator=op,
     )
     return GridField(grid, V), report
 

@@ -19,7 +19,7 @@ from .errors import NumericalError
 from .policy import curve_table, extract_policy, switching_function
 from .quadrature import build_quadrature, check_contraction
 from .simulate import analytic_oracle, estimate_value
-from .solver import DiscreteOperator, dpp_residual, solve
+from .solver import dpp_residual, solve
 
 # Frozen allowance multiplier for the simulation cross-check: the accepted
 # gap is 3*SE + MC_DISCRETIZATION_CONSTANT*(h + k + l). Calibrated once on
@@ -80,8 +80,7 @@ def check_solution(cfg: RunConfig, field, report) -> list[CheckResult]:
             report.final_residual,
         )
     ]
-    op = DiscreteOperator(cfg.model, cfg.grid, cfg.solver)
-    mismatch, info = dpp_residual(field, op)
+    mismatch, info = dpp_residual(field, report.operator)
     bound = 10.0 * cfg.solver.tolerance
     out.append(
         CheckResult(
@@ -167,23 +166,26 @@ def check_oracle(cfg: RunConfig, field) -> list[CheckResult]:
     ]
 
 
-def check_monte_carlo(cfg: RunConfig, field, switching,
+def simulation_gap(cfg: RunConfig, field, policy, record: int = 0):
+    """Monte Carlo estimate under the policy against the grid value at the
+    simulation start node. Returns (estimate, grid value, gap)."""
+    sim = cfg.simulation
+    est = estimate_value(cfg.model, policy, sim.start, sim.n_paths, sim.dt, sim.seed,
+                         antithetic=sim.antithetic, record=record)
+    si, xi, yi = cfg.grid.nearest_indices(*sim.start[:3])
+    v_grid = float(field.values[sim.start[3], si, xi, yi])
+    return est, v_grid, abs(est.mean - v_grid)
+
+
+def check_monte_carlo(cfg: RunConfig, field, policy,
                       mc_constant: float = MC_DISCRETIZATION_CONSTANT) -> list[CheckResult]:
-    """Simulated payoff under the policy extracted from the switching field
-    vs the grid value.
+    """Simulated payoff under the bang-bang policy vs the grid value.
 
     The allowance is 3*SE + mc_constant*(h + k + l): statistical noise plus
     a first-order discretization budget.
     """
-    sim = cfg.simulation
-    policy = extract_policy(switching, cfg.model)
-    est = estimate_value(
-        cfg.model, policy, sim.start, sim.n_paths, sim.dt, sim.seed, antithetic=sim.antithetic
-    )
+    est, v_grid, gap = simulation_gap(cfg, field, policy)
     g = cfg.grid
-    si, xi, yi = g.nearest_indices(*sim.start[:3])
-    v_grid = float(field.values[sim.start[3], si, xi, yi])
-    gap = abs(est.mean - v_grid)
     allowance = 3.0 * est.std_error + mc_constant * (
         g.price_step + g.time_step + g.reserve_step
     )
@@ -193,10 +195,21 @@ def check_monte_carlo(cfg: RunConfig, field, switching,
             "pass" if gap <= allowance else "fail",
             f"grid {v_grid:.4f} vs simulated {est.mean:.4f} (SE {est.std_error:.4f}), "
             f"gap {gap:.4f} <= allowance {allowance:.4f} "
-            f"[3*SE + {mc_constant}*(h+k+l)], {sim.n_paths} paths",
+            f"[3*SE + {mc_constant}*(h+k+l)], {est.n_paths} paths",
             gap,
         )
     ]
+
+
+def pipeline(cfg: RunConfig):
+    """Solve, then read the switching field off the value function.
+
+    Returns (field, report, switching). The bang-bang policy is left to the
+    callers that need it (extract_policy), so a run that only audits the
+    switching field never builds one.
+    """
+    field, report = solve(cfg.model, cfg.grid, cfg.solver)
+    return field, report, switching_function(field, cfg.model, mode=cfg.solver.mode)
 
 
 def run_verification(cfg: RunConfig, mc_constant: float = MC_DISCRETIZATION_CONSTANT,
@@ -206,16 +219,18 @@ def run_verification(cfg: RunConfig, mc_constant: float = MC_DISCRETIZATION_CONS
     if any(r.status == "fail" for r in results):
         return results, None, None
     try:
-        field, report = solve(cfg.model, cfg.grid, cfg.solver)
+        field, report, sw = pipeline(cfg)
     except NumericalError as exc:
         results.append(CheckResult("convergence", "fail", str(exc)))
         return results, None, None
-    results += check_solution(cfg, field, report)
-    sw = switching_function(field, cfg.model, mode=cfg.solver.mode)
-    results += check_policy_structure(cfg, sw)
-    results += check_oracle(cfg, field)
-    if skip_simulation:
+    structure = check_policy_structure(cfg, sw)
+    # the simulation needs only the policy of the switching field; freeing the
+    # field here keeps it out of the balance-residual sweep's peak memory
+    policy = None if skip_simulation else extract_policy(sw, cfg.model)
+    del sw
+    results += check_solution(cfg, field, report) + structure + check_oracle(cfg, field)
+    if policy is None:
         results.append(CheckResult("simulation-gap", "skip", "disabled by flag"))
     else:
-        results += check_monte_carlo(cfg, field, sw, mc_constant)
+        results += check_monte_carlo(cfg, field, policy, mc_constant)
     return results, field, report

@@ -132,16 +132,9 @@ def test_criterion_2_dense_control_scan_changes_nothing(reference):
     cfg, field, _, op = reference
     dense = np.linspace(0.0, cfg.model.economics.u_max, 51)
     swept_dense = op.sweep(field.values, controls=dense)
-    rng = np.random.default_rng(2024)
-    g = cfg.grid
-    m = rng.integers(0, g.n_regimes, size=1000)
-    t = rng.integers(0, g.n_s, size=1000)
-    xi = rng.integers(0, g.n_x, size=1000)
-    yi = rng.integers(0, g.n_y, size=1000)
-    deltas = np.abs(swept_dense - field.values)[m, t, xi, yi]
-    worst = float(np.max(deltas))
+    worst = float(np.max(np.abs(swept_dense - field.values)))
     assert worst <= EPS, f"dense control scan moved a node by {worst:.3g}"
-    return f"max change over 1000 sampled nodes {worst:.3g} (bound {EPS:.0e})"
+    return f"max change over all {field.values.size} nodes {worst:.3g} (bound {EPS:.0e})"
 
 
 @criterion(3)

@@ -9,10 +9,10 @@ import numpy as np
 import pytest
 import yaml
 
-from oilopt import ConfigError, solve
+from oilopt import ConfigError, DiscreteOperator, simulate, solve
 from oilopt.cli import main
 from oilopt.config import load_config, parse_config
-from oilopt.verify import check_solution
+from oilopt.verify import check_solution, run_verification
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "src" / "oilopt" / "configs"
 
@@ -164,6 +164,27 @@ class TestCli:
         assert paths[0] == "path,t,x,y,regime,u,discounted_profit"
         assert {row.split(",")[0] for row in paths[1:]} == {"0", "1"}
 
+    def test_simulate_records_paths_from_the_estimate_batch(self, tmp_path, monkeypatch):
+        """--record replays nothing: the estimate's one batch is the only one."""
+        calls = []
+        block = simulate._simulate_block
+        monkeypatch.setattr(simulate, "_simulate_block",
+                            lambda *a, **kw: calls.append(kw.get("record")) or block(*a, **kw))
+        cfg = write_config(tmp_path, SMALL)
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "run"),
+                     "--record", "2"]) == 0
+        assert calls == [2]
+
+    @pytest.mark.parametrize("antithetic, record, streams", [(False, 401, 400), (True, 201, 200)])
+    def test_record_above_the_stream_count_exits_one(self, tmp_path, capsys, antithetic,
+                                                     record, streams):
+        data, node, key = deep(SMALL, "simulation", "antithetic")
+        node[key] = antithetic
+        cfg = write_config(tmp_path, data)
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "run"),
+                     "--record", str(record)]) == 1
+        assert f"cannot record {record} paths: {streams} streams" in capsys.readouterr().err
+
     def test_seed_override_changes_estimate(self, tmp_path):
         cfg = write_config(tmp_path, SMALL)
         a, b = tmp_path / "a", tmp_path / "b"
@@ -223,6 +244,18 @@ class TestCli:
 
 
 class TestVerifyChecks:
+    def test_verification_builds_one_operator(self, monkeypatch):
+        """The balance residual reuses the operator the solve iterated."""
+        builds = []
+        init = DiscreteOperator.__init__
+        monkeypatch.setattr(DiscreteOperator, "__init__",
+                            lambda self, *a: builds.append(1) or init(self, *a))
+        cfg = parse_config(deep(SMALL, "schema_version")[0])
+        results, _, report = run_verification(cfg, skip_simulation=True)
+        assert len(builds) == 1
+        assert all(r.status != "fail" for r in results)
+        assert report.operator is not None
+
     def test_convergence_check_compares_residual_with_tolerance(self):
         cfg = parse_config(deep(SMALL, "schema_version")[0])
         field, report = solve(cfg.model, cfg.grid, cfg.solver)

@@ -152,12 +152,42 @@ class TestEstimate:
         assert a.mean == b.mean
         assert a.std_error == b.std_error
 
-    def test_chunking_does_not_change_the_answer(self):
+    def test_chunking_does_not_change_the_answer(self, monkeypatch):
         model = jumpy_model()
         kw = dict(n_paths=100, dt=1e-2, seed=5)
-        a = estimate_value(model, zero_policy, (0.0, 50.0, 4.0, 0), chunk_size=7, **kw)
-        b = estimate_value(model, zero_policy, (0.0, 50.0, 4.0, 0), chunk_size=512, **kw)
+        monkeypatch.setattr(simulate, "BATCH_PATHS", 7)
+        a = estimate_value(model, zero_policy, (0.0, 50.0, 4.0, 0), **kw)
+        monkeypatch.setattr(simulate, "BATCH_PATHS", 512)
+        b = estimate_value(model, zero_policy, (0.0, 50.0, 4.0, 0), **kw)
         assert a.mean == b.mean
+
+    @pytest.mark.parametrize("antithetic", [False, True])
+    def test_recorded_paths_are_the_estimates_first_paths(self, antithetic, monkeypatch):
+        """record=N returns the first N paths of the estimate's own batches
+        (the +normals member of an antithetic pair), bit for bit the paths
+        simulate_path replays from the same streams, also across batches."""
+        monkeypatch.setattr(simulate, "BATCH_PATHS", 2)
+        model = fast_switching(jumpy_model())
+        start = (0.0, 50.0, 4.0, 0)
+        kw = dict(n_paths=10, dt=1e-2, seed=21, antithetic=antithetic)
+        est = estimate_value(model, threshold_policy, start, record=3, **kw)
+        assert est.mean == estimate_value(model, threshold_policy, start, **kw).mean
+        streams = np.random.SeedSequence(21).spawn(3)
+        assert len(est.paths) == 3
+        for rec, stream in zip(est.paths, streams):
+            replay = simulate_path(model, threshold_policy, start, 1e-2, stream)
+            for f in dataclasses.fields(replay):
+                assert np.array_equal(getattr(rec, f.name), getattr(replay, f.name)), f.name
+
+    def test_record_limited_to_the_simulated_streams(self):
+        model = jumpy_model()
+        start = (0.0, 50.0, 4.0, 0)
+        with pytest.raises(ValueError, match="cannot record 6 paths: 5 streams"):
+            estimate_value(model, zero_policy, start, n_paths=10, dt=1e-2, seed=0,
+                           antithetic=True, record=6)
+        est = estimate_value(model, zero_policy, start, n_paths=10, dt=1e-2, seed=0,
+                             antithetic=True, record=5)
+        assert len(est.paths) == 5
 
     def test_two_path_estimate_equals_recorded_paths(self):
         """The estimator must price exactly the paths simulate_path replays
@@ -253,6 +283,14 @@ class TestPinnedNumbers:
                d["paths_with_price_clamp"], d["total_price_clamps"])
         assert got == pinned
         assert d["n_steps"] == 200
+
+    def test_antithetic_clamps_counted_on_both_halves(self, normal_block):
+        """The negated-normals member of a pair clamps on its own: of the 9
+        clamps on 4 of these 64 paths, 2 fall on the minus half."""
+        model = jumpy_model(measure=LevyMeasure.atoms([(-9.7, 0.3), (0.3, 0.5)]))
+        est = estimate_value(model, full_policy(2.0), PIN_START, **PIN_KW, antithetic=True)
+        d = est.diagnostics
+        assert (d["total_price_clamps"], d["paths_with_price_clamp"]) == (9, 4)
 
     def test_recorded_path_is_bit_identical(self, normal_block):
         rec = simulate_path(fast_switching(jumpy_model()), threshold_policy, PIN_START, 1e-2, 7)

@@ -16,6 +16,7 @@ from oilopt import (
     LevyMeasure,
     MarketModel,
     MonotonicityError,
+    NumericalError,
     SolverConfig,
     analytic_oracle,
     build_grid,
@@ -84,6 +85,18 @@ class TestCoefficients:
         msg = str(err.value)
         assert "x=59.5, regime 0: a=-0.2, b=1.6" in msg
         assert "= 0.444444" in msg  # 0.2^2 / (2*0.01*4.5)
+
+    def test_paper_faithful_control_cap_raises_numerical_error(self):
+        """Coefficients that pass the sign check can still leave 1 + c(u_max)
+        negative: the forward reserve difference subtracts u/(rl). That is a
+        NumericalError naming the control, not a MonotonicityError."""
+        model = single_regime_model(u_max=50000.0)
+        with pytest.raises(NumericalError) as err:
+            DiscreteOperator(model, small_grid(price_cap=57.5),
+                             SolverConfig(mode="paper_faithful"))
+        assert not isinstance(err.value, MonotonicityError)
+        msg = str(err.value)
+        assert "1+c = -1.9998e+06" in msg and "u=50000" in msg
 
     def test_upwind_splits_drift_by_sign(self):
         op = self.operator("upwind")
