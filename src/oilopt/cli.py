@@ -27,6 +27,7 @@ from .config import RunConfig, load_config
 from .errors import ConfigError, NumericalError
 from .grid import csv_handle
 from .policy import curve_table, extract_policy, write_curve_csv, write_policy_csv
+from .simulate import check_record
 from .solver import solve
 from .verify import MC_DISCRETIZATION_CONSTANT, pipeline, run_verification, simulation_gap
 
@@ -91,11 +92,17 @@ def _write_manifest(out_dir: Path, data: dict):
 
 
 def _write_convergence(out_dir: Path, report):
+    """jacobi: one row per sweep; backward: one row per time slice."""
     path = out_dir / "convergence.csv"
     with csv_handle(path) as fh:
-        fh.write("iteration,residual\n")
-        for i, res in enumerate(report.residuals, start=1):
-            fh.write(f"{i},{res!r}\n")
+        if report.slices:
+            fh.write("slice,passes,last_change\n")
+            for t, (passes, change) in enumerate(report.slices):
+                fh.write(f"{t},{passes},{change!r}\n")
+        else:
+            fh.write("iteration,residual\n")
+            for i, res in enumerate(report.residuals, start=1):
+                fh.write(f"{i},{res!r}\n")
     return path
 
 
@@ -143,6 +150,8 @@ def _cmd_policy(cfg: RunConfig, args, out_dir: Path) -> int:
 
 
 def _cmd_simulate(cfg: RunConfig, args, out_dir: Path) -> int:
+    sim = cfg.simulation
+    check_record(args.record, sim.n_paths, sim.antithetic)  # before the solve
     field, report, sw = pipeline(cfg)
     policy = extract_policy(sw, cfg.model)
     t0 = time.perf_counter()

@@ -314,6 +314,15 @@ def simulate_path(model: MarketModel, policy, start, dt, seed_or_stream) -> Path
     return res["paths"][0]
 
 
+def check_record(record: int, n_paths: int, antithetic: bool) -> int:
+    """The number of simulated streams, after checking that `record` paths
+    fit in them: n_paths, or n_paths // 2 with antithetic pairing."""
+    n_streams = n_paths // 2 if antithetic else n_paths
+    if not 0 <= record <= n_streams:
+        raise ValueError(f"cannot record {record} paths: {n_streams} streams are simulated")
+    return n_streams
+
+
 def estimate_value(model: MarketModel, policy, start, n_paths: int, dt: float,
                    seed: int, antithetic: bool = False, record: int = 0) -> EstimateReport:
     """Mean payoff under the policy with a standard error.
@@ -331,9 +340,7 @@ def estimate_value(model: MarketModel, policy, start, n_paths: int, dt: float,
         raise ValueError("n_paths must be at least 2 for a standard error")
     if antithetic and n_paths % 2:
         raise ValueError("antithetic estimation needs an even n_paths")
-    n_streams = n_paths // 2 if antithetic else n_paths
-    if not 0 <= record <= n_streams:
-        raise ValueError(f"cannot record {record} paths: {n_streams} streams are simulated")
+    n_streams = check_record(record, n_paths, antithetic)
     policy_fn = _policy_callable(policy, model)
     streams = np.random.SeedSequence(seed).spawn(n_streams)
     samples = np.empty(n_streams)

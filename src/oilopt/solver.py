@@ -36,8 +36,13 @@ previous full-grid iterate (deterministic, trivially parallel: the update
 is a pure function of the frozen iterate, so any worker partition gives
 bit-identical results). "backward" walks time slices from the horizon down,
 running the same per-node update as an inner fixed point on each slice
-until it settles before stepping back; it reaches the same fixed point and
-is much faster when the horizon carries many slices.
+until it settles before stepping back. Within a pass it updates the
+regimes in turn and scans the reserve axis in the order the stencil reads
+it, each node reading the neighbor value just written (Gauss-Seidel in y):
+the upwind stencil reads only y - l, so the slice's reserve coupling is
+lower-triangular and one ascending scan solves it exactly, and the passes
+per slice do not grow with the reserve grid. It reaches the same fixed
+point and is much faster when the horizon carries many slices.
 """
 
 from __future__ import annotations
@@ -83,6 +88,8 @@ class ConvergenceReport:
     contraction: ContractionReport | None = None
     wall_time: float = 0.0
     operator: DiscreteOperator | None = None  # the operator the solve iterated
+    # backward only: (passes, last inner change) per time slice, slice 0 first
+    slices: list = field(default_factory=list)
 
 
 class DiscreteOperator:
@@ -272,31 +279,62 @@ class DiscreteOperator:
                 base += (Q[m, j] / r) * V[j, lo:hi]
         return base
 
-    def _best_candidate(self, V, m, lo, hi, base, controls=None):
-        """max over controls of RHS'(u)/(1+c(u)), u=0 forced on the y=0 face."""
+    def _best_candidate(self, V, m, lo, hi, base, controls=None, scan=False):
+        """max over controls of RHS'(u)/(1+c(u)), u=0 forced on the y=0 face.
+
+        An extracting candidate reads its reserve neighbor from V as given
+        (scan=False: the frozen read of a sweep) or, with scan=True, from the
+        value this call has just produced there: the reserve axis is walked in
+        the order the stencil reads it (ascending y upwind, descending y
+        paper-faithful), so the slice's reserve coupling is solved exactly in
+        one pass. On the stencil's clamped face the neighbor is the node
+        itself, read from V either way.
+        """
         g = self.grid
         r, l = self.r, g.reserve_step
         controls = self.controls if controls is None else controls
-        Vt = V[m, lo:hi]
-        yshift = None
-        best = None
+        best = yshift = None
+        terms = []  # scan: (RHS' without the reserve term, its weight, 1+c) per u > 0
         for u in controls:
             u = float(u)
             profit, den = self.control_terms(u)
             num = base + profit / r
-            if u != 0.0:
-                if yshift is None:
-                    yshift = self._shift_y(Vt)
-                num = num + self.u_sign * (u / (r * l)) * yshift
-            cand = num / den[m][:, None]
+            if u == 0.0:
+                cand = num / den[m][:, None]
+                best = cand if best is None else np.maximum(best, cand, out=best)
+                continue
+            alpha = self.u_sign * (u / (r * l))
+            if scan:
+                terms.append((num.transpose(2, 0, 1).copy(), alpha, den[m]))
+                continue
+            if yshift is None:
+                yshift = self._shift_y(V[m, lo:hi])
+            cand = np.multiply(yshift, alpha)
+            cand += num
+            cand /= den[m][:, None]
             if best is None:
                 best = cand
-            elif u == 0.0:
-                np.maximum(best, cand, out=best)
             else:
                 # extraction is not admissible on an empty reserve
                 np.maximum(best[..., 1:], cand[..., 1:], out=best[..., 1:])
-        return best
+        if not terms:
+            return best
+        # one contiguous price row per reserve node, walked in stencil order
+        rows = best.transpose(2, 0, 1).copy()
+        if self.u_sign > 0:  # reads y - l; y = 0 keeps u = 0
+            order, prev = range(1, g.n_y), rows[0]
+        else:  # reads y + l; the top face reads itself
+            order, prev = range(g.n_y - 1, 0, -1), V[m, lo:hi, :, -1]
+        cand = np.empty_like(rows[0])
+        for y in order:
+            w = rows[y]
+            for num, alpha, den in terms:
+                np.multiply(prev, alpha, out=cand)
+                np.add(num[y], cand, out=cand)
+                np.divide(cand, den, out=cand)
+                np.maximum(w, cand, out=w)
+            prev = w
+        return rows.transpose(1, 2, 0)
 
     # -- public operations -----------------------------------------------------
 
@@ -369,9 +407,9 @@ def solve(model: MarketModel, grid: Grid4D, cfg: SolverConfig | None = None):
     t0 = time.perf_counter()
     op = DiscreteOperator(model, grid, cfg)
     V = op.initial_guess()
-    residuals = []
+    residuals, slices = [], []
     if cfg.sweep == "backward":
-        iterations = _solve_backward(op, V, cfg, residuals)
+        iterations = _solve_backward(op, V, cfg, residuals, slices)
     else:
         iterations = _solve_jacobi(op, V, cfg, residuals)
     report = ConvergenceReport(
@@ -383,6 +421,7 @@ def solve(model: MarketModel, grid: Grid4D, cfg: SolverConfig | None = None):
         contraction=op.contraction,
         wall_time=time.perf_counter() - t0,
         operator=op,
+        slices=slices,
     )
     return GridField(grid, V), report
 
@@ -403,12 +442,16 @@ def _solve_jacobi(op, V, cfg, residuals):
     )
 
 
-def _solve_backward(op, V, cfg, residuals):
+def _solve_backward(op, V, cfg, residuals, slices):
     """Backward time marching with an inner fixed point per slice.
 
-    The inner tolerance is tightened by r*k relative to the outer one so the
-    per-slice solve error stays below the outer tolerance after accumulating
-    across slices (the time-neighbor weight is < 1/(1+rk) per slice).
+    Each inner pass updates the regimes in turn, every one from its base
+    block read off the current iterate and a reserve scan (see
+    _best_candidate), so only the price, jump and regime couplings are left
+    to the fixed point. The inner tolerance is tightened by r*k relative to
+    the outer one so the per-slice solve error stays below the outer
+    tolerance after accumulating across slices (the time-neighbor weight is
+    < 1/(1+rk) per slice).
     """
     g = op.grid
     inner_tol = cfg.tolerance * op.r * g.time_step * 0.5
@@ -418,12 +461,14 @@ def _solve_backward(op, V, cfg, residuals):
     for t in range(g.n_s - 2, -1, -1):
         # warm start from the next slice's converged values
         W[:, t] = W[:, t + 1]
+        passes = 0
         while True:
             prev = W[:, t].copy()
             for m in range(g.n_regimes):
                 base = op._base_block(W, m, t, t + 1)
-                W[m, t : t + 1] = op._best_candidate(W, m, t, t + 1, base)
+                W[m, t : t + 1] = op._best_candidate(W, m, t, t + 1, base, scan=True)
             total_inner += 1
+            passes += 1
             change = float(np.max(np.abs(W[:, t] - prev)))
             if change < inner_tol:
                 break
@@ -433,11 +478,19 @@ def _solve_backward(op, V, cfg, residuals):
                     f"last inner change {change:.6g}",
                     residual_history=residuals,
                 )
+        slices.append((passes, change))
         _check_finite(W[:, t], f"backward slice {t}")
+    slices.reverse()
     # one verification sweep defines the reported residual
-    res = float(np.max(np.abs(op.sweep(W) - W)))
-    residuals.append(res)
+    residuals.append(float(np.max(_sweep_mismatch(op, W))))
     return total_inner
+
+
+def _sweep_mismatch(op, values):
+    """|sweep(values) - values| node by node, computed in the sweep's output."""
+    mism = op.sweep(values)
+    np.subtract(mism, values, out=mism)
+    return np.abs(mism, out=mism)
 
 
 def dpp_residual(field: GridField, op: DiscreteOperator):
@@ -448,7 +501,7 @@ def dpp_residual(field: GridField, op: DiscreteOperator):
     Terminal nodes are pinned by construction and contribute zero. Returns
     (worst mismatch, {"node": (regime, s_idx, x_idx, y_idx), "nodes": count}).
     """
-    mism = np.abs(op.sweep(field.values) - field.values)
+    mism = _sweep_mismatch(op, field.values)
     worst = np.unravel_index(int(np.argmax(mism)), mism.shape)
     return float(mism[worst]), {
         "node": tuple(int(i) for i in worst),

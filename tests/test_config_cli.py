@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 import yaml
 
-from oilopt import ConfigError, DiscreteOperator, simulate, solve
+from oilopt import ConfigError, DiscreteOperator, simulate, solve, verify
 from oilopt.cli import main
 from oilopt.config import load_config, parse_config
 from oilopt.verify import check_solution, run_verification
@@ -144,6 +144,18 @@ class TestCli:
         assert (a / "value.csv").read_bytes() == (b / "value.csv").read_bytes()
         assert (a / "convergence.csv").read_bytes() == (b / "convergence.csv").read_bytes()
 
+    def test_backward_convergence_has_one_row_per_slice(self, tmp_path):
+        cfg = write_config(tmp_path, SMALL)
+        out = tmp_path / "run"
+        assert main(["solve", "--config", cfg, "--out", str(out), "--sweep", "backward"]) == 0
+        rows = (out / "convergence.csv").read_text().splitlines()
+        assert rows[0] == "slice,passes,last_change"
+        cells = [row.split(",") for row in rows[1:]]
+        assert [int(c[0]) for c in cells] == list(range(10))  # horizon 1.0, step 0.1
+        run = json.loads((out / "manifest.json").read_text())["run"]
+        assert sum(int(c[1]) for c in cells) == run["iterations"]
+        assert all(float(c[2]) < 1e-6 * 0.05 * 0.1 / 2 for c in cells)  # tol * r * k / 2
+
     def test_policy_outputs(self, tmp_path):
         cfg = write_config(tmp_path, SMALL)
         out = tmp_path / "run"
@@ -176,14 +188,18 @@ class TestCli:
         assert calls == [2]
 
     @pytest.mark.parametrize("antithetic, record, streams", [(False, 401, 400), (True, 201, 200)])
-    def test_record_above_the_stream_count_exits_one(self, tmp_path, capsys, antithetic,
-                                                     record, streams):
+    def test_record_above_the_stream_count_exits_one(self, tmp_path, capsys, monkeypatch,
+                                                     antithetic, record, streams):
+        """The flag is refused before the solve, not after it."""
+        solves = []
+        monkeypatch.setattr(verify, "solve", lambda *a, **kw: solves.append(a))
         data, node, key = deep(SMALL, "simulation", "antithetic")
         node[key] = antithetic
         cfg = write_config(tmp_path, data)
         assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "run"),
                      "--record", str(record)]) == 1
         assert f"cannot record {record} paths: {streams} streams" in capsys.readouterr().err
+        assert solves == []
 
     def test_seed_override_changes_estimate(self, tmp_path):
         cfg = write_config(tmp_path, SMALL)

@@ -24,6 +24,7 @@ from oilopt import (
     MarketModel,
     SolverConfig,
     build_grid,
+    dpp_residual,
     solve,
 )
 
@@ -128,6 +129,17 @@ def test_sweep_orders_reach_the_same_fixed_point(op):
     backward, _ = solve(op.model, op.grid, dataclasses.replace(cfg, sweep="backward"))
     gap = float(np.max(np.abs(jacobi.values - backward.values)))
     assert gap <= 2 * cfg.tolerance, f"sweep orders differ by {gap:.3g}"
+
+
+@settings(max_examples=25, deadline=None)
+@given(op=small_models())
+def test_backward_field_is_a_jacobi_fixed_point(op):
+    """The reserve scan leaves a field that one jacobi sweep moves by less
+    than the tolerance."""
+    cfg = SolverConfig(mode="upwind", sweep="backward")
+    field, _ = solve(op.model, op.grid, cfg)
+    mismatch, info = dpp_residual(field, op)
+    assert mismatch < cfg.tolerance, f"one sweep moves {info['node']} by {mismatch:.3g}"
 
 
 @settings(max_examples=25, deadline=None)

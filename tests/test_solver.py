@@ -1,5 +1,6 @@
 """Solver unit tests: coefficients, invariants, convergence, mode agreement."""
 
+import dataclasses
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +25,7 @@ from oilopt import (
     dpp_residual,
     solve,
 )
-from oilopt.config import parse_config
+from oilopt.config import load_config, parse_config
 
 REFERENCE = Path(__file__).resolve().parents[1] / "src" / "oilopt" / "configs" / "reference.yaml"
 
@@ -161,9 +162,11 @@ class TestSolve:
         model = reference_model()
         grid = small_grid(horizon=2.0, n_regimes=2)
         tol = 1e-6
-        fj, _ = solve(model, grid, SolverConfig(tolerance=tol, sweep="jacobi"))
-        fb, _ = solve(model, grid, SolverConfig(tolerance=tol, sweep="backward"))
+        fj, rj = solve(model, grid, SolverConfig(tolerance=tol, sweep="jacobi"))
+        fb, rb = solve(model, grid, SolverConfig(tolerance=tol, sweep="backward"))
         assert np.max(np.abs(fj.values - fb.values)) < 2 * tol
+        # only backward reports per-slice passes
+        assert rj.slices == [] and len(rb.slices) == grid.n_s - 1
 
     def test_terminal_slice_pinned(self):
         from oilopt import terminal_value
@@ -243,6 +246,40 @@ class TestSolve:
         grid = small_grid(horizon=2.0, n_regimes=1)
         with pytest.raises(ConfigError):
             solve(model, grid)
+
+
+class TestReserveScan:
+    """backward solves each slice's reserve coupling in one scan per pass."""
+
+    @pytest.mark.parametrize("mode, u_max, price_cap", [
+        ("paper_faithful", 0.005, 57.5),  # scans down; the top face reads its own value
+        ("upwind", 1.0, 100.0),  # u/(rl) does not dominate 1 + c
+    ])
+    def test_agrees_with_jacobi(self, mode, u_max, price_cap):
+        model, grid = single_regime_model(u_max=u_max), small_grid(price_cap=price_cap)
+        cfg = SolverConfig(tolerance=1e-6, mode=mode)
+        fj, _ = solve(model, grid, cfg)
+        fb, _ = solve(model, grid, dataclasses.replace(cfg, sweep="backward"))
+        assert np.max(np.abs(fj.values - fb.values)) < 2 * cfg.tolerance
+
+    def test_reference_passes_per_slice(self):
+        cfg = load_config(REFERENCE)
+        _, report = solve(cfg.model, cfg.grid, dataclasses.replace(cfg.solver, sweep="backward"))
+        passes = [p for p, _ in report.slices]
+        assert len(passes) == cfg.grid.n_s - 1
+        assert sum(passes) == report.iterations
+        assert max(passes) <= 14
+        tol = cfg.solver.tolerance * cfg.model.dynamics.discount_rate * cfg.grid.time_step / 2
+        assert all(change < tol for _, change in report.slices)
+
+    def test_passes_do_not_grow_with_the_reserve_grid(self):
+        model = reference_model()
+        cfg = SolverConfig(sweep="backward")
+        per_slice = []
+        for l in (0.5, 0.25):
+            _, report = solve(model, small_grid(horizon=2.0, n_regimes=2, l=l), cfg)
+            per_slice.append(max(p for p, _ in report.slices))
+        assert per_slice[1] <= per_slice[0] + 1
 
 
 class TestSolverConfig:
