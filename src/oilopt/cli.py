@@ -151,7 +151,8 @@ def _cmd_policy(cfg: RunConfig, args, out_dir: Path) -> int:
 
 def _cmd_simulate(cfg: RunConfig, args, out_dir: Path) -> int:
     sim = cfg.simulation
-    check_record(args.record, sim.n_paths, sim.antithetic)  # before the solve
+    check_record(cfg.model, sim.start, sim.n_paths, sim.dt, sim.antithetic,
+                 args.record)  # before the solve
     field, report, sw = pipeline(cfg)
     policy = extract_policy(sw, cfg.model)
     t0 = time.perf_counter()
@@ -187,15 +188,13 @@ def _cmd_simulate(cfg: RunConfig, args, out_dir: Path) -> int:
 
 
 def _cmd_verify(cfg: RunConfig, args, out_dir: Path) -> int:
-    results, field, report = run_verification(
-        cfg, mc_constant=args.mc_constant, skip_simulation=args.skip_simulation
-    )
+    results, field, report = run_verification(cfg, skip_simulation=args.skip_simulation)
     width = max(len(r.name) for r in results)
     for r in results:
         print(f"{r.name:<{width}}  {r.status.upper():<4}  {r.detail}")
     failed = [r for r in results if r.status == "fail"]
     extra = {
-        "mc_constant": args.mc_constant,
+        "mc_constant": MC_DISCRETIZATION_CONSTANT,
         "checks": [
             {"name": r.name, "status": r.status, "detail": r.detail, "value": r.value}
             for r in results
@@ -240,8 +239,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="number of fully recorded paths in paths.csv (default 5)")
     ver = sub.add_parser("verify", help="run the self-check suite")
     common(ver, sim_flags=True)
-    ver.add_argument("--mc-constant", type=float, default=MC_DISCRETIZATION_CONSTANT,
-                     help="discretization allowance multiplier in the simulation check")
     ver.add_argument("--skip-simulation", action="store_true",
                      help="skip the Monte Carlo check")
     return parser

@@ -314,9 +314,16 @@ def simulate_path(model: MarketModel, policy, start, dt, seed_or_stream) -> Path
     return res["paths"][0]
 
 
-def check_record(record: int, n_paths: int, antithetic: bool) -> int:
-    """The number of simulated streams, after checking that `record` paths
-    fit in them: n_paths, or n_paths // 2 with antithetic pairing."""
+def check_record(model: MarketModel, start, n_paths: int, dt: float, antithetic: bool,
+                 record: int = 0) -> int:
+    """Check every simulation input (start node and dt, n_paths >= 2, even
+    n_paths when antithetic, `record` paths within the streams) and return the
+    stream count: n_paths, or n_paths // 2 with antithetic pairing."""
+    _validate_start(model, start, dt)
+    if n_paths < 2:
+        raise ValueError("n_paths must be at least 2 for a standard error")
+    if antithetic and n_paths % 2:
+        raise ValueError("antithetic estimation needs an even n_paths")
     n_streams = n_paths // 2 if antithetic else n_paths
     if not 0 <= record <= n_streams:
         raise ValueError(f"cannot record {record} paths: {n_streams} streams are simulated")
@@ -335,12 +342,7 @@ def estimate_value(model: MarketModel, policy, start, n_paths: int, dt: float,
     The diagnostics count price clamps on every simulated path, and carry
     the seconds spent drawing (draw_s) and stepping (step_s).
     """
-    _validate_start(model, start, dt)
-    if n_paths < 2:
-        raise ValueError("n_paths must be at least 2 for a standard error")
-    if antithetic and n_paths % 2:
-        raise ValueError("antithetic estimation needs an even n_paths")
-    n_streams = check_record(record, n_paths, antithetic)
+    n_streams = check_record(model, start, n_paths, dt, antithetic, record)
     policy_fn = _policy_callable(policy, model)
     streams = np.random.SeedSequence(seed).spawn(n_streams)
     samples = np.empty(n_streams)

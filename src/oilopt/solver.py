@@ -29,7 +29,10 @@ unlike the literal statement every weight in the update is nonnegative, so
 the sweep is monotone, and the update is a strict sup-norm contraction on
 constants with factor |sum c_j - Gamma| / r. Both RHS'(u) and 1 + c(u) are
 affine in u, so the per-node maximum over a control interval is attained
-at an endpoint: evaluating u in {0, u_max} is exact (bang-bang).
+at an endpoint: evaluating u in {0, u_max} is exact (bang-bang). One
+implementation of this update, DiscreteOperator._best_candidate, serves the
+sweep, the backward reserve scan, dense control scans and pinned-control
+checks (the last two through sweep(controls=...)).
 
 Two sweep orders are provided. "jacobi" recomputes every node from the
 previous full-grid iterate (deterministic, trivially parallel: the update
@@ -56,6 +59,8 @@ from .errors import ConfigError, ConvergenceError, MonotonicityError, NumericalE
 from .grid import Grid4D, GridField
 from .model import MarketModel, profit_rate, terminal_value, validate_model
 from .quadrature import ContractionReport, build_quadrature, check_contraction
+
+SWEEP_BLOCK = 10  # time slices per block of a full sweep
 
 
 @dataclass(frozen=True)
@@ -279,8 +284,9 @@ class DiscreteOperator:
                 base += (Q[m, j] / r) * V[j, lo:hi]
         return base
 
-    def _best_candidate(self, V, m, lo, hi, base, controls=None, scan=False):
-        """max over controls of RHS'(u)/(1+c(u)), u=0 forced on the y=0 face.
+    def _best_candidate(self, V, m, lo, hi, controls=None, scan=False):
+        """max over controls of RHS'(u)/(1+c(u)); the y=0 face keeps the first
+        control's value (u=0 for the default pair).
 
         An extracting candidate reads its reserve neighbor from V as given
         (scan=False: the frozen read of a sweep) or, with scan=True, from the
@@ -293,6 +299,7 @@ class DiscreteOperator:
         g = self.grid
         r, l = self.r, g.reserve_step
         controls = self.controls if controls is None else controls
+        base = self._base_block(V, m, lo, hi)
         best = yshift = None
         terms = []  # scan: (RHS' without the reserve term, its weight, 1+c) per u > 0
         for u in controls:
@@ -341,39 +348,24 @@ class DiscreteOperator:
     def sweep(self, values: np.ndarray, controls=None) -> np.ndarray:
         """One full-grid update; pure function of the input field.
 
-        The output's terminal slice is the settlement payoff no matter what
-        the input carries there: the terminal condition is part of the
-        operator, not of the iterate.
+        `controls` replaces the endpoint pair {0, u_max}: a dense list scans
+        the interval, one control pins it. The output's terminal slice is
+        the settlement payoff no matter what the input carries there: the
+        terminal condition is part of the operator, not of the iterate.
+
+        Each regime is updated SWEEP_BLOCK time slices at a time. Every slice
+        is computed on its own, so blocking moves no bit; it keeps the
+        temporaries small (regime-sized ones, 3.4 MB each on reference.yaml,
+        made the allocator hand back and re-fault its heap every regime).
         """
         g = self.grid
         out = np.empty_like(values)
-        hi = g.n_s - 1
-        out[:, hi] = self.terminal
+        n = g.n_s - 1
+        out[:, n] = self.terminal
         for m in range(g.n_regimes):
-            base = self._base_block(values, m, 0, hi)
-            out[m, :hi] = self._best_candidate(values, m, 0, hi, base, controls)
-        return out
-
-    def sweep_with_policy(self, values: np.ndarray, policy: np.ndarray) -> np.ndarray:
-        """One update with the control pinned to a given policy field."""
-        g = self.grid
-        r, l = self.r, g.reserve_step
-        out = np.empty_like(values)
-        hi = g.n_s - 1
-        out[:, hi] = self.terminal
-        x, y = g.x_values[:, None], g.y_values[None, :]
-        for m in range(g.n_regimes):
-            base = self._base_block(values, m, 0, hi)
-            u = policy[m, :hi]
-            L = profit_rate(self.model, 0.0, x, y, u)
-            num = base + L / r + self.u_sign * (u / (r * l)) * self._shift_y(values[m, :hi])
-            den = 1.0 + self.center_base[m][:, None] + self.u_sign * u / (r * l)
-            if np.any(den <= 0.0):
-                raise NumericalError(
-                    "center coefficient 1+c nonpositive under the pinned policy; "
-                    "the paper-faithful reserve stencil cannot evaluate this control"
-                )
-            out[m, :hi] = num / den
+            for lo in range(0, n, SWEEP_BLOCK):
+                hi = min(lo + SWEEP_BLOCK, n)
+                out[m, lo:hi] = self._best_candidate(values, m, lo, hi, controls)
         return out
 
     def initial_guess(self) -> np.ndarray:
@@ -430,7 +422,7 @@ def _solve_jacobi(op, V, cfg, residuals):
     for it in range(1, cfg.max_iterations + 1):
         Vn = op.sweep(V)
         _check_finite(Vn, f"jacobi sweep {it}")
-        res = float(np.max(np.abs(Vn - V)))
+        res = float(np.max(_abs_change(Vn, V)))  # V is overwritten just below
         residuals.append(res)
         V[:] = Vn
         if res < cfg.tolerance:
@@ -465,11 +457,10 @@ def _solve_backward(op, V, cfg, residuals, slices):
         while True:
             prev = W[:, t].copy()
             for m in range(g.n_regimes):
-                base = op._base_block(W, m, t, t + 1)
-                W[m, t : t + 1] = op._best_candidate(W, m, t, t + 1, base, scan=True)
+                W[m, t : t + 1] = op._best_candidate(W, m, t, t + 1, scan=True)
             total_inner += 1
             passes += 1
-            change = float(np.max(np.abs(W[:, t] - prev)))
+            change = float(np.max(_abs_change(W[:, t], prev)))
             if change < inner_tol:
                 break
             if total_inner > budget:
@@ -486,11 +477,15 @@ def _solve_backward(op, V, cfg, residuals, slices):
     return total_inner
 
 
+def _abs_change(new, old):
+    """|new - old| node by node, written over `old` and returned."""
+    np.subtract(new, old, out=old)
+    return np.abs(old, out=old)
+
+
 def _sweep_mismatch(op, values):
     """|sweep(values) - values| node by node, computed in the sweep's output."""
-    mism = op.sweep(values)
-    np.subtract(mism, values, out=mism)
-    return np.abs(mism, out=mism)
+    return _abs_change(values, op.sweep(values))
 
 
 def dpp_residual(field: GridField, op: DiscreteOperator):

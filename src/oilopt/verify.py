@@ -18,7 +18,7 @@ from .config import RunConfig
 from .errors import NumericalError
 from .policy import curve_table, extract_policy, switching_function
 from .quadrature import build_quadrature, check_contraction
-from .simulate import analytic_oracle, estimate_value
+from .simulate import analytic_oracle, check_record, estimate_value
 from .solver import dpp_residual, solve
 
 # Frozen allowance multiplier for the simulation cross-check: the accepted
@@ -177,16 +177,15 @@ def simulation_gap(cfg: RunConfig, field, policy, record: int = 0):
     return est, v_grid, abs(est.mean - v_grid)
 
 
-def check_monte_carlo(cfg: RunConfig, field, policy,
-                      mc_constant: float = MC_DISCRETIZATION_CONSTANT) -> list[CheckResult]:
+def check_monte_carlo(cfg: RunConfig, field, policy) -> list[CheckResult]:
     """Simulated payoff under the bang-bang policy vs the grid value.
 
-    The allowance is 3*SE + mc_constant*(h + k + l): statistical noise plus
-    a first-order discretization budget.
+    The allowance is 3*SE + MC_DISCRETIZATION_CONSTANT*(h + k + l):
+    statistical noise plus a first-order discretization budget.
     """
     est, v_grid, gap = simulation_gap(cfg, field, policy)
     g = cfg.grid
-    allowance = 3.0 * est.std_error + mc_constant * (
+    allowance = 3.0 * est.std_error + MC_DISCRETIZATION_CONSTANT * (
         g.price_step + g.time_step + g.reserve_step
     )
     return [
@@ -195,7 +194,7 @@ def check_monte_carlo(cfg: RunConfig, field, policy,
             "pass" if gap <= allowance else "fail",
             f"grid {v_grid:.4f} vs simulated {est.mean:.4f} (SE {est.std_error:.4f}), "
             f"gap {gap:.4f} <= allowance {allowance:.4f} "
-            f"[3*SE + {mc_constant}*(h+k+l)], {est.n_paths} paths",
+            f"[3*SE + {MC_DISCRETIZATION_CONSTANT}*(h+k+l)], {est.n_paths} paths",
             gap,
         )
     ]
@@ -212,9 +211,12 @@ def pipeline(cfg: RunConfig):
     return field, report, switching_function(field, cfg.model, mode=cfg.solver.mode)
 
 
-def run_verification(cfg: RunConfig, mc_constant: float = MC_DISCRETIZATION_CONSTANT,
-                     skip_simulation: bool = False):
-    """Full check sequence. Returns (results, field, report)."""
+def run_verification(cfg: RunConfig, skip_simulation: bool = False):
+    """Full check sequence. Returns (results, field, report). Invalid
+    simulation inputs raise ValueError before the solve."""
+    if not skip_simulation:
+        sim = cfg.simulation
+        check_record(cfg.model, sim.start, sim.n_paths, sim.dt, sim.antithetic)
     results = check_quadrature(cfg)
     if any(r.status == "fail" for r in results):
         return results, None, None
@@ -232,5 +234,5 @@ def run_verification(cfg: RunConfig, mc_constant: float = MC_DISCRETIZATION_CONS
     if policy is None:
         results.append(CheckResult("simulation-gap", "skip", "disabled by flag"))
     else:
-        results += check_monte_carlo(cfg, field, policy, mc_constant)
+        results += check_monte_carlo(cfg, field, policy)
     return results, field, report

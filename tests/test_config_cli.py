@@ -201,6 +201,36 @@ class TestCli:
         assert f"cannot record {record} paths: {streams} streams" in capsys.readouterr().err
         assert solves == []
 
+    @pytest.mark.parametrize("command", ["simulate", "verify"])
+    @pytest.mark.parametrize("flags, simulation, message", [
+        pytest.param(["--dt", "0"], {}, "dt must be positive, got 0.0", id="dt-zero"),
+        pytest.param(["--dt", "-1"], {}, "dt must be positive, got -1.0", id="dt-negative"),
+        pytest.param(["--paths", "1"], {}, "n_paths must be at least 2 for a standard error",
+                     id="one-path"),
+        pytest.param([], {"start": {"s": 0.0, "x": 50.0, "y": 20.0, "regime": 0}},
+                     "start reserve 20.0 outside [0, 10.0]", id="start-above-capacity"),
+        pytest.param([], {"antithetic": True, "n_paths": 401},
+                     "antithetic estimation needs an even n_paths", id="odd-antithetic"),
+    ])
+    def test_bad_simulation_input_exits_one_before_the_solve(
+            self, tmp_path, capsys, monkeypatch, command, flags, simulation, message):
+        solves = []
+        monkeypatch.setattr(verify, "solve", lambda *a, **kw: solves.append(a))
+        data = deep(SMALL, "schema_version")[0]
+        data["simulation"].update(simulation)
+        cfg = write_config(tmp_path, data)
+        if command == "simulate":
+            flags = flags + ["--record", "0"]  # so no record bound fires first
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "run"), *flags]) == 1
+        assert message in capsys.readouterr().err
+        assert solves == []
+
+    def test_mc_constant_flag_is_refused(self, tmp_path):
+        """The simulation allowance multiplier is frozen: no flag loosens it."""
+        cfg = write_config(tmp_path, SMALL)
+        with pytest.raises(SystemExit):
+            main(["verify", "--config", cfg, "--mc-constant", "9"])
+
     def test_seed_override_changes_estimate(self, tmp_path):
         cfg = write_config(tmp_path, SMALL)
         a, b = tmp_path / "a", tmp_path / "b"

@@ -109,12 +109,16 @@ def test_curve_table_rows_cover_slices(solved):
 
 def test_policy_pinned_sweep_reproduces_value(solved):
     """Freezing the control at the extracted policy and re-sweeping must
-    reproduce the solved field: the G-sign rule and the sweep's argmax agree."""
+    reproduce the solved field: the G-sign rule and the sweep's argmax agree.
+    The policy is bang-bang, so the pinned sweep takes the u_max sweep where
+    it extracts and the u = 0 sweep elsewhere (including the empty reserve)."""
     model, grid, cfg, field = solved
     op = DiscreteOperator(model, grid, cfg)
     sw = switching_function(field, model, mode=cfg.mode)
     pol = extract_policy(sw, model)
-    resw = op.sweep_with_policy(field.values, pol.values)
+    u_max = model.economics.u_max
+    resw = np.where(pol.values == u_max, op.sweep(field.values, controls=[u_max]),
+                    op.sweep(field.values, controls=[0.0]))
     assert np.max(np.abs(resw - field.values)) < 50 * cfg.tolerance
 
 

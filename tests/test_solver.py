@@ -26,6 +26,7 @@ from oilopt import (
     solve,
 )
 from oilopt.config import load_config, parse_config
+from oilopt.solver import SWEEP_BLOCK
 
 REFERENCE = Path(__file__).resolve().parents[1] / "src" / "oilopt" / "configs" / "reference.yaml"
 
@@ -280,6 +281,21 @@ class TestReserveScan:
             _, report = solve(model, small_grid(horizon=2.0, n_regimes=2, l=l), cfg)
             per_slice.append(max(p for p, _ in report.slices))
         assert per_slice[1] <= per_slice[0] + 1
+
+
+class TestSweepBlocks:
+    def test_blocked_sweep_matches_one_block(self):
+        """sweep updates each regime SWEEP_BLOCK time slices at a time. Every
+        slice is computed on its own, so one block over all slices, ragged last
+        block included, gives the same bits."""
+        grid = small_grid(horizon=2.5, n_regimes=2)
+        op = DiscreteOperator(reference_model(horizon=2.5), grid, SolverConfig())
+        n = grid.n_s - 1
+        assert n > SWEEP_BLOCK and n % SWEEP_BLOCK
+        V = np.random.default_rng(5).uniform(-100.0, 400.0, size=grid.shape)
+        for controls in (None, [0.0], [50000.0], np.linspace(0.0, 50000.0, 7)):
+            whole = [op._best_candidate(V, m, 0, n, controls) for m in range(2)]
+            assert np.array_equal(op.sweep(V, controls)[:, :n], np.stack(whole))
 
 
 class TestSolverConfig:
