@@ -16,7 +16,8 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy.integrate import quad
+
+from .quadrature import _integral
 
 
 # ---------------------------------------------------------------------------
@@ -107,14 +108,14 @@ class LevyMeasure:
     def from_density(density, half_width: float, total_mass: float | None = None) -> "LevyMeasure":
         """Wrap an arbitrary nonnegative density truncated at half_width.
 
-        With total_mass=None the mass is computed by adaptive quadrature and
-        the density is used as given; otherwise the density is rescaled so the
-        truncated measure carries exactly total_mass.
+        The density must accept arrays. With total_mass=None its Simpson mass
+        over [-half_width, half_width] is Gamma and the density is used as given;
+        otherwise it is rescaled so the truncated measure carries total_mass.
         """
         if half_width <= 0:
             raise ValueError("half_width must be positive")
         w = float(half_width)
-        raw_mass, _ = quad(lambda z: float(density(z)), -w, w, limit=200)
+        raw_mass = _integral(density, -w, w)
         if raw_mass < 0:
             raise ValueError("density integrates to a negative mass")
         if total_mass is None:
@@ -146,8 +147,9 @@ class LevyMeasure:
     def compensator_drift(self) -> float:
         """integral of z over |z| < 1, the small-jump compensator drift.
 
-        Computed from the measure itself (exact for atoms, quadrature for
-        densities) independently of any Simpson weight family.
+        Computed from the measure, not from the solver's weight families: exact
+        for atoms; for densities Simpson on the odd part z*(f(z) - f(-z)) over
+        [0, min(1, support)], exactly 0.0 for an even density.
         """
         if self.kind == "null":
             return 0.0
@@ -159,9 +161,8 @@ class LevyMeasure:
                     if abs(z) < 1.0
                 )
             )
-        w = min(1.0, float(self.support))
-        val, _ = quad(lambda z: z * float(np.asarray(self._density(z))), -w, w, limit=200)
-        return float(val)
+        f = self._density
+        return _integral(lambda z: z * (f(z) - f(-z)), 0.0, min(1.0, float(self.support)))
 
     @cached_property
     def _envelope(self) -> float:

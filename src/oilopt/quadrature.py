@@ -6,18 +6,18 @@ The nonlocal term applied to a function f of the price state is
 
 where the c_j carry the full measure over its (truncated) support and the
 d_j carry only the small-jump window [-1, 1] entering the compensator. For
-density measures both families are composite Simpson rules; for atom
-measures they are the atom masses themselves. The contraction check
-|sum_j c_j - Gamma| / r < 1 gates every solve.
+density measures both families come from one composite Simpson rule, which
+also takes the density's mass, compensator drift and truncated mass
+(_integral); for atom measures they are the atom masses themselves. The
+contraction check |sum_j c_j - Gamma| / r < 1 gates every solve.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import ContractionError
 
@@ -32,7 +32,6 @@ class QuadratureScheme:
     d_weights: np.ndarray
     total_mass: float  # Gamma of the measure
     window: float  # half-width actually integrated for the c family
-    xi_target: float
     truncated_fraction: float = 0.0  # measure mass ignored because Z < support
 
     @property
@@ -45,6 +44,21 @@ class QuadratureScheme:
         return float(np.sum(self.d_weights * self.d_nodes))
 
 
+def _simpson_rule(a: float, b: float, n: int):
+    """Composite Simpson nodes and weights on [a, b] with an even count of n intervals."""
+    nodes = np.linspace(a, b, n + 1)
+    pattern = np.ones(n + 1)
+    pattern[1:-1:2] = 4.0
+    pattern[2:-1:2] = 2.0
+    return nodes, ((b - a) / n / 3.0) * pattern
+
+
+def _integral(f, a: float, b: float) -> float:
+    """Reference integral of a vectorized f over [a, b]: Simpson on 20,000 intervals."""
+    nodes, weights = _simpson_rule(a, b, 20000)
+    return float(np.dot(weights, np.broadcast_to(f(nodes), nodes.shape)))
+
+
 def _simpson_family(density, half_width: float, xi: float):
     """Composite Simpson nodes/weights for density over [-half_width, half_width].
 
@@ -52,18 +66,12 @@ def _simpson_family(density, half_width: float, xi: float):
     pattern closes; the effective spacing is then 2*half_width / n.
     """
     n = max(2, math.ceil(2.0 * half_width / xi))
-    if n % 2:
-        n += 1
-    nodes = np.linspace(-half_width, half_width, n + 1)
-    step = 2.0 * half_width / n
-    pattern = np.ones(n + 1)
-    pattern[1:-1:2] = 4.0
-    pattern[2:-1:2] = 2.0
+    nodes, weights = _simpson_rule(-half_width, half_width, n + n % 2)
     vals = np.asarray(density(nodes), dtype=float)
     if np.any(vals < 0):
         bad = nodes[np.argmin(vals)]
         raise ValueError(f"density is negative at z={bad:.6g}; not a measure")
-    return nodes, (step / 3.0) * pattern * vals
+    return nodes, weights * vals
 
 
 def build_quadrature(measure, xi: float, truncation: float = 5.0) -> QuadratureScheme:
@@ -73,14 +81,14 @@ def build_quadrature(measure, xi: float, truncation: float = 5.0) -> QuadratureS
     half-width integrated for density measures (must be >= 1 so the
     compensator window is always covered). Density measures with their own
     support bound inside the truncation are integrated exactly over that
-    support, so nothing is cut off and Simpson never straddles the support
-    edge.
+    support, and the d family over min(1, support), so nothing is cut off
+    and Simpson never straddles the support edge.
     """
     if not (0.0 < xi < 1.0):
         raise ValueError(f"quadrature step xi must lie in (0,1), got {xi}")
     if measure.kind == "null":
         empty = np.empty(0)
-        return QuadratureScheme(empty, empty, empty, empty, 0.0, 0.0, xi)
+        return QuadratureScheme(empty, empty, empty, empty, 0.0, 0.0)
     if measure.kind == "atoms":
         locs = np.asarray(measure.atom_locations, dtype=float)
         masses = np.asarray(measure.atom_masses, dtype=float)
@@ -92,18 +100,15 @@ def build_quadrature(measure, xi: float, truncation: float = 5.0) -> QuadratureS
             d_weights=masses[small],
             total_mass=measure.total_mass,
             window=float(np.max(np.abs(locs), initial=0.0)),
-            xi_target=xi,
         )
     if truncation < 1.0:
         raise ValueError(f"truncation must be >= 1 for density measures, got {truncation}")
     window = min(float(measure.support), float(truncation))
     c_nodes, c_weights = _simpson_family(measure.density, window, xi)
-    d_nodes, d_weights = _simpson_family(measure.density, 1.0, xi)
+    d_nodes, d_weights = _simpson_family(measure.density, min(1.0, window), xi)
     truncated = 0.0
     if window < float(measure.support):
-        inside, _ = quad(
-            lambda z: float(np.asarray(measure.density(z))), -window, window, limit=200
-        )
+        inside = _integral(measure.density, -window, window)
         truncated = max(0.0, 1.0 - inside / measure.total_mass) if measure.total_mass else 0.0
     return QuadratureScheme(
         c_nodes=c_nodes,
@@ -112,7 +117,6 @@ def build_quadrature(measure, xi: float, truncation: float = 5.0) -> QuadratureS
         d_weights=d_weights,
         total_mass=measure.total_mass,
         window=window,
-        xi_target=xi,
         truncated_fraction=truncated,
     )
 

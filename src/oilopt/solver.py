@@ -285,8 +285,8 @@ class DiscreteOperator:
         return base
 
     def _best_candidate(self, V, m, lo, hi, controls=None, scan=False):
-        """max over controls of RHS'(u)/(1+c(u)); the y=0 face keeps the first
-        control's value (u=0 for the default pair).
+        """max over controls of RHS'(u)/(1+c(u)); the y=0 face takes u=0 for
+        any control list, since extraction needs reserve.
 
         An extracting candidate reads its reserve neighbor from V as given
         (scan=False: the frozen read of a sweep) or, with scan=True, from the
@@ -321,6 +321,8 @@ class DiscreteOperator:
             cand /= den[m][:, None]
             if best is None:
                 best = cand
+                profit0, den0 = self.control_terms(0.0)
+                best[..., 0] = (base[..., 0] + profit0[:, 0] / r) / den0[m]
             else:
                 # extraction is not admissible on an empty reserve
                 np.maximum(best[..., 1:], cand[..., 1:], out=best[..., 1:])

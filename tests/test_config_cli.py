@@ -288,6 +288,20 @@ class TestCli:
         )
         assert proc.returncode == 0, proc.stderr
 
+    def test_cli_import_loads_no_scipy(self):
+        """scipy is a test-only dependency: the runtime never imports it."""
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, oilopt.cli; print(sorted(m for m in sys.modules if m == 'scipy' "
+             "or m.startswith('scipy.')))"],
+            capture_output=True, text=True, env=env,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
 
 class TestVerifyChecks:
     def test_verification_builds_one_operator(self, monkeypatch):

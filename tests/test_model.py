@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from scipy.integrate import quad
 
 from oilopt import (
     Dynamics,
@@ -149,6 +150,33 @@ class TestLevyMeasure:
                                      total_mass=3.0)
         assert m.total_mass == pytest.approx(3.0)
         assert m.density(0.0) == pytest.approx(0.75)
+
+    @pytest.mark.parametrize("measure", [
+        LevyMeasure.uniform(1.0, 0.5),
+        LevyMeasure.uniform(0.3, 0.5),
+        LevyMeasure.double_exponential(2.0, 5.0, 1.0),
+        LevyMeasure.double_exponential(3.0, 0.5, 1.0),
+    ], ids=["uniform-1", "uniform-0.3", "de-2-5", "de-3-0.5"])
+    def test_even_density_compensator_is_exactly_zero(self, measure):
+        """The Monte Carlo drift of a symmetric measure carries no rounding."""
+        assert measure.compensator_drift() == 0.0
+
+    @pytest.mark.parametrize("density, w", [
+        (lambda z: 1.0 + np.asarray(z), 1.0),
+        (lambda z: np.exp(0.7 * np.asarray(z)), 0.8),
+    ], ids=["linear", "exponential"])
+    def test_from_density_mass_and_drift_match_adaptive_quadrature(self, density, w):
+        m = LevyMeasure.from_density(density, w)
+        mass, _ = quad(lambda z: float(density(z)), -w, w, limit=200)
+        drift, _ = quad(lambda z: z * float(density(z)), -w, w, limit=200)
+        assert m.total_mass == pytest.approx(mass, rel=1e-10)
+        assert m.compensator_drift() == pytest.approx(drift, rel=1e-10)
+
+    def test_from_density_accepts_a_constant(self):
+        """A density that returns one number for any z is still a measure."""
+        m = LevyMeasure.from_density(lambda z: 2.0, 0.5)
+        assert m.total_mass == pytest.approx(2.0, rel=1e-12)
+        assert m.compensator_drift() == 0.0
 
     def test_rejection_envelope_evaluated_once(self):
         """The flat envelope is the density's maximum on 4,001 points, found

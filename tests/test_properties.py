@@ -146,11 +146,13 @@ def test_backward_field_is_a_jacobi_fixed_point(op):
 @given(op=small_models(), seed=st.integers(0, 2**32 - 1))
 def test_endpoint_sweep_is_the_maximum_of_pinned_sweeps(op, seed):
     """sweep(controls=[u]) pins the control: the endpoint sweep is, bit for
-    bit, the u = 0 sweep raised to the u_max sweep off the empty reserve."""
+    bit, the u = 0 sweep raised to the u_max sweep off the empty reserve.
+    On the empty reserve every control list extracts nothing."""
     V = np.random.default_rng(seed).uniform(-100.0, 400.0, size=op.grid.shape)
     expect = op.sweep(V, controls=[0.0])
-    u_max = op.model.economics.u_max
-    np.maximum(expect[..., 1:], op.sweep(V, controls=[u_max])[..., 1:], out=expect[..., 1:])
+    pinned = op.sweep(V, controls=[op.model.economics.u_max])
+    assert np.array_equal(pinned[..., 0], expect[..., 0])
+    np.maximum(expect[..., 1:], pinned[..., 1:], out=expect[..., 1:])
     assert np.array_equal(op.sweep(V), expect)
 
 

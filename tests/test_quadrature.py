@@ -24,8 +24,11 @@ def test_uniform_weight_sum_is_exact():
     assert scheme.window == 1.0
 
 
-def test_uniform_compensator_sum_vanishes():
-    scheme = build_quadrature(LevyMeasure.uniform(1.0, 0.5), xi=0.01)
+@pytest.mark.parametrize("half_width", [1.0, 0.9, 0.3, 0.1])
+def test_uniform_compensator_sum_vanishes(half_width):
+    # the d family stops at the support edge when the support is narrower than 1
+    scheme = build_quadrature(LevyMeasure.uniform(half_width, 0.5), xi=0.01)
+    assert scheme.d_nodes.max() == min(1.0, half_width)
     assert abs(scheme.compensator_sum) < 1e-10
 
 
