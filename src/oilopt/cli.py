@@ -22,7 +22,7 @@ import sys
 import time
 from pathlib import Path
 
-from . import __version__
+from . import __version__, solver
 from .config import RunConfig, load_config
 from .errors import ConfigError, NumericalError
 from .grid import csv_handle
@@ -77,6 +77,8 @@ def _manifest(cfg: RunConfig, args, report=None, extra=None) -> dict:
             "sweep": report.sweep,
             "contraction_value": report.contraction.value,
             "wall_time_s": report.wall_time,
+            "sweep_workers": solver.SWEEP_WORKERS,  # threads per full sweep
+            "sweep_block": solver.SWEEP_BLOCK,  # time slices per sweep task
         }
     if extra:
         data.update(extra)
@@ -131,7 +133,7 @@ def _cmd_solve(cfg: RunConfig, args, out_dir: Path) -> int:
 
 
 def _cmd_policy(cfg: RunConfig, args, out_dir: Path) -> int:
-    _, report, sw = pipeline(cfg)
+    report, sw = pipeline(cfg)[1:]  # the value field is not kept for the CSVs
     rows, flagged = curve_table(sw)
     _cap_warning(cfg, rows)
     if flagged:

@@ -37,7 +37,9 @@ checks (the last two through sweep(controls=...)).
 Two sweep orders are provided. "jacobi" recomputes every node from the
 previous full-grid iterate (deterministic, trivially parallel: the update
 is a pure function of the frozen iterate, so any worker partition gives
-bit-identical results). "backward" walks time slices from the horizon down,
+bit-identical results; see sweep for its two threads; BLAS threading is
+left alone, as on large grids OpenBLAS's thread count moves the last bits
+of the jump product). "backward" walks time slices from the horizon down,
 running the same per-node update as an inner fixed point on each slice
 until it settles before stepping back. Within a pass it updates the
 regimes in turn and scans the reserve axis in the order the stencil reads
@@ -50,7 +52,11 @@ point and is much faster when the horizon carries many slices.
 
 from __future__ import annotations
 
+import functools
+import math
+import os
 import time
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -61,6 +67,15 @@ from .model import MarketModel, profit_rate, terminal_value, validate_model
 from .quadrature import ContractionReport, build_quadrature, check_contraction
 
 SWEEP_BLOCK = 10  # time slices per block of a full sweep
+_CPUS = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else range(os.cpu_count() or 1)
+SWEEP_WORKERS = min(2, len(_CPUS))  # threads per full sweep, the caller included
+
+
+@functools.cache
+def _worker(pid: int) -> ThreadPoolExecutor:
+    """Process `pid`'s sweep thread, started by its first threaded sweep (a
+    forked child inherits the executor object, not its thread)."""
+    return ThreadPoolExecutor(max_workers=1, thread_name_prefix="oilopt-sweep")
 
 
 @dataclass(frozen=True)
@@ -269,15 +284,16 @@ class DiscreteOperator:
 
     def _base_block(self, V, m, lo, hi):
         """u-independent part of RHS' for regime m on time slices [lo, hi)."""
-        g, d = self.grid, self.model.dynamics
+        g = self.grid
         r, k, h = self.r, g.time_step, g.price_step
         Vt = V[m, lo:hi]
         base = V[m, lo + 1 : hi + 1] / (r * k)
-        xp = self._shift_x(Vt, up=True)
-        base += (self.a_vec[m][:, None] - (self.comp_vec[m] / (r * h))[:, None]) * xp
+        up = self.a_vec[m][:, None] - (self.comp_vec[m] / (r * h))[:, None]
+        base += up * self._shift_x(Vt, up=True)
         base += self.b_vec[m][:, None] * self._shift_x(Vt, up=False)
         if self.jump_mat[m] is not None:
-            base += np.matmul(self.jump_mat[m], Vt) / r
+            jumps = np.matmul(self.jump_mat[m], Vt)
+            base += np.divide(jumps, r, out=jumps)
         Q = self.model.generator
         for j in range(g.n_regimes):
             if j != m and Q[m, j] != 0.0:
@@ -307,8 +323,8 @@ class DiscreteOperator:
             profit, den = self.control_terms(u)
             num = base + profit / r
             if u == 0.0:
-                cand = num / den[m][:, None]
-                best = cand if best is None else np.maximum(best, cand, out=best)
+                num /= den[m][:, None]
+                best = num if best is None else np.maximum(best, num, out=best)
                 continue
             alpha = self.u_sign * (u / (r * l))
             if scan:
@@ -347,7 +363,7 @@ class DiscreteOperator:
 
     # -- public operations -----------------------------------------------------
 
-    def sweep(self, values: np.ndarray, controls=None) -> np.ndarray:
+    def sweep(self, values: np.ndarray, controls=None, out=None, change=False):
         """One full-grid update; pure function of the input field.
 
         `controls` replaces the endpoint pair {0, u_max}: a dense list scans
@@ -355,34 +371,62 @@ class DiscreteOperator:
         the settlement payoff no matter what the input carries there: the
         terminal condition is part of the operator, not of the iterate.
 
-        Each regime is updated SWEEP_BLOCK time slices at a time. Every slice
-        is computed on its own, so blocking moves no bit; it keeps the
-        temporaries small (regime-sized ones, 3.4 MB each on reference.yaml,
-        made the allocator hand back and re-fault its heap every regime).
+        Returns the update, written to `out` (new if None; never `values`),
+        or with `change=True` (largest |update - values|, its first node in
+        C order as (regime, s_idx, x_idx, y_idx)), a NaN winning; without
+        `out` the update is then dropped block by block.
+
+        The tasks, one per (regime, SWEEP_BLOCK time slices), each write only
+        their own slab, so no bit depends on the blocks or on the threads:
+        the calling thread runs the even tasks and, with SWEEP_WORKERS = 2,
+        one pool worker the odd ones (numpy's ufuncs and matmul release the
+        GIL). Blocks keep the temporaries small: regime-sized ones (3.4 MB on
+        reference.yaml) made the allocator re-fault its heap every regime.
         """
         g = self.grid
-        out = np.empty_like(values)
         n = g.n_s - 1
-        out[:, n] = self.terminal
-        for m in range(g.n_regimes):
-            for lo in range(0, n, SWEEP_BLOCK):
-                hi = min(lo + SWEEP_BLOCK, n)
-                out[m, lo:hi] = self._best_candidate(values, m, lo, hi, controls)
-        return out
+        if out is None and not change:
+            out = np.empty_like(values)
+        for u in self.controls if controls is None else controls:
+            self.control_terms(u)  # a bad control raises here; no thread writes the cache
+        edges = [*range(0, n, SWEEP_BLOCK), n, n + 1]  # the terminal slice is a task of its own
+        tasks = [(m, lo, hi) for m in range(g.n_regimes) for lo, hi in zip(edges, edges[1:])]
+
+        def run(part):  # per task: its slab of `out`, its largest change and first node
+            found = []
+            for m, lo, hi in part:
+                new = self.terminal[m, None] if lo == n else self._best_candidate(
+                    values, m, lo, hi, controls)
+                if out is not None:
+                    out[m, lo:hi] = new
+                if change:
+                    diff = np.subtract(new, values[m, lo:hi], out=None if lo == n else new)
+                    t, x, y = np.unravel_index(int(np.argmax(np.abs(diff, out=diff))), diff.shape)
+                    found.append((float(diff[t, x, y]), (m, lo + int(t), int(x), int(y))))
+            return found
+
+        if SWEEP_WORKERS < 2 or len(tasks) < 2:
+            found = run(tasks)
+        else:
+            odd = _worker(os.getpid()).submit(run, tasks[1::2])
+            try:
+                found = run(tasks[0::2])
+            finally:
+                wait([odd])  # the worker finishes before anything propagates
+            found += odd.result()
+        if not change:
+            return out
+        # a NaN first, then the largest change; ties go to the first node in C order
+        return min(found, key=lambda f: (0, f[1]) if math.isnan(f[0]) else (1, -f[0], f[1]))
 
     def initial_guess(self) -> np.ndarray:
         """Terminal payoff broadcast across all time slices."""
-        g = self.grid
-        V = np.empty(g.shape)
-        V[:] = self.terminal[:, None, :, :]
-        return V
+        return np.broadcast_to(self.terminal[:, None], self.grid.shape).copy()
 
 
 def _check_finite(values, context):
     if not np.all(np.isfinite(values)):
-        m, t, xi, yi = np.unravel_index(
-            int(np.argmin(np.isfinite(values))), values.shape
-        )
+        m, t, xi, yi = np.unravel_index(int(np.argmin(np.isfinite(values))), values.shape)
         raise NumericalError(
             f"non-finite value during {context} at regime {m}, time index {t}, "
             f"price index {xi}, reserve index {yi}"
@@ -400,38 +444,35 @@ def solve(model: MarketModel, grid: Grid4D, cfg: SolverConfig | None = None):
     cfg = cfg or SolverConfig()
     t0 = time.perf_counter()
     op = DiscreteOperator(model, grid, cfg)
-    V = op.initial_guess()
     residuals, slices = [], []
     if cfg.sweep == "backward":
+        V = op.initial_guess()
         iterations = _solve_backward(op, V, cfg, residuals, slices)
     else:
-        iterations = _solve_jacobi(op, V, cfg, residuals)
+        iterations, V = _solve_jacobi(op, op.initial_guess(), cfg, residuals)
     report = ConvergenceReport(
-        iterations=iterations,
-        final_residual=residuals[-1] if residuals else 0.0,
-        residuals=residuals,
-        mode=cfg.mode,
-        sweep=cfg.sweep,
-        contraction=op.contraction,
-        wall_time=time.perf_counter() - t0,
-        operator=op,
-        slices=slices,
+        iterations=iterations, final_residual=residuals[-1] if residuals else 0.0,
+        residuals=residuals, mode=cfg.mode, sweep=cfg.sweep, contraction=op.contraction,
+        wall_time=time.perf_counter() - t0, operator=op, slices=slices,
     )
     return GridField(grid, V), report
 
 
 def _solve_jacobi(op, V, cfg, residuals):
+    """Returns (sweeps, the last iterate). A new array per sweep, not two
+    swapped ones: freeing the last keeps glibc's adaptive mmap and trim
+    thresholds above the block temporaries, which otherwise fault anew."""
     for it in range(1, cfg.max_iterations + 1):
-        Vn = op.sweep(V)
-        _check_finite(Vn, f"jacobi sweep {it}")
-        res = float(np.max(_abs_change(Vn, V)))  # V is overwritten just below
+        Vn = np.empty_like(V)
+        res, _ = op.sweep(V, out=Vn, change=True)
+        if not math.isfinite(res):  # V is finite, so a non-finite update shows here
+            _check_finite(Vn, f"jacobi sweep {it}")
         residuals.append(res)
-        V[:] = Vn
+        V = Vn
         if res < cfg.tolerance:
-            return it
+            return it, V
     raise ConvergenceError(
-        f"no convergence after {cfg.max_iterations} sweeps; "
-        f"last residual {residuals[-1]:.6g}",
+        f"no convergence after {cfg.max_iterations} sweeps; last residual {residuals[-1]:.6g}",
         residual_history=residuals,
     )
 
@@ -462,7 +503,7 @@ def _solve_backward(op, V, cfg, residuals, slices):
                 W[m, t : t + 1] = op._best_candidate(W, m, t, t + 1, scan=True)
             total_inner += 1
             passes += 1
-            change = float(np.max(_abs_change(W[:, t], prev)))
+            change = float(np.max(np.abs(np.subtract(W[:, t], prev, out=prev), out=prev)))
             if change < inner_tol:
                 break
             if total_inner > budget:
@@ -475,19 +516,8 @@ def _solve_backward(op, V, cfg, residuals, slices):
         _check_finite(W[:, t], f"backward slice {t}")
     slices.reverse()
     # one verification sweep defines the reported residual
-    residuals.append(float(np.max(_sweep_mismatch(op, W))))
+    residuals.append(op.sweep(W, change=True)[0])
     return total_inner
-
-
-def _abs_change(new, old):
-    """|new - old| node by node, written over `old` and returned."""
-    np.subtract(new, old, out=old)
-    return np.abs(old, out=old)
-
-
-def _sweep_mismatch(op, values):
-    """|sweep(values) - values| node by node, computed in the sweep's output."""
-    return _abs_change(values, op.sweep(values))
 
 
 def dpp_residual(field: GridField, op: DiscreteOperator):
@@ -498,9 +528,5 @@ def dpp_residual(field: GridField, op: DiscreteOperator):
     Terminal nodes are pinned by construction and contribute zero. Returns
     (worst mismatch, {"node": (regime, s_idx, x_idx, y_idx), "nodes": count}).
     """
-    mism = _sweep_mismatch(op, field.values)
-    worst = np.unravel_index(int(np.argmax(mism)), mism.shape)
-    return float(mism[worst]), {
-        "node": tuple(int(i) for i in worst),
-        "nodes": int(mism.size),
-    }
+    worst, node = op.sweep(field.values, change=True)
+    return worst, {"node": node, "nodes": int(field.values.size)}

@@ -3,13 +3,14 @@ import json
 import os
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
 
-from oilopt import ConfigError, DiscreteOperator, simulate, solve, verify
+from oilopt import ConfigError, DiscreteOperator, cli, simulate, solve, solver, verify
 from oilopt.cli import main
 from oilopt.config import load_config, parse_config
 from oilopt.verify import check_solution, run_verification
@@ -134,6 +135,8 @@ class TestCli:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["run"]["converged"] is True
         assert manifest["config"]["schema_version"] == 1
+        assert manifest["run"]["sweep_workers"] == solver.SWEEP_WORKERS
+        assert manifest["run"]["sweep_block"] == solver.SWEEP_BLOCK
         assert "solved" in capsys.readouterr().out
 
     def test_outputs_byte_identical_across_runs(self, tmp_path):
@@ -163,6 +166,27 @@ class TestCli:
         head = (out / "switching_curve.csv").read_text().splitlines()[0]
         assert head == "s,y,regime,x_star"
         assert (out / "policy.csv").read_text().splitlines()[0] == "s,x,y,regime,G,u_star"
+
+    def test_policy_frees_the_value_field_before_writing_csv(self, tmp_path, monkeypatch):
+        """policy writes its CSVs from the switching field alone, so the
+        solved value field must be gone by then, not held to the end."""
+        solved, alive = [], []
+        real_pipeline, real_write = cli.pipeline, cli.write_policy_csv
+
+        def pipeline(cfg):
+            result = real_pipeline(cfg)
+            solved.append(weakref.ref(result[0]))
+            return result
+
+        def write_policy_csv(*args, **kwargs):
+            alive.append(solved[0]() is not None)
+            return real_write(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "pipeline", pipeline)
+        monkeypatch.setattr(cli, "write_policy_csv", write_policy_csv)
+        cfg = write_config(tmp_path, SMALL)
+        assert main(["policy", "--config", cfg, "--out", str(tmp_path / "run")]) == 0
+        assert alive == [False]
 
     def test_simulate_manifest_and_paths(self, tmp_path):
         cfg = write_config(tmp_path, SMALL)

@@ -11,6 +11,7 @@ symmetric pairs inside the window |z| < 1 or lie outside it.
 """
 
 import dataclasses
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -20,12 +21,14 @@ from oilopt import (
     DiscreteOperator,
     Dynamics,
     Economics,
+    GridField,
     LevyMeasure,
     MarketModel,
     SolverConfig,
     build_grid,
     dpp_residual,
     solve,
+    solver,
 )
 
 
@@ -164,3 +167,32 @@ def test_sweep_preserves_order(op, seed):
         lower = rng.uniform(-100.0, 400.0, size=op.grid.shape)
         upper = lower + rng.uniform(0.0, 10.0, size=lower.shape)
         assert np.all(op.sweep(lower) <= op.sweep(upper) + 1e-9)
+
+
+@settings(max_examples=25, deadline=None)
+@given(op=small_models(), seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_blocks_and_threads_move_no_bit(op, seed, data):
+    """Any block size and either thread count gives the bits of one block
+    swept serially: every sweep, the jacobi residual history and field, and
+    dpp_residual's worst node."""
+    n_s, u_max = op.grid.n_s, op.model.economics.u_max
+    block = data.draw(st.integers(1, n_s), label="SWEEP_BLOCK")
+    workers = data.draw(st.sampled_from([1, 2]), label="SWEEP_WORKERS")
+    V = np.random.default_rng(seed).uniform(-100.0, 400.0, size=op.grid.shape)
+    field = GridField(op.grid, V)
+    cfg = SolverConfig(mode="upwind")
+
+    def run(block_size, threads):
+        with (mock.patch.object(solver, "SWEEP_BLOCK", block_size),
+              mock.patch.object(solver, "SWEEP_WORKERS", threads)):
+            sweeps = [op.sweep(V, c) for c in (None, [0.0], [u_max], np.linspace(0.0, u_max, 7))]
+            solved, report = solve(op.model, op.grid, cfg)
+            return sweeps, solved.values, report.residuals, dpp_residual(field, op)
+
+    sweeps, values, residuals, worst = run(n_s, 1)
+    got_sweeps, got_values, got_residuals, got_worst = run(block, workers)
+    for one, other in zip(sweeps, got_sweeps):
+        assert np.array_equal(one, other)
+    assert np.array_equal(values, got_values)
+    assert residuals == got_residuals
+    assert worst == got_worst

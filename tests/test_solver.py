@@ -1,6 +1,10 @@
 """Solver unit tests: coefficients, invariants, convergence, mode agreement."""
 
 import dataclasses
+import multiprocessing
+import os
+import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -25,6 +29,7 @@ from oilopt import (
     dpp_residual,
     solve,
 )
+from oilopt import solver
 from oilopt.config import load_config, parse_config
 from oilopt.solver import SWEEP_BLOCK
 
@@ -296,6 +301,139 @@ class TestSweepBlocks:
         for controls in (None, [0.0], [50000.0], np.linspace(0.0, 50000.0, 7)):
             whole = [op._best_candidate(V, m, 0, n, controls) for m in range(2)]
             assert np.array_equal(op.sweep(V, controls)[:, :n], np.stack(whole))
+
+
+class TestSweepThreads:
+    """The blocks of a full sweep run on the calling thread (even tasks) and
+    one pool worker (odd tasks), each reducing its own largest change.
+    Every test forces the worker count, so it holds on a one-CPU machine."""
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_nan_in_the_last_block_names_sweep_and_node(self, workers, monkeypatch):
+        """A NaN planted by sweep 3 in the last block of the last regime must
+        raise the typed error naming that sweep and node, not be dropped by
+        the reduction of the block maxima."""
+        monkeypatch.setattr(solver, "SWEEP_WORKERS", workers)
+        model, grid = reference_model(horizon=2.5), small_grid(horizon=2.5, n_regimes=2)
+        n = grid.n_s - 1
+        last_lo = (n - 1) // SWEEP_BLOCK * SWEEP_BLOCK
+        real, calls = DiscreteOperator._best_candidate, []
+
+        def planting(self, V, m, lo, hi, controls=None, scan=False):
+            out = real(self, V, m, lo, hi, controls, scan)
+            if (m, lo) == (1, last_lo):
+                calls.append(lo)
+                if len(calls) == 3:
+                    out[hi - lo - 1, 50, 5] = np.nan
+            return out
+
+        monkeypatch.setattr(DiscreteOperator, "_best_candidate", planting)
+        with pytest.raises(NumericalError) as err:
+            solve(model, grid, SolverConfig(tolerance=1e-8))
+        assert str(err.value) == (
+            f"non-finite value during jacobi sweep 3 at regime 1, time index {n - 1}, "
+            "price index 50, reserve index 5"
+        )
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_equal_maxima_in_two_blocks_give_the_first_node(self, workers, monkeypatch):
+        """Two equal mismatches, in the worker's block 1 and the calling
+        thread's block 2: dpp_residual reports the first in C order, as an
+        argmax over the full mismatch field does."""
+        monkeypatch.setattr(solver, "SWEEP_WORKERS", workers)
+        model, grid = reference_model(horizon=2.5), small_grid(horizon=2.5, n_regimes=2)
+        op = DiscreteOperator(model, grid, SolverConfig())
+        V = np.random.default_rng(7).uniform(0.0, 300.0, size=grid.shape)
+        first, second = (0, SWEEP_BLOCK + 2, 50, 20), (0, 2 * SWEEP_BLOCK + 2, 50, 20)
+        # no upwind reserve read reaches the top reserve node, and next to
+        # 1e200 the node's other terms vanish in rounding: the two tie exactly
+        V[first] = V[second] = 1e200
+        mism = np.abs(op.sweep(V) - V)
+        assert mism[first] == mism[second] == mism.max()
+        expect = np.unravel_index(int(np.argmax(mism)), mism.shape)
+        worst, info = dpp_residual(GridField(grid, V), op)
+        assert (worst, info["node"]) == (float(mism[expect]), first) == (mism.max(), expect)
+
+    def test_paper_faithful_control_too_large_raises_in_the_calling_thread(self, monkeypatch):
+        """A pinned control whose 1 + c is nonpositive raises the operator's
+        NumericalError from sweep, before any task runs, and only the calling
+        thread ever builds control terms."""
+        monkeypatch.setattr(solver, "SWEEP_WORKERS", 2)
+        op = DiscreteOperator(single_regime_model(u_max=0.005), small_grid(price_cap=57.5),
+                              SolverConfig(mode="paper_faithful"))
+        builders = []
+        real = DiscreteOperator.control_terms
+
+        def recording(self, u):
+            if float(u) not in self._terms:
+                builders.append(threading.current_thread() is threading.main_thread())
+            return real(self, u)
+
+        monkeypatch.setattr(DiscreteOperator, "control_terms", recording)
+        V = op.initial_guess()
+        op.sweep(V, controls=np.linspace(0.0, 0.005, 5))
+        with pytest.raises(NumericalError) as err:
+            op.sweep(V, controls=[50000.0])
+        assert not isinstance(err.value, MonotonicityError)
+        msg = str(err.value)
+        assert "1+c = -1.9998e+06" in msg and "u=50000" in msg
+        assert builders and all(builders)
+
+    def test_threaded_sweeps_hold_under_a_short_switch_interval(self, monkeypatch):
+        """Thread switches forced every microsecond, one slice per task, and
+        a dense control scan whose terms a fresh operator builds during the
+        threaded sweep: the bits equal the serial sweep's every time."""
+        model, grid = reference_model(horizon=2.5), small_grid(horizon=2.5, n_regimes=2)
+        V = np.random.default_rng(13).uniform(-100.0, 400.0, size=grid.shape)
+        dense = np.linspace(0.0, 50000.0, 9)
+        monkeypatch.setattr(solver, "SWEEP_WORKERS", 1)
+        serial = DiscreteOperator(model, grid, SolverConfig()).sweep(V, dense)
+        monkeypatch.setattr(solver, "SWEEP_WORKERS", 2)
+        monkeypatch.setattr(solver, "SWEEP_BLOCK", 1)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(5):
+                op = DiscreteOperator(model, grid, SolverConfig())
+                assert np.array_equal(op.sweep(V, dense), serial)
+        finally:
+            sys.setswitchinterval(interval)
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+    def test_a_forked_process_starts_its_own_sweep_thread(self, monkeypatch):
+        """A child forked after a threaded sweep inherits the pool object but
+        not its thread; its own sweeps must still finish, with the same bits."""
+        monkeypatch.setattr(solver, "SWEEP_WORKERS", 2)
+        op = DiscreteOperator(reference_model(horizon=2.5), small_grid(horizon=2.5, n_regimes=2),
+                              SolverConfig())
+        V = np.random.default_rng(17).uniform(-100.0, 400.0, size=op.grid.shape)
+        expect = op.sweep(V)  # starts this process's sweep thread
+
+        def child():
+            sys.exit(0 if np.array_equal(op.sweep(V), expect) else 1)
+
+        proc = multiprocessing.get_context("fork").Process(target=child)
+        proc.start()
+        proc.join(timeout=60)
+        if proc.is_alive():
+            proc.kill()
+            proc.join()
+        assert proc.exitcode == 0
+
+    def test_threaded_sweep_matches_serial_on_a_blas_threaded_grid(self, monkeypatch):
+        """With 401 price nodes OpenBLAS may thread the jump product under
+        the sweep's own threads; the bits must not move."""
+        model = reference_model(horizon=1.0)
+        grid = build_grid(horizon=1.0, price_cap=100.0, reserve_capacity=10.0, time_step=0.1,
+                          price_step=0.25, reserve_step=0.5, n_regimes=2)
+        assert grid.n_x >= 401
+        op = DiscreteOperator(model, grid, SolverConfig())
+        V = np.random.default_rng(11).uniform(-100.0, 400.0, size=grid.shape)
+        monkeypatch.setattr(solver, "SWEEP_WORKERS", 1)
+        serial = op.sweep(V)
+        monkeypatch.setattr(solver, "SWEEP_WORKERS", 2)
+        for _ in range(2):
+            assert np.array_equal(op.sweep(V), serial)
 
 
 class TestSolverConfig:
