@@ -108,16 +108,19 @@ def _write_convergence(out_dir: Path, report):
     return path
 
 
-def _cap_warning(cfg, rows):
+def _cap_warning(cfg, rows) -> int:
+    """Warn about, and return the count of, threshold rows within one price
+    step of the cap."""
     cap = cfg.grid.x_values[-1]
     h = cfg.grid.price_step
-    near = [r for r in rows if r[3] is not None and r[3] >= cap - h]
+    near = sum(1 for r in rows if r[3] is not None and r[3] >= cap - h)
     if near:
         print(
             f"warning: extraction threshold within one price step of the cap "
-            f"{cap} in {len(near)} rows; the cap may be distorting the policy",
+            f"{cap} in {near} rows; the cap may be distorting the policy",
             file=sys.stderr,
         )
+    return near
 
 
 def _cmd_solve(cfg: RunConfig, args, out_dir: Path) -> int:
@@ -135,7 +138,7 @@ def _cmd_solve(cfg: RunConfig, args, out_dir: Path) -> int:
 def _cmd_policy(cfg: RunConfig, args, out_dir: Path) -> int:
     report, sw = pipeline(cfg)[1:]  # the value field is not kept for the CSVs
     rows, flagged = curve_table(sw)
-    _cap_warning(cfg, rows)
+    near_cap = _cap_warning(cfg, rows)
     if flagged:
         print(
             f"warning: {len(flagged)} rows show multiple threshold crossings",
@@ -143,7 +146,8 @@ def _cmd_policy(cfg: RunConfig, args, out_dir: Path) -> int:
         )
     write_policy_csv(sw, extract_policy(sw, cfg.model), out_dir / "policy.csv")
     write_curve_csv(rows, out_dir / "switching_curve.csv")
-    _write_manifest(out_dir, _manifest(cfg, args, report, {"threshold_rows": len(rows)}))
+    extra = {"threshold_rows": len(rows), "threshold_rows_near_cap": near_cap}
+    _write_manifest(out_dir, _manifest(cfg, args, report, extra))
     print(
         f"policy extracted on {tuple(cfg.grid.shape)} -> {out_dir} "
         f"({len(rows)} threshold rows, {len(flagged)} flagged)"

@@ -20,6 +20,13 @@ paths of a batch can be recorded step by step as it runs: that is how
 estimate_value hands back recorded paths, and simulate_path is its
 one-path case.
 
+A large estimate runs on two processes. The streams are cut into two
+contiguous halves; the calling process steps the first and one worker,
+forked for the call and reaped before it returns, steps the second, each
+through the same batched share function. The halves are joined in stream
+order before the one reduction, so the process count moves no bit. Threads
+would not help: the per-path draws are Generator calls that hold the GIL.
+
 The applied extraction rate is min(policy rate, Y/dt): a step may not
 extract more than the remaining reserve, which keeps the booked revenue
 consistent with the admissibility constraint Y >= 0. The recorded u is the
@@ -28,18 +35,25 @@ applied rate.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 import time
+import traceback
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .grid import GridField
 from .model import MarketModel, profit_rate, terminal_value
+from .solver import SWEEP_WORKERS
 
 NORMAL_BLOCK = 512  # Euler steps per block of drawn normals
 BATCH_PATHS = 10_000  # streams stepped together in one batch
+PATH_WORKERS = SWEEP_WORKERS  # processes per estimate, the caller included
+# path-steps (streams x Euler steps) below which an estimate stays in process:
+# forking costs about 25 ms, and 1,000 streams x 200 steps broke even
+SPLIT_MIN_PATH_STEPS = 200_000
 _TILE = 256  # paths per transposed copy when a block is filled
 
 
@@ -193,6 +207,12 @@ def _draw_normals(rngs, out, antithetic):
         np.negative(out[:, :k], out=out[:, k:])
 
 
+def _clock(horizon, s0, dt_target):
+    """(Euler step count, step length) of a path from s0 to the horizon."""
+    n_steps = max(1, int(round((horizon - s0) / dt_target)))
+    return n_steps, (horizon - s0) / n_steps
+
+
 def _simulate_block(model, policy_fn, start, dt_target, streams, antithetic=False,
                     record=0):
     """Advance all paths of one batch in lockstep; per-path streams, shared clock.
@@ -203,8 +223,7 @@ def _simulate_block(model, policy_fn, start, dt_target, streams, antithetic=Fals
     e = model.economics
     d = model.dynamics
     horizon = e.horizon
-    n_steps = max(1, int(round((horizon - s0) / dt_target)))
-    dt = (horizon - s0) / n_steps
+    n_steps, dt = _clock(horizon, s0, dt_target)
 
     t_draw = time.perf_counter()
     times = s0 + dt * np.arange(n_steps + 1)
@@ -297,7 +316,6 @@ def _simulate_block(model, policy_fn, start, dt_target, streams, antithetic=Fals
         "payoff": total,
         "n_jumps": n_jumps,
         "clamps": clamps,
-        "n_steps": n_steps,
         "draw_s": draw_s,
         "step_s": step_s,
         "paths": paths,
@@ -330,6 +348,87 @@ def check_record(model: MarketModel, start, n_paths: int, dt: float, antithetic:
     return n_streams
 
 
+def _simulate_share(model, policy_fn, start, dt, streams, antithetic, record, lo, hi):
+    """Step streams[lo:hi] in BATCH_PATHS batches: their samples (pair
+    averages when antithetic) and jump counts in stream order, the clamp
+    counts, the recorded paths among the first `record` streams, and the
+    seconds spent drawing and stepping."""
+    samples = np.empty(hi - lo)
+    jumps = np.empty(hi - lo, dtype=np.int64)
+    clamped = clamp_total = 0
+    paths = []
+    draw_s = step_s = 0.0
+    for b in range(lo, hi, BATCH_PATHS):
+        chunk = streams[b : min(b + BATCH_PATHS, hi)]
+        k = len(chunk)
+        res = _simulate_block(model, policy_fn, start, dt, chunk, antithetic=antithetic,
+                              record=min(k, max(0, record - b)))
+        payoff = res["payoff"]
+        samples[b - lo : b - lo + k] = 0.5 * (payoff[:k] + payoff[k:]) if antithetic else payoff
+        jumps[b - lo : b - lo + k] = res["n_jumps"][:k]
+        clamped += int(np.count_nonzero(res["clamps"]))
+        clamp_total += int(np.sum(res["clamps"]))
+        paths += res["paths"]
+        draw_s += res["draw_s"]
+        step_s += res["step_s"]
+    return samples, jumps, clamped, clamp_total, paths, draw_s, step_s
+
+
+def _worker_main(share, lo, hi, conn):
+    """The forked worker: send back share(lo, hi), or the exception it raised
+    with its traceback, for the caller to raise."""
+    try:
+        reply = (True, share(lo, hi), None)
+    except Exception as exc:
+        reply = (False, exc, traceback.format_exc())
+    try:
+        conn.send(reply)
+    except Exception:  # an exception that does not pickle
+        conn.send((False, RuntimeError(f"{type(reply[1]).__name__}: {reply[1]}"), reply[2]))
+    conn.close()
+
+
+def _in_two_processes(share, n):
+    """share(0, h) in this process and share(h, n) in one forked worker,
+    h = ceil(n / 2); both results in stream order.
+
+    The model and the policy (a lambda or a grid lookup closure) reach the
+    worker by fork inheritance, so neither is pickled; only the worker's
+    result comes back over a pipe. Forking a process that has threads is
+    safe here: the solver's sweep thread is idle between sweeps, holding no
+    lock, and the worker never sweeps. The worker is reaped before this
+    returns or raises; its exception is raised here, chained to its traceback.
+    """
+    import multiprocessing  # about 8 ms to import: only a split estimate pays it
+
+    if "fork" not in multiprocessing.get_all_start_methods():
+        return [share(0, n)]
+    ctx = multiprocessing.get_context("fork")
+    half = (n + 1) // 2
+    reader, writer = ctx.Pipe(duplex=False)
+    worker = ctx.Process(target=_worker_main, args=(share, half, n, writer), daemon=True)
+    worker.start()
+    writer.close()  # so a worker that dies leaves EOF on the pipe, not a hang
+    answered = False
+    try:
+        first = share(0, half)
+        try:
+            ok, second, worker_tb = reader.recv()
+        except EOFError:
+            worker.join()
+            raise RuntimeError(f"the Monte Carlo worker process died (exit code "
+                               f"{worker.exitcode}) before returning its paths") from None
+        answered = True
+    finally:
+        reader.close()
+        if not answered:
+            worker.terminate()
+        worker.join()
+    if not ok:
+        raise second from RuntimeError(f"in the Monte Carlo worker process:\n{worker_tb}")
+    return [first, second]
+
+
 def estimate_value(model: MarketModel, policy, start, n_paths: int, dt: float,
                    seed: int, antithetic: bool = False, record: int = 0) -> EstimateReport:
     """Mean payoff under the policy with a standard error.
@@ -339,30 +438,29 @@ def estimate_value(model: MarketModel, policy, start, n_paths: int, dt: float,
     BATCH_PATHS streams advance together as one batch; a batch holds
     O(BATCH_PATHS x NORMAL_BLOCK) normals. The first `record` streams' paths
     (their +normals member when antithetic) come back recorded in `paths`.
+
+    With PATH_WORKERS = 2 and at least SPLIT_MIN_PATH_STEPS path-steps
+    (streams x Euler steps), the streams are cut into two contiguous halves:
+    this process steps the first and one forked worker the second. The
+    halves are joined in stream order before the one reduction, so the
+    process count moves no bit. Smaller estimates, and platforms without the
+    fork start method, stay in process.
+
     The diagnostics count price clamps on every simulated path, and carry
-    the seconds spent drawing (draw_s) and stepping (step_s).
+    the processes that stepped the paths (workers) and the seconds spent
+    drawing (draw_s) and stepping (step_s), each summed over the processes.
     """
     n_streams = check_record(model, start, n_paths, dt, antithetic, record)
-    policy_fn = _policy_callable(policy, model)
+    n_steps = _clock(model.economics.horizon, start[0], dt)[0]
     streams = np.random.SeedSequence(seed).spawn(n_streams)
-    samples = np.empty(n_streams)
-    jumps = np.empty(n_streams, dtype=np.int64)
-    clamped = clamp_total = 0
-    paths = []
-    draw_s = step_s = 0.0
-    for lo in range(0, n_streams, BATCH_PATHS):
-        chunk = streams[lo : lo + BATCH_PATHS]
-        k = len(chunk)
-        res = _simulate_block(model, policy_fn, start, dt, chunk, antithetic=antithetic,
-                              record=min(k, max(0, record - lo)))
-        payoff = res["payoff"]
-        samples[lo : lo + k] = 0.5 * (payoff[:k] + payoff[k:]) if antithetic else payoff
-        jumps[lo : lo + k] = res["n_jumps"][:k]
-        clamped += int(np.count_nonzero(res["clamps"]))
-        clamp_total += int(np.sum(res["clamps"]))
-        paths += res["paths"]
-        draw_s += res["draw_s"]
-        step_s += res["step_s"]
+    share = functools.partial(_simulate_share, model, _policy_callable(policy, model), start,
+                              dt, streams, antithetic, record)
+    if PATH_WORKERS < 2 or n_streams * n_steps < SPLIT_MIN_PATH_STEPS:
+        parts = [share(0, n_streams)]
+    else:
+        parts = _in_two_processes(share, n_streams)
+    samples, jumps, clamped, clamp_total, paths, draw_s, step_s = zip(*parts)
+    samples, jumps = np.concatenate(samples), np.concatenate(jumps)
     mean = float(np.sum(samples) / samples.size)
     sd = float(np.std(samples, ddof=1))
     se = sd / math.sqrt(samples.size)
@@ -375,13 +473,14 @@ def estimate_value(model: MarketModel, policy, start, n_paths: int, dt: float,
         dt=dt,
         diagnostics={
             "mean_jumps_per_path": float(np.mean(jumps)),
-            "paths_with_price_clamp": clamped,
-            "total_price_clamps": clamp_total,
-            "n_steps": res["n_steps"],
-            "draw_s": draw_s,
-            "step_s": step_s,
+            "paths_with_price_clamp": sum(clamped),
+            "total_price_clamps": sum(clamp_total),
+            "n_steps": n_steps,
+            "workers": len(parts),
+            "draw_s": sum(draw_s),
+            "step_s": sum(step_s),
         },
-        paths=paths,
+        paths=[rec for part in paths for rec in part],
     )
 
 

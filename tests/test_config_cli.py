@@ -166,6 +166,23 @@ class TestCli:
         head = (out / "switching_curve.csv").read_text().splitlines()[0]
         assert head == "s,y,regime,x_star"
         assert (out / "policy.csv").read_text().splitlines()[0] == "s,x,y,regime,G,u_star"
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert (manifest["threshold_rows"], manifest["threshold_rows_near_cap"]) == (168, 0)
+
+    def test_policy_manifest_counts_threshold_rows_near_the_cap(self, tmp_path, capsys):
+        """A cap of 24 pulls 6 thresholds to within one price step (0.5) of it:
+        the warning's count is the manifest's, and the curve CSV agrees."""
+        data, node, key = deep(SMALL, "grid", "price_cap")
+        node[key] = 24.0
+        data["simulation"]["start"]["x"] = 20.0
+        out = tmp_path / "run"
+        assert main(["policy", "--config", write_config(tmp_path, data), "--out", str(out)]) == 0
+        assert "of the cap 24.0 in 6 rows" in capsys.readouterr().err
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["threshold_rows_near_cap"] == 6
+        cells = [row.split(",")[3] for row in
+                 (out / "switching_curve.csv").read_text().splitlines()[1:]]
+        assert sum(1 for x in cells if x and float(x) >= 24.0 - 0.5) == 6
 
     def test_policy_frees_the_value_field_before_writing_csv(self, tmp_path, monkeypatch):
         """policy writes its CSVs from the switching field alone, so the
@@ -195,6 +212,7 @@ class TestCli:
         manifest = json.loads((out / "manifest.json").read_text())
         est = manifest["estimate"]
         assert est["n_paths"] == 400
+        assert est["diagnostics"]["workers"] == 1  # 400 x 100 path-steps stay in process
         assert est["gap"] <= 3 * est["std_error"] + 2.0
         paths = (out / "paths.csv").read_text().splitlines()
         assert paths[0] == "path,t,x,y,regime,u,discounted_profit"
@@ -312,15 +330,18 @@ class TestCli:
         )
         assert proc.returncode == 0, proc.stderr
 
-    def test_cli_import_loads_no_scipy(self):
-        """scipy is a test-only dependency: the runtime never imports it."""
+    @pytest.mark.parametrize("module", ["scipy", "multiprocessing"])
+    def test_cli_import_loads_no_module(self, module):
+        """scipy is a test-only dependency: the runtime never imports it.
+        multiprocessing is imported by a split Monte Carlo estimate alone, so
+        commands without one do not pay for it at start-up."""
         src = str(Path(__file__).resolve().parents[1] / "src")
         env = {**os.environ,
                "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
         proc = subprocess.run(
             [sys.executable, "-c",
-             "import sys, oilopt.cli; print(sorted(m for m in sys.modules if m == 'scipy' "
-             "or m.startswith('scipy.')))"],
+             f"import sys, oilopt.cli; print(sorted(m for m in sys.modules if m == '{module}' "
+             f"or m.startswith('{module}.')))"],
             capture_output=True, text=True, env=env,
         )
         assert proc.returncode == 0, proc.stderr

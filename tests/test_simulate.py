@@ -1,5 +1,8 @@
 import dataclasses
 import math
+import multiprocessing
+import os
+import signal
 import tracemalloc
 
 import numpy as np
@@ -11,13 +14,17 @@ from oilopt import (
     GridField,
     LevyMeasure,
     MarketModel,
+    SolverConfig,
     analytic_oracle,
     build_grid,
     estimate_value,
+    extract_policy,
     simulate_path,
     simulate_regime_chain,
+    solve,
+    switching_function,
 )
-from oilopt import simulate
+from oilopt import simulate, solver
 
 
 def no_action_model(horizon=1.0, sigma=0.2):
@@ -312,10 +319,13 @@ class TestBatch:
     def test_timings_reported(self):
         est = estimate_value(jumpy_model(), zero_policy, PIN_START, **PIN_KW)
         assert est.diagnostics["draw_s"] > 0.0 and est.diagnostics["step_s"] > 0.0
+        assert est.diagnostics["workers"] == 1  # 64 x 200 path-steps stay in process
 
-    def test_memory_is_bounded_by_the_normals_block(self):
+    def test_memory_is_bounded_by_the_normals_block(self, monkeypatch):
         """Peak traced memory is O(paths x NORMAL_BLOCK), not O(paths x steps):
-        dense per-path arrays over 5,000 steps would take ~43 MB here."""
+        dense per-path arrays over 5,000 steps would take ~43 MB here. One
+        process steps the whole batch: tracemalloc sees no forked worker."""
+        monkeypatch.setattr(simulate, "PATH_WORKERS", 1)
         n_paths, n_steps = 2000, 5000
         block_bytes = n_paths * simulate.NORMAL_BLOCK * 8
         # the block, and as much again for generators, events and temporaries
@@ -333,6 +343,137 @@ class TestBatch:
             if not was_tracing:
                 tracemalloc.stop()
         assert peak - base < bound, f"traced peak {(peak - base) / 1e6:.1f} MB"
+
+
+class PolicyFailure(Exception):
+    pass
+
+
+def fails_on_four_paths(t, x, y, regime):
+    """Raises only on a 4-path batch: of 9 streams split in two, the worker's."""
+    if np.size(x) == 4:
+        raise PolicyFailure(f"no rate for the 4 paths at t={t}")
+    return threshold_policy(t, x, y, regime)
+
+
+def dies_on_four_paths(t, x, y, regime):
+    if np.size(x) == 4:
+        os._exit(3)
+    return threshold_policy(t, x, y, regime)
+
+
+def assert_same_estimate(split, single):
+    """Equal reports, timings and the process count aside, with every
+    recorded path equal field by field."""
+    assert (split.diagnostics["workers"], single.diagnostics["workers"]) == (2, 1)
+    for f in dataclasses.fields(split):
+        if f.name not in ("diagnostics", "paths"):
+            assert getattr(split, f.name) == getattr(single, f.name), f.name
+    skip = {"workers", "draw_s", "step_s"}
+    assert ({k: v for k, v in split.diagnostics.items() if k not in skip}
+            == {k: v for k, v in single.diagnostics.items() if k not in skip})
+    assert len(split.paths) == len(single.paths)
+    for a, b in zip(split.paths, single.paths):
+        for f in dataclasses.fields(a):
+            assert np.array_equal(getattr(a, f.name), getattr(b, f.name)), f.name
+
+
+@pytest.fixture
+def two_processes(monkeypatch):
+    """Split every estimate over two processes; the returned function runs
+    estimate_value in one process instead."""
+    monkeypatch.setattr(simulate, "PATH_WORKERS", 2)
+    monkeypatch.setattr(simulate, "SPLIT_MIN_PATH_STEPS", 0)
+
+    def in_one_process(*args, **kwargs):
+        monkeypatch.setattr(simulate, "PATH_WORKERS", 1)
+        try:
+            return estimate_value(*args, **kwargs)
+        finally:
+            monkeypatch.setattr(simulate, "PATH_WORKERS", 2)
+
+    return in_one_process
+
+
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                    reason="needs the fork start method")
+class TestTwoProcesses:
+    @pytest.mark.parametrize("case", sorted(PINNED_ESTIMATES))
+    def test_split_estimate_is_bit_identical(self, case, two_processes):
+        """Every pinned case, every stream recorded: the worker's half of the
+        paths comes back in stream order."""
+        make, pinned = PINNED_ESTIMATES[case]
+        model, policy, extra = make()
+        record = 32 if extra.get("antithetic") else 64
+        split = estimate_value(model, policy, PIN_START, **PIN_KW, **extra, record=record)
+        d = split.diagnostics
+        assert (split.mean, split.std_error, d["mean_jumps_per_path"],
+                d["paths_with_price_clamp"], d["total_price_clamps"]) == pinned
+        single = two_processes(model, policy, PIN_START, **PIN_KW, **extra, record=record)
+        assert_same_estimate(split, single)
+
+    @pytest.mark.parametrize("n_paths, antithetic, record", [
+        (9, False, 6),  # odd stream count: 5 streams here, 4 in the worker
+        (14, True, 5),  # 7 antithetic streams, record past the first 4
+        (26, True, 13),
+    ])
+    def test_odd_counts_antithetic_pairs_and_records_past_the_first_half(
+            self, two_processes, monkeypatch, n_paths, antithetic, record):
+        monkeypatch.setattr(simulate, "BATCH_PATHS", 3)  # several batches per process
+        model = fast_switching(jumpy_model(measure=LevyMeasure.atoms([(-9.7, 0.3), (0.3, 0.5)])))
+        kw = dict(n_paths=n_paths, dt=1e-2, seed=11, antithetic=antithetic, record=record)
+        split = estimate_value(model, threshold_policy, PIN_START, **kw)
+        assert_same_estimate(split, two_processes(model, threshold_policy, PIN_START, **kw))
+        assert len(split.paths) == record
+
+    def test_worker_exception_reraises_in_the_caller(self, two_processes):
+        model = jumpy_model()
+        kw = dict(n_paths=9, dt=1e-2, seed=3)
+        two_processes(model, fails_on_four_paths, PIN_START, **kw)  # one 9-path batch
+        with pytest.raises(PolicyFailure, match=r"no rate for the 4 paths at t=0\.0"):
+            estimate_value(model, fails_on_four_paths, PIN_START, **kw)
+        assert multiprocessing.active_children() == []
+
+    def test_a_dead_worker_raises_instead_of_hanging(self, two_processes):
+        with pytest.raises(RuntimeError, match=r"worker process died \(exit code 3\)"):
+            estimate_value(jumpy_model(), dies_on_four_paths, PIN_START, n_paths=9, dt=1e-2,
+                           seed=3)
+        assert multiprocessing.active_children() == []
+
+    def test_caller_exception_stops_and_reaps_the_worker(self, two_processes):
+        """The caller's half (5 paths) raises at once. The worker's 4 recorded
+        paths (about 320 kB) overfill the pipe, so it must be stopped, not
+        waited for; the alarm bounds the wait if it is not."""
+        def fails_on_five_paths(t, x, y, regime):
+            if np.size(x) == 5:
+                raise PolicyFailure("five")
+            return threshold_policy(t, x, y, regime)
+
+        def alarm(signum, frame):
+            raise TimeoutError("the caller waited for a worker it should have stopped")
+
+        previous = signal.signal(signal.SIGALRM, alarm)
+        signal.alarm(30)
+        try:
+            with pytest.raises(PolicyFailure, match="five"):
+                estimate_value(jumpy_model(), fails_on_five_paths, PIN_START, n_paths=9,
+                               dt=1e-3, seed=3, record=9)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert multiprocessing.active_children() == []
+
+    def test_split_after_a_threaded_jacobi_solve(self, two_processes, monkeypatch):
+        """The sweep thread is alive when the worker forks; the worker must
+        still finish, with the one-process bits."""
+        monkeypatch.setattr(solver, "SWEEP_WORKERS", 2)
+        model = jumpy_model(horizon=1.0)
+        grid = build_grid(1.0, 100.0, 10.0, 0.1, 0.5, 0.5, 2)
+        field, report = solve(model, grid, SolverConfig(sweep="jacobi"))
+        policy = extract_policy(switching_function(field, model), model)
+        kw = dict(n_paths=40, dt=1e-2, seed=8, record=30)
+        split = estimate_value(model, policy, PIN_START, **kw)
+        assert_same_estimate(split, two_processes(model, policy, PIN_START, **kw))
 
 
 class TestAnalyticOracle:
