@@ -80,6 +80,11 @@ def _manifest(cfg: RunConfig, args, report=None, extra=None) -> dict:
             "sweep_workers": solver.SWEEP_WORKERS,  # threads per full sweep
             "sweep_block": solver.SWEEP_BLOCK,  # time slices per sweep task
         }
+        if report.slices:  # backward: inner passes per time slice
+            passes = [p for p, _ in report.slices]
+            data["run"]["passes_per_slice"] = {
+                "min": min(passes), "mean": sum(passes) / len(passes), "max": max(passes),
+            }
     if extra:
         data.update(extra)
     return data

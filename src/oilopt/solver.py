@@ -46,8 +46,11 @@ regimes in turn and scans the reserve axis in the order the stencil reads
 it, each node reading the neighbor value just written (Gauss-Seidel in y):
 the upwind stencil reads only y - l, so the slice's reserve coupling is
 lower-triangular and one ascending scan solves it exactly, and the passes
-per slice do not grow with the reserve grid. It reaches the same fixed
-point and is much faster when the horizon carries many slices.
+per slice do not grow with the reserve grid. Each slice's inner iteration
+starts from the cubic in time through the four converged slices above it
+(lower orders next to the horizon; see _warm_start), which roughly halves
+the passes per slice against a copy of the slice above. It reaches the same
+fixed point and is much faster when the horizon carries many slices.
 """
 
 from __future__ import annotations
@@ -483,10 +486,13 @@ def _solve_backward(op, V, cfg, residuals, slices):
     Each inner pass updates the regimes in turn, every one from its base
     block read off the current iterate and a reserve scan (see
     _best_candidate), so only the price, jump and regime couplings are left
-    to the fixed point. The inner tolerance is tightened by r*k relative to
-    the outer one so the per-slice solve error stays below the outer
-    tolerance after accumulating across slices (the time-neighbor weight is
-    < 1/(1+rk) per slice).
+    to the fixed point. Each slice starts from _warm_start's extrapolation
+    of the slices above it; only the start moves, not the update or the
+    stopping rule, so a better start saves passes and nothing else. The
+    inner tolerance is tightened by r*k relative to the outer one so the
+    per-slice solve error stays below the outer tolerance after
+    accumulating across slices (the time-neighbor weight is < 1/(1+rk) per
+    slice).
     """
     g = op.grid
     inner_tol = cfg.tolerance * op.r * g.time_step * 0.5
@@ -494,8 +500,7 @@ def _solve_backward(op, V, cfg, residuals, slices):
     budget = cfg.max_iterations * max(1, g.n_s - 1)
     W = V  # operate in place, slice by slice
     for t in range(g.n_s - 2, -1, -1):
-        # warm start from the next slice's converged values
-        W[:, t] = W[:, t + 1]
+        _warm_start(W, t)
         passes = 0
         while True:
             prev = W[:, t].copy()
@@ -518,6 +523,22 @@ def _solve_backward(op, V, cfg, residuals, slices):
     # one verification sweep defines the reported residual
     residuals.append(op.sweep(W, change=True)[0])
     return total_inner
+
+
+# the polynomial in time through the n converged slices above, evaluated one
+# step further down: coefficients of W[t + 1], ..., W[t + n], nearest first
+_EXTRAPOLATION = ((1.0,), (2.0, -1.0), (3.0, -3.0, 1.0), (4.0, -6.0, 4.0, -1.0))
+
+
+def _warm_start(W, t):
+    """Write slice t's inner start in place: the cubic through the four
+    converged slices above it, or the lower order that the slices up to the
+    horizon allow (copy, linear, quadratic). The terms are summed nearest
+    first, in a fixed order, so the start's bits do not vary."""
+    coef = _EXTRAPOLATION[min(len(_EXTRAPOLATION), W.shape[1] - 1 - t) - 1]
+    start = np.multiply(W[:, t + 1], coef[0], out=W[:, t])
+    for j, c in enumerate(coef[1:], start=2):
+        start += c * W[:, t + j]
 
 
 def dpp_residual(field: GridField, op: DiscreteOperator):

@@ -78,8 +78,7 @@ def reference():
     cfg = load_config(CONFIG_DIR / "reference.yaml")
     assert cfg.solver.tolerance == EPS
     field, report = solve(cfg.model, cfg.grid, cfg.solver)
-    op = DiscreteOperator(cfg.model, cfg.grid, cfg.solver)
-    return cfg, field, report, op
+    return cfg, field, report, report.operator
 
 
 @pytest.fixture(scope="module")

@@ -137,6 +137,7 @@ class TestCli:
         assert manifest["config"]["schema_version"] == 1
         assert manifest["run"]["sweep_workers"] == solver.SWEEP_WORKERS
         assert manifest["run"]["sweep_block"] == solver.SWEEP_BLOCK
+        assert "passes_per_slice" not in manifest["run"]  # jacobi has no slices
         assert "solved" in capsys.readouterr().out
 
     def test_outputs_byte_identical_across_runs(self, tmp_path):
@@ -156,7 +157,11 @@ class TestCli:
         cells = [row.split(",") for row in rows[1:]]
         assert [int(c[0]) for c in cells] == list(range(10))  # horizon 1.0, step 0.1
         run = json.loads((out / "manifest.json").read_text())["run"]
-        assert sum(int(c[1]) for c in cells) == run["iterations"]
+        passes = [int(c[1]) for c in cells]
+        assert sum(passes) == run["iterations"]
+        assert run["passes_per_slice"] == {
+            "min": min(passes), "mean": sum(passes) / len(passes), "max": max(passes),
+        }
         assert all(float(c[2]) < 1e-6 * 0.05 * 0.1 / 2 for c in cells)  # tol * r * k / 2
 
     def test_policy_outputs(self, tmp_path):

@@ -146,6 +146,23 @@ def test_backward_field_is_a_jacobi_fixed_point(op):
 
 
 @settings(max_examples=25, deadline=None)
+@given(op=small_models())
+def test_backward_field_is_a_jacobi_fixed_point_on_nine_slices(op):
+    """small_models() grids carry 3 slices; at time step 0.125 the backward
+    solve runs every warm-start order, the cubic included. Each slice still
+    settles below the inner tolerance, and one jacobi sweep moves the field
+    by less than the tolerance."""
+    grid = dataclasses.replace(op.grid, time_step=0.125)
+    cfg = SolverConfig(mode="upwind", sweep="backward")
+    field, report = solve(op.model, grid, cfg)
+    assert len(report.slices) == grid.n_s - 1 == 8
+    inner_tol = cfg.tolerance * report.operator.r * grid.time_step * 0.5
+    assert all(change < inner_tol for _, change in report.slices)
+    mismatch, info = dpp_residual(field, report.operator)
+    assert mismatch < cfg.tolerance, f"one sweep moves {info['node']} by {mismatch:.3g}"
+
+
+@settings(max_examples=25, deadline=None)
 @given(op=small_models(), seed=st.integers(0, 2**32 - 1))
 def test_endpoint_sweep_is_the_maximum_of_pinned_sweeps(op, seed):
     """sweep(controls=[u]) pins the control: the endpoint sweep is, bit for

@@ -275,6 +275,7 @@ class TestReserveScan:
         assert len(passes) == cfg.grid.n_s - 1
         assert sum(passes) == report.iterations
         assert max(passes) <= 14
+        assert sum(passes) <= 650  # 613 from the cubic warm start, 1,306 from a copy
         tol = cfg.solver.tolerance * cfg.model.dynamics.discount_rate * cfg.grid.time_step / 2
         assert all(change < tol for _, change in report.slices)
 
@@ -286,6 +287,38 @@ class TestReserveScan:
             _, report = solve(model, small_grid(horizon=2.0, n_regimes=2, l=l), cfg)
             per_slice.append(max(p for p, _ in report.slices))
         assert per_slice[1] <= per_slice[0] + 1
+
+
+class TestWarmStart:
+    """_warm_start extrapolates the converged slices above t to slice t."""
+
+    @staticmethod
+    def field(degree, n_s=8):
+        """Slices a polynomial of `degree` in the time index, with small
+        integer coefficients, so every extrapolation is exact in float64."""
+        coef = np.random.default_rng(degree).integers(-5, 6, size=(degree + 1, 2, 1, 3, 4))
+        t = np.arange(n_s, dtype=float)[None, :, None, None]
+        return sum(c * t**p for p, c in enumerate(coef.astype(float)))
+
+    @staticmethod
+    def start(V, t):
+        W = V.copy()
+        W[:, t] = np.nan
+        solver._warm_start(W, t)
+        assert np.array_equal(np.delete(W, t, axis=1), np.delete(V, t, axis=1))
+        return W[:, t]
+
+    def test_cubic_through_four_slices_is_exact(self):
+        V = self.field(3)
+        for t in range(V.shape[1] - 5, -1, -1):
+            assert np.array_equal(self.start(V, t), V[:, t])
+
+    @pytest.mark.parametrize("known", [1, 2, 3])
+    def test_first_slices_below_the_horizon_use_the_lower_orders(self, known):
+        """1, 2 and 3 known slices: copy, linear and quadratic."""
+        V = self.field(known - 1)
+        t = V.shape[1] - 1 - known
+        assert np.array_equal(self.start(V, t), V[:, t])
 
 
 class TestSweepBlocks:
