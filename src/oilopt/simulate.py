@@ -499,13 +499,16 @@ def _validate_start(model, start, dt):
         raise ValueError(f"start regime {i0} out of range")
 
 
-def analytic_oracle(model: MarketModel, s: float, x: float, y: float) -> float:
+def analytic_oracle(model: MarketModel, s: float, x, y):
     """Closed-form value for the restricted no-action configuration.
 
     Requires a single regime, no jumps, u_max = 0, the linear price map and
     zero fixed cost, where the value is the discounted expected settlement:
 
         e^{-r(T-s)} (K - y) (mu + (x - mu) e^{-kappa(T-s)} - m_T).
+
+    x and y may be arrays that broadcast: one call prices a time slice. s
+    stays scalar because math.exp keeps each value's bits; np.exp does not.
     """
     e, d = model.economics, model.dynamics
     problems = []

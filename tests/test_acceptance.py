@@ -104,11 +104,9 @@ def test_criterion_1_closed_form_accuracy():
         inner = (xs >= 10.0) & (xs <= 90.0)
         worst, scale = 0.0, 0.0
         for si, s in enumerate(grid.s_values[:-1]):
-            for yi, y in enumerate(grid.y_values):
-                exact = np.array([analytic_oracle(model, s, x, y) for x in xs[inner]])
-                err = float(np.max(np.abs(field.values[0, si, inner, yi] - exact)))
-                worst = max(worst, err)
-                scale = max(scale, float(np.max(np.abs(exact))))
+            exact = analytic_oracle(model, s, xs[inner, None], grid.y_values)
+            worst = max(worst, float(np.max(np.abs(field.values[0, si, inner] - exact))))
+            scale = max(scale, float(np.max(np.abs(exact))))
         return worst / scale, wall
 
     rel_base, wall_base = run(0.01, 0.25, 0.25)
@@ -200,21 +198,34 @@ def test_criterion_4_order_preservation(reference):
     )
 
 
+MC_STARTS = [(0.0, 50.0, 4.0, 0), (0.0, 30.0, 8.0, 1), (0.0, 70.0, 2.0, 0)]  # criterion 5
+
+
+@pytest.fixture(scope="module")
+def mc_estimates(reference, reference_policy):
+    """Criterion 5's estimate at each of MC_STARTS, and the seconds all three
+    took together."""
+    cfg = reference[0]
+    _, policy = reference_policy
+    t0 = time.perf_counter()
+    estimates = [
+        estimate_value(cfg.model, policy, start, n_paths=MC_PATHS, dt=MC_DT, seed=MC_SEED)
+        for start in MC_STARTS
+    ]
+    return estimates, time.perf_counter() - t0
+
+
 @criterion(5)
-def test_criterion_5_monte_carlo_cross_validation(reference, reference_policy):
+def test_criterion_5_monte_carlo_cross_validation(reference, mc_estimates):
     from oilopt.verify import MC_DISCRETIZATION_CONSTANT
 
     assert MC_DISCRETIZATION_CONSTANT == MC_CONSTANT  # frozen, echoed in manifests
     cfg, field, _, _ = reference
-    _, policy = reference_policy
+    estimates, wall = mc_estimates
     g = cfg.grid
-    starts = [(0.0, 50.0, 4.0, 0), (0.0, 30.0, 8.0, 1), (0.0, 70.0, 2.0, 0)]
     allowance_extra = MC_CONSTANT * (g.price_step + g.time_step + g.reserve_step)
-    t0 = time.perf_counter()
     details = []
-    for start in starts:
-        est = estimate_value(cfg.model, policy, start, n_paths=MC_PATHS, dt=MC_DT,
-                             seed=MC_SEED)
+    for start, est in zip(MC_STARTS, estimates):
         si, xi, yi = g.nearest_indices(*start[:3])
         v_grid = float(field.values[start[3], si, xi, yi])
         gap = abs(est.mean - v_grid)
@@ -223,7 +234,6 @@ def test_criterion_5_monte_carlo_cross_validation(reference, reference_policy):
             f"start {start}: gap {gap:.4f} exceeds 3*SE + C*(h+k+l) = {allowance:.4f}"
         )
         details.append(f"{gap:.3f}<={allowance:.3f}")
-    wall = time.perf_counter() - t0
     assert wall < MC_TIME_BUDGET, f"simulation took {wall:.0f}s"
     return (
         f"3 starts within allowance (gaps {', '.join(details)}; C={MC_CONSTANT}), "
@@ -231,14 +241,12 @@ def test_criterion_5_monte_carlo_cross_validation(reference, reference_policy):
     )
 
 
-def test_monte_carlo_estimate_is_pinned(reference, reference_policy):
+def test_monte_carlo_estimate_is_pinned(mc_estimates):
     """Criterion 5's first start gives exactly the estimate captured before
     the paths were stepped in one lockstep batch: a change to the draw
     order, the Euler arithmetic or the reduction moves these bits."""
-    cfg = reference[0]
-    _, policy = reference_policy
-    est = estimate_value(cfg.model, policy, (0.0, 50.0, 4.0, 0), n_paths=MC_PATHS, dt=MC_DT,
-                         seed=MC_SEED)
+    assert MC_STARTS[0] == (0.0, 50.0, 4.0, 0)
+    est = mc_estimates[0][0]
     d = est.diagnostics
     assert (est.mean, est.std_error) == (265.0282268695991, 0.3793706397949546)
     assert (d["mean_jumps_per_path"], d["total_price_clamps"], d["n_steps"]) == (5.0037, 0, 10000)

@@ -10,7 +10,18 @@ import numpy as np
 import pytest
 import yaml
 
-from oilopt import ConfigError, DiscreteOperator, cli, simulate, solve, solver, verify
+from oilopt import (
+    ConfigError,
+    DiscreteOperator,
+    GridField,
+    analytic_oracle,
+    cli,
+    dpp_residual,
+    simulate,
+    solve,
+    solver,
+    verify,
+)
 from oilopt.cli import main
 from oilopt.config import load_config, parse_config
 from oilopt.verify import check_solution, run_verification
@@ -376,3 +387,55 @@ class TestVerifyChecks:
         assert status(report) == "pass"
         stale = dataclasses.replace(report, final_residual=2 * cfg.solver.tolerance)
         assert status(stale) == "fail"
+
+    @pytest.mark.parametrize("sweep", ["backward", "jacobi"])
+    def test_verification_sweeps_the_solved_field_once(self, sweep, monkeypatch):
+        """Backward closes on dpp_residual of the field it returns, and the
+        balance-residual check reads that result instead of sweeping again.
+        Jacobi's last residual is the previous iterate's, so the check
+        sweeps the returned field once itself."""
+        calls = []
+        original = DiscreteOperator.sweep
+        monkeypatch.setattr(DiscreteOperator, "sweep",
+                            lambda self, *a, **kw: calls.append(1) or original(self, *a, **kw))
+        data, node, key = deep(SMALL, "solver", "tolerance")
+        data["solver"]["sweep"] = sweep
+        results, field, report = run_verification(parse_config(data), skip_simulation=True)
+        assert all(r.status != "fail" for r in results)
+        if sweep == "backward":
+            assert len(calls) == 1  # the passes update slices, not the full grid
+            calls.clear()
+            fresh = dpp_residual(field, report.operator)
+            assert report.balance == fresh and report.final_residual == fresh[0]
+            assert {r.name: r.value for r in results}["balance-residual"] == fresh[0]
+        else:
+            assert len(calls) == report.iterations + 1
+            assert report.balance is None
+
+    def test_closed_form_check_equals_the_per_node_closed_form(self):
+        data = yaml.safe_load((CONFIG_DIR / "oracle.yaml").read_text())
+        data["grid"].update(time_step=0.1, price_step=0.5, reserve_step=0.5)
+        cfg = parse_config(data)
+        field, _ = solve(cfg.model, cfg.grid, cfg.solver)
+        [result] = verify.check_oracle(cfg, field)
+        assert result.status == "pass"
+        g = cfg.grid
+        xs = g.x_values
+        interior = np.flatnonzero((xs >= 0.1 * xs[-1]) & (xs <= 0.9 * xs[-1]))
+        err = scale = 0.0
+        for si, s in enumerate(g.s_values[:-1]):
+            for xi in interior:
+                for yi, y in enumerate(g.y_values):
+                    exact = analytic_oracle(cfg.model, float(s), float(xs[xi]), float(y))
+                    err = max(err, abs(float(field.values[0, si, xi, yi]) - exact))
+                    scale = max(scale, abs(exact))
+        assert result.value == err / scale
+
+    def test_closed_form_check_skips_the_reference_model(self):
+        cfg = load_config(CONFIG_DIR / "reference.yaml")
+        [result] = verify.check_oracle(cfg, GridField(cfg.grid))
+        assert result.status == "skip"
+        assert result.detail == (
+            "analytic oracle requires a single regime, a zero-mass jump measure, "
+            "u_max = 0, zero fixed cost"
+        )

@@ -493,3 +493,22 @@ class TestAnalyticOracle:
             analytic_oracle(model, 0.0, 50.0, 4.0)
         msg = str(err.value)
         assert "single regime" in msg and "u_max = 0" in msg
+
+    @pytest.mark.parametrize("s", [0.0, 0.37, 1.0])
+    def test_arrays_equal_the_scalar_calls_bit_for_bit(self, s):
+        model = no_action_model()
+        xs = np.linspace(0.0, 100.0, 41)
+        ys = np.linspace(0.0, 10.0, 21)
+        grid = analytic_oracle(model, s, xs[:, None], ys)
+        scalar = [[analytic_oracle(model, s, float(x), float(y)) for y in ys] for x in xs]
+        assert grid.shape == (41, 21)
+        assert np.array_equal(grid, np.array(scalar))
+
+    def test_array_input_raises_the_scalar_errors(self):
+        xs, ys = np.linspace(0.0, 100.0, 5)[:, None], np.linspace(0.0, 10.0, 3)
+        for model, s in ((jumpy_model(), 0.0), (no_action_model(), 1.5), (no_action_model(), -0.1)):
+            with pytest.raises(ValueError) as scalar:
+                analytic_oracle(model, s, 50.0, 4.0)
+            with pytest.raises(ValueError) as array:
+                analytic_oracle(model, s, xs, ys)
+            assert str(array.value) == str(scalar.value)
