@@ -253,6 +253,11 @@ class MarketModel:
             return np.exp(x)
         return x
 
+    def drift(self, x, mu, gamma, comp):
+        """kappa*(mu - x) less the jump compensator, gamma*x*comp or additively gamma*comp."""
+        compensator = gamma * x * comp if self.jump_convention == "proportional" else gamma * comp
+        return self.dynamics.kappa * (mu - x) - compensator
+
     def marginal_extraction_cost(self, y):
         """d cost / d u, the per-unit markup entering the switching function."""
         e = self.economics

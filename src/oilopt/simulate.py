@@ -283,9 +283,7 @@ def _simulate_block(model, policy_fn, start, dt_target, streams, antithetic=Fals
         u_pol = np.asarray(policy_fn(t, X, Y, alpha), dtype=float)
         u_app = np.clip(np.minimum(u_pol, Y / dt), 0.0, e.u_max)
         payoff += disc * profit_rate(model, t, X, Y, u_app) * dt
-        compensator = gam_a * X * comp_drift if proportional else gam_a * comp_drift
-        drift = d.kappa * (mu_a - X) - compensator
-        X = X + drift * dt + sig_a * normals[row]
+        X = X + model.drift(X, mu_a, gam_a, comp_drift) * dt + sig_a * normals[row]
         lo, hi = jp_bounds[step], jp_bounds[step + 1]
         if lo < hi:
             p = jp_paths[lo:hi]

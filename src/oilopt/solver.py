@@ -12,10 +12,11 @@ per-node balance equation
     (1 + c(x,i;u)) V0 = RHS'(u)                 for the maximizing u,
 
 where RHS' gathers the time neighbor (weight 1/(rk)), the price neighbors
-(weights a and b), the reserve neighbor (weight u/(rl), read downward in
-upwind mode and upward in paper-faithful mode), the jump destinations
-(weights c_j/r), the other regimes (weights q_ij/r), the compensator
-correction on the forward price neighbor, and the running profit L/r.
+(weights a and b, which carry the diffusion and the total drift: the mean
+reversion less the small-jump compensator of I), the reserve neighbor
+(weight u/(rl), read downward in upwind mode and upward in paper-faithful
+mode), the jump destinations (weights c_j/r), the other regimes (weights
+q_ij/r), and the running profit L/r.
 
 The sweep iterated here solves each node's balance for its own value with
 all neighbor values frozen from the previous iterate:
@@ -120,8 +121,9 @@ class DiscreteOperator:
     """Precomputed sweep machinery for one (model, grid, config) triple.
 
     Per regime and price node it holds the price-neighbor weights a_vec and
-    b_vec, the compensator comp_vec, the u-independent part of the center
-    coefficient center_base, and one jump matrix per regime (jump_mat).
+    b_vec and the u-independent part of the center coefficient center_base,
+    the weights the sweep applies as they are; and one jump matrix per
+    regime (jump_mat).
     Per control it holds the running profit and the denominators 1 + c(u)
     (see control_terms).
     """
@@ -155,31 +157,24 @@ class DiscreteOperator:
         ).copy()
 
     def _build_coefficients(self):
-        """Node weights of the balance equation, shape (M, n_x) each.
-
-        The paper-faithful stencil puts the whole drift on the forward price
-        difference, so its up weight a turns negative where x is far enough
-        above mu; the upwind stencil splits the drift by sign and is signed
-        correctly on any grid.
+        """Node weights of the balance equation, shape (M, n_x) each, as the
+        sweep applies them. The paper-faithful stencil puts the total drift
+        (MarketModel.drift, compensator included) on the forward price
+        difference, so its up weight a turns negative where that drift is
+        negative enough; the upwind stencil splits it by sign and is signed
+        correctly on any grid and for any jump measure.
         """
         model, g = self.model, self.grid
         d = model.dynamics
         r, k, h = self.r, g.time_step, g.price_step
         x = g.x_values
-        shape = (g.n_regimes, g.n_x)
         sig = np.asarray(d.sigma)[:, None]
-        mu = np.asarray(d.mu)[:, None]
-        gamma = np.asarray(d.jump_scale)[:, None]
-        drift = d.kappa * (mu - x)
+        drift = model.drift(x, np.asarray(d.mu)[:, None], np.asarray(d.jump_scale)[:, None],
+                            self.scheme.compensator_sum)
         diff = sig * sig / (2.0 * r * h * h)
-        comp_sum = self.scheme.compensator_sum
-        if model.jump_convention == "proportional":
-            comp = gamma * x * comp_sum
-        else:
-            comp = np.broadcast_to(gamma * comp_sum, shape)
         if self.cfg.mode == "paper_faithful":
             a = diff + drift / (r * h)
-            b = np.broadcast_to(diff, shape)
+            b = np.broadcast_to(diff, (g.n_regimes, g.n_x))
             drift_center = drift / (r * h)
             bad = np.flatnonzero((a <= 0.0) | (b <= 0.0))
             if bad.size:
@@ -187,10 +182,11 @@ class DiscreteOperator:
                 if b[m, i] <= 0.0:
                     detail = "diffusion must be positive for the paper-faithful stencil"
                 else:
-                    bound = sig[m, 0] * sig[m, 0] / (2.0 * d.kappa * (x[i] - mu[m, 0]))
+                    bound = sig[m, 0] * sig[m, 0] / (2.0 * -drift[m, i])
                     detail = (
                         f"restore positivity with a finer price step h < "
-                        f"sigma^2/(2*kappa*(x-mu)) = {bound:.6g}"
+                        f"sigma^2/(2*(-drift)) = {bound:.6g}, drift = kappa*(mu-x) - "
+                        f"compensator = {drift[m, i]:.6g}"
                     )
                 raise MonotonicityError(
                     f"paper-faithful coefficient check failed at x={x[i]:.6g}, regime {m}: "
@@ -204,12 +200,10 @@ class DiscreteOperator:
         q_off = (Q.sum(axis=1) - np.diag(Q))[:, None]
         self.a_vec = a
         self.b_vec = b.copy()
-        self.comp_vec = comp.copy()
         self.center_base = (
             1.0 / (r * k)
             + sig * sig / (r * h * h)
             + drift_center
-            - comp / (r * h)
             + self.scheme.total_mass / r
             + q_off / r
         )
@@ -289,11 +283,10 @@ class DiscreteOperator:
     def _base_block(self, V, m, lo, hi):
         """u-independent part of RHS' for regime m on time slices [lo, hi)."""
         g = self.grid
-        r, k, h = self.r, g.time_step, g.price_step
+        r, k = self.r, g.time_step
         Vt = V[m, lo:hi]
         base = V[m, lo + 1 : hi + 1] / (r * k)
-        up = self.a_vec[m][:, None] - (self.comp_vec[m] / (r * h))[:, None]
-        base += up * self._shift_x(Vt, up=True)
+        base += self.a_vec[m][:, None] * self._shift_x(Vt, up=True)
         base += self.b_vec[m][:, None] * self._shift_x(Vt, up=False)
         if self.jump_mat[m] is not None:
             jumps = np.matmul(self.jump_mat[m], Vt)
@@ -428,11 +421,12 @@ class DiscreteOperator:
         return np.broadcast_to(self.terminal[:, None], self.grid.shape).copy()
 
 
-def _check_finite(values, context):
+def _check_finite(values, context, t0=0):
+    """Raise at the first non-finite node of values (M, slices, n_x, n_y) from time t0."""
     if not np.all(np.isfinite(values)):
         m, t, xi, yi = np.unravel_index(int(np.argmin(np.isfinite(values))), values.shape)
         raise NumericalError(
-            f"non-finite value during {context} at regime {m}, time index {t}, "
+            f"non-finite value during {context} at regime {m}, time index {t0 + t}, "
             f"price index {xi}, reserve index {yi}"
         )
 
@@ -442,8 +436,9 @@ def solve(model: MarketModel, grid: Grid4D, cfg: SolverConfig | None = None):
 
     Returns (GridField, ConvergenceReport). Raises ContractionError before
     iterating if the quadrature mass check fails, MonotonicityError if the
-    paper-faithful coefficient signs are wrong, and ConvergenceError (with
-    the residual history attached) if the iteration cap is reached.
+    paper-faithful coefficient signs are wrong, NumericalError at the first
+    non-finite node, and ConvergenceError (with the residual history
+    attached) if the iteration cap is reached.
     """
     cfg = cfg or SolverConfig()
     t0 = time.perf_counter()
@@ -513,6 +508,8 @@ def _solve_backward(op, V, cfg, slices):
             total_inner += 1
             passes += 1
             change = float(np.max(np.abs(np.subtract(W[:, t], prev, out=prev), out=prev)))
+            if not math.isfinite(change):  # prev holds |pass - start|: one is not finite there
+                _check_finite(prev[:, None], f"backward slice {t} pass {passes}", t0=t)
             if change < inner_tol:
                 break
             if total_inner > budget:
@@ -521,7 +518,6 @@ def _solve_backward(op, V, cfg, slices):
                     f"last inner change {change:.6g}"
                 )
         slices.append((passes, change))
-        _check_finite(W[:, t], f"backward slice {t}")
     slices.reverse()
     return total_inner
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -113,6 +114,31 @@ class TestTerminalValue:
         assert out.shape == (3, 2)
         assert out[1, 0] == 0.0  # price == terminal offset
         assert out[2, 1] == 0.0  # nothing left to settle
+
+
+class TestDrift:
+    """kappa = 0.01, mu = 55 and gamma = 0.1 at x = 30 with compensator 0.4:
+    mean reversion 0.01 * 25 = 0.25."""
+
+    def test_proportional_jumps_scale_the_compensator_with_x(self):
+        model = make_model(mu=(55.0,), generator=[[0.0]])
+        # 0.25 - 0.1 * 30 * 0.4 = 0.25 - 1.2
+        assert model.drift(30.0, 55.0, 0.1, 0.4) == pytest.approx(-0.95, abs=1e-15)
+
+    def test_additive_jumps_shift_by_a_constant(self):
+        model = dataclasses.replace(make_model(mu=(55.0,), generator=[[0.0]]),
+                                    jump_convention="additive")
+        # 0.25 - 0.1 * 0.4
+        assert model.drift(30.0, 55.0, 0.1, 0.4) == pytest.approx(0.21, abs=1e-15)
+        x = np.array([30.0, 55.0, 80.0])
+        np.testing.assert_allclose(model.drift(x, 55.0, 0.1, 0.4), [0.21, -0.04, -0.29],
+                                   atol=1e-15)
+
+    @pytest.mark.parametrize("convention", ["proportional", "additive"])
+    def test_zero_compensator_leaves_the_mean_reversion(self, convention):
+        model = dataclasses.replace(make_model(), jump_convention=convention)
+        x = np.linspace(0.0, 100.0, 201)
+        assert np.array_equal(model.drift(x, 55.0, 0.1, 0.0), 0.01 * (55.0 - x))
 
 
 class TestLevyMeasure:

@@ -3,11 +3,8 @@
 Barles & Souganidis (1991): a monotone, stable and consistent scheme
 converges to the viscosity solution. Monotonicity is what these tests pin,
 on the arrays the solver actually iterates: nonnegative neighbor weights,
-positive center denominators, and order preservation of one sweep.
-
-The compensator term sits on the forward price difference, so small-jump
-measures with a nonzero first moment are left out: atoms either come in
-symmetric pairs inside the window |z| < 1 or lie outside it.
+positive center denominators, a raised price row that lowers no node, and
+order preservation of one sweep, for any jump measure.
 """
 
 import dataclasses
@@ -40,18 +37,22 @@ def per_regime(n, lo, hi):
 def measures(draw):
     if draw(st.booleans()):
         return LevyMeasure.uniform(draw(st.floats(0.1, 2.0)), draw(st.floats(0.0, 2.0)))
-    pairs = []
-    for z, mass in draw(st.lists(st.tuples(st.floats(0.05, 0.95), st.floats(0.0, 1.0)),
-                                 max_size=2)):
-        pairs += [(z, mass), (-z, mass)]
-    pairs += draw(st.lists(st.tuples(st.floats(1.0, 3.0) | st.floats(-3.0, -1.0),
-                                     st.floats(0.0, 1.0)), max_size=2))
-    return LevyMeasure.atoms(pairs or [(2.0, 0.5)])
+    return LevyMeasure.atoms(draw(st.lists(st.tuples(st.floats(-3.0, 3.0), st.floats(0.0, 1.0)),
+                                           min_size=1, max_size=4)))
+
+
+def small_grid(n_regimes):
+    return build_grid(horizon=1.0, price_cap=10.0, reserve_capacity=2.0, time_step=0.5,
+                      price_step=0.5, reserve_step=0.5, n_regimes=n_regimes)
+
+
+def upwind_operator(problem):
+    return DiscreteOperator(*problem, SolverConfig(mode="upwind"))
 
 
 @st.composite
-def small_models(draw):
-    """A 1-2 regime model with a grid of 3 x 21 x 5 nodes per regime."""
+def small_problems(draw):
+    """(model, grid): a 1-2 regime model with a grid of 3 x 21 x 5 nodes per regime."""
     n = draw(st.integers(1, 2))
     if n == 1:
         generator = [[0.0]]
@@ -82,24 +83,65 @@ def small_models(draw):
         measure=draw(measures()),
         jump_convention=draw(st.sampled_from(["proportional", "additive"])),
     )
-    grid = build_grid(horizon=1.0, price_cap=10.0, reserve_capacity=2.0, time_step=0.5,
-                      price_step=0.5, reserve_step=0.5, n_regimes=n)
-    return DiscreteOperator(model, grid, SolverConfig(mode="upwind"))
+    return model, small_grid(n)
+
+
+def small_models():
+    """Upwind operators on small_problems()."""
+    return small_problems().map(upwind_operator)
+
+
+def skewed_atom_problem(z):
+    """One regime whose single small jump atom at z (mass 1, gamma 0.5) has a
+    compensator, 0.5*x*z, that outweighs the mean reversion 0.01*(5 - x) at
+    every price node above 0."""
+    dyn = Dynamics(kappa=0.01, mu=(5.0,), sigma=(0.2,), jump_scale=(0.5,), discount_rate=0.05)
+    eco = Economics(fixed_cost=1.0, marginal_cost=1.0, reserve_slope=0.0, reserve_offset=1.0,
+                    u_max=4.0, reserve_capacity=2.0, horizon=1.0, terminal_offset=1.0)
+    model = MarketModel(generator=np.array([[0.0]]), dynamics=dyn, economics=eco,
+                        measure=LevyMeasure.atoms([(z, 1.0)]))
+    return model, small_grid(1)
 
 
 @settings(max_examples=25, deadline=None)
-@given(op=small_models())
-def test_neighbor_weights_nonnegative(op):
+@example(problem=skewed_atom_problem(0.3))
+@example(problem=skewed_atom_problem(0.9))
+@given(problem=small_problems())
+def test_neighbor_weights_nonnegative(problem):
+    """a_vec and b_vec are the weights the sweep applies to the price
+    neighbors, for any jump measure."""
+    op = upwind_operator(problem)
     assert np.all(op.a_vec >= 0.0)
     assert np.all(op.b_vec >= 0.0)
 
 
 @settings(max_examples=25, deadline=None)
-@given(op=small_models())
-def test_center_denominators_positive(op):
+@example(problem=skewed_atom_problem(0.3))
+@example(problem=skewed_atom_problem(0.9))
+@given(problem=small_problems())
+def test_center_denominators_positive(problem):
+    op = upwind_operator(problem)
     for u in np.linspace(0.0, op.model.economics.u_max, 5):
         _, den = op.control_terms(u)
         assert np.all(den > 0.0), f"1+c <= 0 at u={u}"
+
+
+@settings(max_examples=25, deadline=None)
+@example(problem=skewed_atom_problem(0.3), seed=0, row=10)
+@example(problem=skewed_atom_problem(0.9), seed=0, row=10)
+@given(problem=small_problems(), seed=st.integers(0, 2**32 - 1), row=st.integers(0, 20))
+def test_raising_a_price_row_lowers_no_node(problem, seed, row):
+    """Raising one price row of the field by 1 lowers no node of the sweep,
+    whatever the control. Every weight the sweep applies is nonnegative and
+    rounding is monotone, so this holds exactly."""
+    op = upwind_operator(problem)
+    V = np.random.default_rng(seed).uniform(-100.0, 400.0, size=op.grid.shape)
+    raised = V.copy()
+    raised[:, :, row, :] += 1.0
+    for u in op.controls:
+        lower, upper = op.sweep(V, controls=[u]), op.sweep(raised, controls=[u])
+        drop = float(np.max(lower - upper))
+        assert np.all(upper >= lower), f"u={u}: a node drops by {drop:.3g}"
 
 
 def slow_contraction_operator():
@@ -109,9 +151,7 @@ def slow_contraction_operator():
                     u_max=0.0, reserve_capacity=2.0, horizon=1.0, terminal_offset=0.0)
     model = MarketModel(generator=np.array([[0.0]]), dynamics=dyn, economics=eco,
                         measure=LevyMeasure.atoms([(2.0, 0.5)]))
-    grid = build_grid(horizon=1.0, price_cap=10.0, reserve_capacity=2.0, time_step=0.5,
-                      price_step=0.5, reserve_step=0.5, n_regimes=1)
-    return DiscreteOperator(model, grid, SolverConfig(mode="upwind"))
+    return upwind_operator((model, small_grid(1)))
 
 
 @pytest.mark.xfail(
@@ -174,6 +214,21 @@ def test_endpoint_sweep_is_the_maximum_of_pinned_sweeps(op, seed):
     assert np.array_equal(pinned[..., 0], expect[..., 0])
     np.maximum(expect[..., 1:], pinned[..., 1:], out=expect[..., 1:])
     assert np.array_equal(op.sweep(V), expect)
+
+
+@settings(max_examples=25, deadline=None)
+@given(op=small_models(), seed=st.integers(0, 2**32 - 1))
+def test_dense_control_scan_equals_the_endpoint_sweep(op, seed):
+    """Bang-bang: both sides of the balance are affine in u, so a dense scan
+    of [0, u_max] finds nothing better than its endpoints. The scan holds
+    the endpoint candidates bit for bit, so it is never below the endpoint
+    sweep; an interior control can win only by rounding."""
+    V = np.random.default_rng(seed).uniform(-100.0, 400.0, size=op.grid.shape)
+    endpoints = op.sweep(V)
+    dense = op.sweep(V, controls=np.linspace(0.0, op.model.economics.u_max, 7))
+    assert np.all(dense >= endpoints)
+    gain = float(np.max(dense - endpoints))
+    assert gain <= 1e-12 * max(1.0, float(np.max(np.abs(V)))), f"interior gain {gain:.3g}"
 
 
 @settings(max_examples=25, deadline=None)

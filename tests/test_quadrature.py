@@ -133,17 +133,23 @@ def jump_operator(measure, gamma, convention="proportional"):
 
 
 def jump_integral(op, f):
-    """The operator's discrete jump integral applied to a price-axis field f:
+    """The discrete jump integral applied to a price-axis field f:
 
         I f = P f - comp * (f(x+h) - f(x))/h - Gamma f
 
-    with P the jump matrix and the forward difference clamped at the cap,
-    exactly the terms the sweep splits between its neighbor weights and
-    its center coefficient.
+    with P the operator's jump matrix, the forward difference clamped at the
+    cap, and the compensator written out here from the scheme's discrete
+    first moment: comp = gamma * x * sum_j d_j z_j for proportional jumps,
+    gamma * sum_j d_j z_j for additive ones. (The sweep folds comp into the
+    drift and upwinds the two together.)
     """
-    h = op.grid.price_step
+    h, x = op.grid.price_step, op.grid.x_values
+    gamma = op.model.dynamics.jump_scale[0]
+    comp = gamma * op.scheme.compensator_sum
+    if op.model.jump_convention == "proportional":
+        comp = comp * x
     forward = (np.append(f[1:], f[-1]) - f) / h
-    return op.jump_mat[0] @ f - op.comp_vec[0] * forward - op.scheme.total_mass * f
+    return op.jump_mat[0] @ f - comp * forward - op.scheme.total_mass * f
 
 
 def test_jump_matrix_constant_field_is_zero():
@@ -181,4 +187,4 @@ def test_jump_matrix_null_measure_is_zero():
     op = jump_operator(LevyMeasure.null(), gamma=0.1)
     assert op.jump_mat == [None]  # the sweep skips the jump term
     assert op.scheme.total_mass == 0.0
-    assert np.all(op.comp_vec == 0.0)
+    assert op.scheme.compensator_sum == 0.0

@@ -3,6 +3,7 @@
 import dataclasses
 import multiprocessing
 import os
+import re
 import sys
 import threading
 from pathlib import Path
@@ -93,10 +94,24 @@ class TestCoefficients:
         assert "x=59.5, regime 0: a=-0.2, b=1.6" in msg
         assert "= 0.444444" in msg  # 0.2^2 / (2*0.01*4.5)
 
+    def test_negative_weight_bound_includes_the_compensator(self):
+        """One small jump atom z = 0.5 of mass 1 at gamma = 0.1 adds the
+        compensator 0.05x: the drift is 0.55 - 0.06x, so the first node with
+        a <= 0 is x = 10: a = 1.6 + (0.55 - 0.6)/0.025 = -0.4."""
+        model = single_regime_model(measure=LevyMeasure.atoms([(0.5, 1.0)]), jump_scale=0.1)
+        with pytest.raises(MonotonicityError, match=r"h < sigma\^2") as err:
+            DiscreteOperator(model, small_grid(), SolverConfig(mode="paper_faithful"))
+        msg = str(err.value)
+        assert "x=10, regime 0: a=-0.4, b=1.6" in msg
+        assert "= 0.4," in msg and "= -0.05" in msg  # 0.2^2 / (2*0.05)
+
     def test_paper_faithful_control_cap_raises_numerical_error(self):
         """Coefficients that pass the sign check can still leave 1 + c(u_max)
         negative: the forward reserve difference subtracts u/(rl). That is a
-        NumericalError naming the control, not a MonotonicityError."""
+        NumericalError naming the control, not a MonotonicityError. Every
+        other term of 1 + c(u) is positive for u >= 0 (the upwind stencil
+        takes |drift|, compensator included), so only this stencil can reach
+        the error, and its text says so."""
         model = single_regime_model(u_max=50000.0)
         with pytest.raises(NumericalError) as err:
             DiscreteOperator(model, small_grid(price_cap=57.5),
@@ -104,6 +119,7 @@ class TestCoefficients:
         assert not isinstance(err.value, MonotonicityError)
         msg = str(err.value)
         assert "1+c = -1.9998e+06" in msg and "u=50000" in msg
+        assert "paper-faithful reserve stencil" in msg
 
     def test_upwind_splits_drift_by_sign(self):
         op = self.operator("upwind")
@@ -179,6 +195,27 @@ class TestSolve:
         psi = terminal_value(model, grid.x_values[:, None], grid.y_values[None, :])
         for m in range(2):
             assert np.array_equal(field.values[m, -1], psi)
+
+    def test_backward_stops_at_the_first_non_finite_pass(self):
+        """exp(720) overflows, so the settlement payoff at the cap is not
+        finite. The backward solve raises at its first pass, naming the
+        slice and a node, instead of spending its inner budget on NaN
+        changes."""
+        dyn = Dynamics(kappa=0.01, mu=(55.0,), sigma=(0.2,), jump_scale=(0.0,),
+                       discount_rate=0.05)
+        eco = Economics(fixed_cost=0.0, marginal_cost=20.0, reserve_slope=0.0,
+                        reserve_offset=1.0, u_max=1.0, reserve_capacity=1.0, horizon=0.2,
+                        terminal_offset=20.0)
+        model = MarketModel(generator=np.array([[0.0]]), dynamics=dyn, economics=eco,
+                            measure=LevyMeasure.null(), price_kind="exponential")
+        grid = build_grid(horizon=0.2, price_cap=720.0, reserve_capacity=1.0, time_step=0.1,
+                          price_step=0.9, reserve_step=0.5, n_regimes=1)
+        with np.errstate(all="ignore"), pytest.raises(NumericalError) as err:
+            solve(model, grid, SolverConfig(sweep="backward"))
+        assert not isinstance(err.value, ConvergenceError)
+        msg = str(err.value)
+        assert "backward slice 1 pass 1" in msg
+        assert re.search(r"regime 0, time index 1, price index \d+, reserve index \d+", msg)
 
     def test_iteration_cap_raises_with_history(self):
         model = reference_model(horizon=10.0)
