@@ -15,7 +15,8 @@ import yaml
 
 from .errors import ConfigError
 from .grid import Grid4D, build_grid
-from .model import Dynamics, Economics, LevyMeasure, MarketModel, validate_model
+from .model import (Dynamics, Economics, LevyMeasure, MarketModel, profit_rate, terminal_value,
+                    validate_model)
 from .solver import SolverConfig
 
 _MEASURE_KEYS = {
@@ -82,9 +83,30 @@ def _get(section: dict, key: str, where: str, default=_MEASURE_KEYS):
     return default
 
 
+def _number(value, key, integer=False):
+    """The one reading of a YAML number. A bool is refused; an integer key
+    refuses a non-integral value (10000.0 reads as 10000); a float key takes
+    a numeric string too, as PyYAML reads 1e-3 (no dot) as one."""
+    if not isinstance(value, (bool, np.bool_)):
+        try:
+            number = float(value)
+        except (TypeError, ValueError):
+            pass
+        else:
+            if not integer:
+                return number
+            if number.is_integer():
+                return value if isinstance(value, int) else int(number)
+    raise ConfigError(f"{key} must be {'an integer' if integer else 'a number'}, got {value!r}")
+
+
+def _get_number(section: dict, key: str, where: str, default=_MEASURE_KEYS, integer=False):
+    return _number(_get(section, key, where, default), f"{where}.{key}", integer)
+
+
 def _floats(value, key, where):
     try:
-        return tuple(float(v) for v in value)
+        return tuple(_number(v, f"{where}.{key}") for v in value)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{where}.{key} must be a list of numbers") from exc
 
@@ -102,19 +124,19 @@ def _build_measure(section) -> LevyMeasure:
     if family == "atoms":
         pairs = _get(section, "pairs", "model.measure")
         try:
-            parsed = [(float(z), float(m)) for z, m in pairs]
+            parsed = [_floats((z, m), "pairs", "model.measure") for z, m in pairs]
         except (TypeError, ValueError) as exc:
             raise ConfigError("model.measure.pairs must be a list of [size, mass] pairs") from exc
         return LevyMeasure.atoms(parsed)
     if family == "uniform":
         return LevyMeasure.uniform(
-            half_width=float(_get(section, "half_width", "model.measure", 1.0)),
-            total_mass=float(_get(section, "total_mass", "model.measure", 1.0)),
+            half_width=_get_number(section, "half_width", "model.measure", 1.0),
+            total_mass=_get_number(section, "total_mass", "model.measure", 1.0),
         )
     return LevyMeasure.double_exponential(
-        decay=float(_get(section, "decay", "model.measure")),
-        half_width=float(_get(section, "half_width", "model.measure", 5.0)),
-        total_mass=float(_get(section, "total_mass", "model.measure", 1.0)),
+        decay=_get_number(section, "decay", "model.measure"),
+        half_width=_get_number(section, "half_width", "model.measure", 5.0),
+        total_mass=_get_number(section, "total_mass", "model.measure", 1.0),
     )
 
 
@@ -122,7 +144,8 @@ def parse_config(data: dict) -> RunConfig:
     """Build a RunConfig from already-parsed YAML data."""
     data = _require_mapping(data, "configuration root")
     _check_keys(data, _TOP_KEYS, "configuration root")
-    version = _get(data, "schema_version", "configuration root")
+    version = _number(_get(data, "schema_version", "configuration root"), "schema_version",
+                      integer=True)
     if version != 1:
         raise ConfigError(f"unsupported schema_version {version!r}; this build reads version 1")
 
@@ -138,17 +161,18 @@ def parse_config(data: dict) -> RunConfig:
     _check_keys(simsec, _SIM_KEYS, "simulation")
 
     try:
-        generator = np.asarray(_get(msec, "generator", "model"), dtype=float)
-    except ValueError as exc:
+        generator = np.array([_floats(row, "generator", "model")
+                              for row in _get(msec, "generator", "model")])
+    except (TypeError, ValueError) as exc:
         raise ConfigError("model.generator must be a square matrix of rates") from exc
     dynamics = Dynamics(
-        kappa=float(_get(msec, "kappa", "model")),
+        kappa=_get_number(msec, "kappa", "model"),
         mu=_floats(_get(msec, "mu", "model"), "mu", "model"),
         sigma=_floats(_get(msec, "sigma", "model"), "sigma", "model"),
         jump_scale=_floats(_get(msec, "jump_scale", "model"), "jump_scale", "model"),
-        discount_rate=float(_get(msec, "discount_rate", "model")),
+        discount_rate=_get_number(msec, "discount_rate", "model"),
     )
-    economics = Economics(**{k: float(_get(esec, k, "economics")) for k in _ECONOMICS_KEYS})
+    economics = Economics(**{k: _get_number(esec, k, "economics") for k in _ECONOMICS_KEYS})
     model = MarketModel(
         generator=generator,
         dynamics=dynamics,
@@ -161,44 +185,54 @@ def parse_config(data: dict) -> RunConfig:
     if not report.ok:
         raise ConfigError("invalid model: " + "; ".join(report.violations))
 
+    cap = _get_number(gsec, "price_cap", "grid")
     try:
         grid = build_grid(
             horizon=economics.horizon,
-            price_cap=float(_get(gsec, "price_cap", "grid")),
+            price_cap=cap,
             reserve_capacity=economics.reserve_capacity,
-            time_step=float(_get(gsec, "time_step", "grid")),
-            price_step=float(_get(gsec, "price_step", "grid")),
-            reserve_step=float(_get(gsec, "reserve_step", "grid")),
+            time_step=_get_number(gsec, "time_step", "grid"),
+            price_step=_get_number(gsec, "price_step", "grid"),
+            reserve_step=_get_number(gsec, "reserve_step", "grid"),
             n_regimes=model.n_regimes,
         )
     except ValueError as exc:
         raise ConfigError(f"invalid grid: {exc}") from exc
+    with np.errstate(all="ignore"):  # exp(x) overflows above x = 709.78
+        settlement = terminal_value(model, cap, 0.0)
+        profit = profit_rate(model, 0.0, cap, 0.0, economics.u_max)
+    if not (np.isfinite(settlement) and np.isfinite(profit)):
+        raise ConfigError(
+            f"grid.price_cap {cap} is too large for price_kind {model.price_kind}: the "
+            f"settlement {settlement} and the running profit {profit} at the cap must be finite"
+        )
 
     # each setting is parsed with the type of its SolverConfig default
-    solver = SolverConfig(
-        **{k: type(v)(_get(ssec, k, "solver", v)) for k, v in _SOLVER_DEFAULTS.items()}
-    )
+    solver = SolverConfig(**{  # SolverConfig checks the strings
+        k: _get(ssec, k, "solver", v) if isinstance(v, str)
+        else _get_number(ssec, k, "solver", v, integer=isinstance(v, int))
+        for k, v in _SOLVER_DEFAULTS.items()
+    })
 
     start_sec = simsec.get("start")
     if start_sec is None:
-        start = (0.0, 0.5 * float(_get(gsec, "price_cap", "grid")),
-                 0.5 * economics.reserve_capacity, 0)
+        start = (0.0, 0.5 * cap, 0.5 * economics.reserve_capacity, 0)
     else:
         start_sec = _require_mapping(start_sec, "simulation.start")
         _check_keys(start_sec, _START_KEYS, "simulation.start")
         start = (
-            float(_get(start_sec, "s", "simulation.start", 0.0)),
-            float(_get(start_sec, "x", "simulation.start")),
-            float(_get(start_sec, "y", "simulation.start")),
-            int(_get(start_sec, "regime", "simulation.start", 0)),
+            _get_number(start_sec, "s", "simulation.start", 0.0),
+            _get_number(start_sec, "x", "simulation.start"),
+            _get_number(start_sec, "y", "simulation.start"),
+            _get_number(start_sec, "regime", "simulation.start", 0, integer=True),
         )
     antithetic = simsec.get("antithetic", False)
     if not isinstance(antithetic, bool):
         raise ConfigError(f"simulation.antithetic must be true or false, got {antithetic!r}")
     simulation = SimulationSettings(
-        n_paths=int(_get(simsec, "n_paths", "simulation", 10000)),
-        dt=float(_get(simsec, "dt", "simulation", 1e-3)),
-        seed=int(_get(simsec, "seed", "simulation", 0)),
+        n_paths=_get_number(simsec, "n_paths", "simulation", 10000, integer=True),
+        dt=_get_number(simsec, "dt", "simulation", 1e-3),
+        seed=_get_number(simsec, "seed", "simulation", 0, integer=True),
         antithetic=antithetic,
         start=start,
     )

@@ -4,11 +4,12 @@ The per-node switching function is
 
     G(s,x,y,i) = -D_y V + (price(x) - marginal_cost(y)),
 
-the sensitivity of the node's Hamiltonian to the extraction rate. The
-reserve difference D_y uses the same stencil the solver mode used
-(downward in upwind mode, upward in paper-faithful mode), so the sign of G
-reproduces the argmax of the solved sweep: extract at capacity where
-G > 0 and the reserve is nonempty, wait otherwise. Ties G = 0 wait.
+the sensitivity of the node's Hamiltonian to the extraction rate. D_y is
+the reserve difference of the operator the solve iterated, read through its
+reserve_neighbor (y - l for the upwind stencil, y + l for the paper-faithful
+one), so the sign of G reproduces the argmax of the solved sweep: extract
+at capacity where G > 0 and the reserve is nonempty, wait otherwise. Ties
+G = 0 wait.
 """
 
 from __future__ import annotations
@@ -19,32 +20,20 @@ import numpy as np
 
 from .grid import GridField, csv_handle, write_node_csv
 from .model import MarketModel
+from .solver import DiscreteOperator
 
 
-def switching_function(field: GridField, model: MarketModel, mode: str = "upwind") -> GridField:
-    """G on every node. mode selects the reserve stencil, matching the solver.
-
-    At the clamped reserve edge the one-sided difference reads the replicated
-    neighbor, so the reserve term vanishes and G reduces to
-    price(x) - marginal_cost(y) there.
+def switching_function(field: GridField, op: DiscreteOperator) -> GridField:
+    """G on every node, read with the reserve stencil of `op`, the operator
+    the solve iterated (report.operator): G = -(V - N)/(u_sign*l) + price(x)
+    - marginal_cost(y), where N is the stencil's reserve neighbor. On its
+    clamped face N is the node itself, so G reduces to price(x) - marginal_cost(y).
     """
-    g = field.grid
-    V = field.values
-    l = g.reserve_step
-    G = np.empty_like(V)  # D_y V first, turned into G in place
-    if mode == "upwind":
-        np.subtract(V[..., 1:], V[..., :-1], out=G[..., 1:])
-        G[..., 0] = 0.0  # replicated neighbor below y=0
-    elif mode == "paper_faithful":
-        np.subtract(V[..., 1:], V[..., :-1], out=G[..., :-1])
-        G[..., -1] = 0.0  # replicated neighbor above y=K
-    else:
-        raise ValueError(f"unknown scheme mode {mode!r}")
-    G /= l
-    np.negative(G, out=G)
-    G += model.price(g.x_values)[:, None] - np.asarray(
-        model.marginal_extraction_cost(g.y_values)
-    )[None, :]
+    g, V = field.grid, field.values
+    G = op.reserve_neighbor(V, out=np.empty_like(V))  # N first, turned into G in place
+    np.subtract(V, G, out=G)
+    G /= -op.u_sign * g.reserve_step  # x/(-y) is -(x/y) bit for bit
+    G += op.model.price(g.x_values)[:, None] - op.model.marginal_extraction_cost(g.y_values)
     return GridField(g, G)
 
 

@@ -14,7 +14,7 @@ per-node balance equation
 where RHS' gathers the time neighbor (weight 1/(rk)), the price neighbors
 (weights a and b, which carry the diffusion and the total drift: the mean
 reversion less the small-jump compensator of I), the reserve neighbor
-(weight u/(rl), read downward in upwind mode and upward in paper-faithful
+(weight u/(rl) at y - l in upwind mode; -u/(rl) at y + l in paper-faithful
 mode), the jump destinations (weights c_j/r), the other regimes (weights
 q_ij/r), and the running profit L/r.
 
@@ -26,14 +26,19 @@ all neighbor values frozen from the previous iterate:
 This has exactly the same fixed points as the textbook operator statement
 (moving the center term across the equation is an identity whenever
 1 + c(u) > 0, which holds unconditionally for the upwind stencil), but
-unlike the literal statement every weight in the update is nonnegative, so
-the sweep is monotone, and the update is a strict sup-norm contraction on
-constants with factor |sum c_j - Gamma| / r. Both RHS'(u) and 1 + c(u) are
-affine in u, so the per-node maximum over a control interval is attained
-at an endpoint: evaluating u in {0, u_max} is exact (bang-bang). One
-implementation of this update, DiscreteOperator._best_candidate, serves the
-sweep, the backward reserve scan, dense control scans and pinned-control
-checks (the last two through sweep(controls=...)).
+unlike the literal statement every weight in the upwind update is
+nonnegative, so that sweep is monotone, and the update is a strict sup-norm
+contraction on constants with factor |sum c_j - Gamma| / r. The
+paper-faithful stencil is monotone only for u_max = 0: its price weights are
+checked positive when the operator is built, but its forward reserve
+difference puts the weight -u/(rl) on V(y + l), and nothing refuses that.
+Both RHS'(u) and 1 + c(u) are affine in u, so the per-node maximum over a
+control interval is attained at an endpoint: evaluating u in {0, u_max} is
+exact (bang-bang). One implementation of this update,
+DiscreteOperator._best_candidate, serves the sweep, the backward reserve
+scan, dense control scans and pinned-control checks (the last two through
+sweep(controls=...)); one method, reserve_neighbor, makes the frozen
+reserve-neighbor read for the sweep and for the switching field.
 
 Two sweep orders are provided. "jacobi" recomputes every node from the
 previous full-grid iterate (deterministic, trivially parallel: the update
@@ -136,6 +141,11 @@ class DiscreteOperator:
             raise ConfigError(
                 f"grid carries {grid.n_regimes} regimes but model has {model.n_regimes}"
             )
+        e = model.economics  # the settlement and the Monte Carlo read T and K from the model
+        for name, span, want in (("horizon", grid.horizon, e.horizon),
+                                 ("reserve capacity", grid.reserve_capacity, e.reserve_capacity)):
+            if abs(span - want) > 1e-9 * max(1.0, abs(want)):
+                raise ConfigError(f"grid {name} {span} differs from the model's {want}")
         self.model = model
         self.grid = grid
         self.cfg = cfg
@@ -269,9 +279,10 @@ class DiscreteOperator:
             out[..., 0, :] = block[..., 0, :]
         return out
 
-    def _shift_y(self, block):
-        """Reserve neighbor read: downward (y-l) upwind, upward (y+l) otherwise."""
-        out = np.empty_like(block)
+    def reserve_neighbor(self, block, out=None):
+        """The stencil's clamped reserve-neighbor read into `out` (new if None):
+        y - l upwind, y + l paper-faithful. The sweep and the switching field use it."""
+        out = np.empty_like(block) if out is None else out
         if self.u_sign > 0:  # upwind reads y - l
             out[..., 1:] = block[..., :-1]
             out[..., 0] = block[..., 0]
@@ -328,7 +339,7 @@ class DiscreteOperator:
                 terms.append((num.transpose(2, 0, 1).copy(), alpha, den[m]))
                 continue
             if yshift is None:
-                yshift = self._shift_y(V[m, lo:hi])
+                yshift = self.reserve_neighbor(V[m, lo:hi])
             cand = np.multiply(yshift, alpha)
             cand += num
             cand /= den[m][:, None]
@@ -421,14 +432,12 @@ class DiscreteOperator:
         return np.broadcast_to(self.terminal[:, None], self.grid.shape).copy()
 
 
-def _check_finite(values, context, t0=0):
-    """Raise at the first non-finite node of values (M, slices, n_x, n_y) from time t0."""
-    if not np.all(np.isfinite(values)):
-        m, t, xi, yi = np.unravel_index(int(np.argmin(np.isfinite(values))), values.shape)
-        raise NumericalError(
-            f"non-finite value during {context} at regime {m}, time index {t0 + t}, "
-            f"price index {xi}, reserve index {yi}"
-        )
+def _non_finite(context, m, t, xi, yi):
+    """The error for a non-finite value at node (regime, s_idx, x_idx, y_idx)."""
+    return NumericalError(
+        f"non-finite value during {context} at regime {m}, time index {t}, "
+        f"price index {xi}, reserve index {yi}"
+    )
 
 
 def solve(model: MarketModel, grid: Grid4D, cfg: SolverConfig | None = None):
@@ -437,7 +446,8 @@ def solve(model: MarketModel, grid: Grid4D, cfg: SolverConfig | None = None):
     Returns (GridField, ConvergenceReport). Raises ContractionError before
     iterating if the quadrature mass check fails, MonotonicityError if the
     paper-faithful coefficient signs are wrong, NumericalError at the first
-    non-finite node, and ConvergenceError (with the residual history
+    sweep or pass whose change is not finite (naming its largest change's
+    node, a NaN first), and ConvergenceError (with the residual history
     attached) if the iteration cap is reached.
     """
     cfg = cfg or SolverConfig()
@@ -466,9 +476,9 @@ def _solve_jacobi(op, V, cfg, residuals):
     thresholds above the block temporaries, which otherwise fault anew."""
     for it in range(1, cfg.max_iterations + 1):
         Vn = np.empty_like(V)
-        res, _ = op.sweep(V, out=Vn, change=True)
+        res, node = op.sweep(V, out=Vn, change=True)
         if not math.isfinite(res):  # V is finite, so a non-finite update shows here
-            _check_finite(Vn, f"jacobi sweep {it}")
+            raise _non_finite(f"jacobi sweep {it}", *node)
         residuals.append(res)
         V = Vn
         if res < cfg.tolerance:
@@ -507,9 +517,11 @@ def _solve_backward(op, V, cfg, slices):
                 W[m, t : t + 1] = op._best_candidate(W, m, t, t + 1, scan=True)
             total_inner += 1
             passes += 1
-            change = float(np.max(np.abs(np.subtract(W[:, t], prev, out=prev), out=prev)))
-            if not math.isfinite(change):  # prev holds |pass - start|: one is not finite there
-                _check_finite(prev[:, None], f"backward slice {t} pass {passes}", t0=t)
+            diff = np.abs(np.subtract(W[:, t], prev, out=prev), out=prev)
+            m, xi, yi = np.unravel_index(int(np.argmax(diff)), diff.shape)  # a NaN first
+            change = float(diff[m, xi, yi])
+            if not math.isfinite(change):
+                raise _non_finite(f"backward slice {t} pass {passes}", m, t, xi, yi)
             if change < inner_tol:
                 break
             if total_inner > budget:

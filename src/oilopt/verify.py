@@ -203,7 +203,7 @@ def pipeline(cfg: RunConfig):
     switching field never builds one.
     """
     field, report = solve(cfg.model, cfg.grid, cfg.solver)
-    return field, report, switching_function(field, cfg.model, mode=cfg.solver.mode)
+    return field, report, switching_function(field, report.operator)
 
 
 def run_verification(cfg: RunConfig, skip_simulation: bool = False):

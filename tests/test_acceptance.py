@@ -83,8 +83,8 @@ def reference():
 
 @pytest.fixture(scope="module")
 def reference_policy(reference):
-    cfg, field, _, _ = reference
-    sw = switching_function(field, cfg.model, mode=cfg.solver.mode)
+    cfg, field, _, op = reference
+    sw = switching_function(field, op)
     return sw, extract_policy(sw, cfg.model)
 
 

@@ -1,8 +1,10 @@
 import dataclasses
 import json
 import os
+import re
 import subprocess
 import sys
+import warnings
 import weakref
 from pathlib import Path
 
@@ -27,6 +29,7 @@ from oilopt.config import load_config, parse_config
 from oilopt.verify import check_solution, run_verification
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "src" / "oilopt" / "configs"
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 SMALL = {
     "schema_version": 1,
@@ -134,6 +137,74 @@ class TestConfigParsing:
         cfg = parse_config(data)
         assert cfg.solver.tolerance == 1e-6
         assert cfg.simulation.n_paths == 10000
+
+    @pytest.mark.parametrize("path, text", [
+        ("simulation.n_paths", "1000.7"),
+        ("simulation.seed", "1.9"),
+        ("simulation.seed", "true"),
+        ("solver.max_iterations", "20000.9"),
+        ("simulation.start.regime", "1.7"),
+        ("solver.tolerance", "yes"),
+        ("economics.u_max", "true"),
+        ("model.mu", "[55.0, true]"),
+        ("model.generator", "[[-0.01, 0.01], [true, -0.15]]"),
+        ("schema_version", "true"),
+    ])
+    def test_numbers_that_would_be_misread_are_refused(self, path, text):
+        """Each of these was read as another number: a bool as 0 or 1, a
+        fraction of an integer key truncated."""
+        data, node, key = deep(SMALL, *path.split("."))
+        node[key] = yaml.safe_load(text)
+        with pytest.raises(ConfigError, match=re.escape(path)):
+            parse_config(data)
+
+    @pytest.mark.parametrize("path, text, read, expected", [
+        ("simulation.dt", "1e-3", lambda cfg: cfg.simulation.dt, 1e-3),
+        ("simulation.n_paths", "10000.0", lambda cfg: cfg.simulation.n_paths, 10000),
+        ("solver.max_iterations", "500", lambda cfg: cfg.solver.max_iterations, 500),
+        ("simulation.start.regime", "1.0", lambda cfg: cfg.simulation.start[3], 1),
+        ("economics.u_max", "50000", lambda cfg: cfg.model.economics.u_max, 50000.0),
+    ])
+    def test_numbers_read_as_written(self, path, text, read, expected):
+        """PyYAML reads 1e-3 (no dot) as a string; a float key still takes it.
+        An integral float is accepted for an integer key."""
+        data, node, key = deep(SMALL, *path.split("."))
+        node[key] = yaml.safe_load(text)
+        value = read(parse_config(data))
+        assert value == expected and type(value) is type(expected)
+
+    def test_a_refused_number_exits_one(self, tmp_path, capsys):
+        data, node, key = deep(SMALL, "simulation", "seed")
+        node[key] = True
+        cfg = write_config(tmp_path, data)
+        assert main(["solve", "--config", cfg, "--out", str(tmp_path / "x")]) == 1
+        assert "simulation.seed must be an integer, got True" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("price_cap, u_max", [(720.0, 1.0), (700.0, 50000.0)])
+    def test_exponential_price_cap_that_overflows_is_refused(self, price_cap, u_max):
+        """exp(720) overflows the settlement; exp(700) * 50000 the running
+        profit. Both are refused while parsing, without a numpy warning."""
+        data, node, key = deep(SMALL, "grid", "price_cap")
+        node[key] = price_cap
+        data["model"]["price_kind"] = "exponential"
+        data["economics"]["u_max"] = u_max
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConfigError, match=r"grid\.price_cap"):
+                parse_config(data)
+        data["grid"]["price_cap"] = 100.0
+        assert parse_config(data).grid.price_cap == 100.0
+
+    def test_readme_schema_block_is_the_reference_config(self):
+        """The documented schema parses and says what reference.yaml says."""
+        block = re.search(r"## Configuration schema.*?```yaml\n(.*?)```", README.read_text(),
+                          re.S).group(1)
+        documented = parse_config(yaml.safe_load(block))
+        reference = load_config(CONFIG_DIR / "reference.yaml")
+        assert documented.raw == reference.raw
+        assert documented.grid == reference.grid
+        assert documented.solver == reference.solver
+        assert documented.simulation == reference.simulation
 
 
 class TestCli:

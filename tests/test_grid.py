@@ -106,7 +106,7 @@ def test_neighbor_clamps_at_edges(grid):
     assert np.array_equal(up[..., -1, :], V[..., -1, :])
     assert np.array_equal(down[..., 1:, :], V[..., :-1, :])
     assert np.array_equal(down[..., 0, :], V[..., 0, :])
-    below = op._shift_y(V)  # upwind reads the reserve neighbor at y - l
+    below = op.reserve_neighbor(V)  # upwind reads the reserve neighbor at y - l
     assert np.array_equal(below[..., 1:], V[..., :-1])
     assert np.array_equal(below[..., 0], V[..., 0])
 

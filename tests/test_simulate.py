@@ -470,7 +470,7 @@ class TestTwoProcesses:
         model = jumpy_model(horizon=1.0)
         grid = build_grid(1.0, 100.0, 10.0, 0.1, 0.5, 0.5, 2)
         field, report = solve(model, grid, SolverConfig(sweep="jacobi"))
-        policy = extract_policy(switching_function(field, model), model)
+        policy = extract_policy(switching_function(field, report.operator), model)
         kw = dict(n_paths=40, dt=1e-2, seed=8, record=30)
         split = estimate_value(model, policy, PIN_START, **kw)
         assert_same_estimate(split, two_processes(model, policy, PIN_START, **kw))

@@ -280,11 +280,23 @@ class TestSolve:
         with pytest.raises(ContractionError):
             solve(model, grid, SolverConfig(xi=0.9))
 
-    def test_mismatched_grid_regimes_rejected(self):
-        model = reference_model()
-        grid = small_grid(horizon=2.0, n_regimes=1)
-        with pytest.raises(ConfigError):
-            solve(model, grid)
+    @pytest.mark.parametrize("horizon, capacity, n_regimes, message", [
+        (2.0, 10.0, 1, "grid carries 1 regimes but model has 2"),
+        (2.5, 10.0, 2, "grid horizon 2.5 differs from the model's 2.0"),
+        (2.0, 5.0, 2, "grid reserve capacity 5.0 differs from the model's 10.0"),
+    ], ids=["regimes", "horizon", "reserve_capacity"])
+    def test_mismatched_grid_regimes_rejected(self, horizon, capacity, n_regimes, message):
+        """A grid's horizon or capacity other than the model's would move the
+        settlement (or make K - y negative) while the Monte Carlo reads the
+        model's T and K."""
+        grid = build_grid(horizon=horizon, price_cap=100.0, reserve_capacity=capacity,
+                          time_step=0.1, price_step=0.5, reserve_step=0.5, n_regimes=n_regimes)
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            solve(reference_model(), grid)
+
+    def test_spans_within_the_node_count_tolerance_accepted(self):
+        grid = small_grid(horizon=2.0 * (1.0 + 1e-12), n_regimes=2)
+        assert DiscreteOperator(reference_model(), grid, SolverConfig()).grid is grid
 
 
 class TestReserveScan:
