@@ -32,30 +32,31 @@ from .solver import solve
 from .verify import MC_DISCRETIZATION_CONSTANT, pipeline, run_verification, simulation_gap
 
 
+# flag -> (RunConfig section, field, argparse keywords); every command takes
+# the solver flags, simulate and verify the simulation ones too
+_OVERRIDES = {
+    "--mode": ("solver", "mode", dict(choices=["upwind", "paper_faithful"],
+                                      help="override the spatial stencil")),
+    "--sweep": ("solver", "sweep", dict(choices=["jacobi", "backward"],
+                                        help="override the iteration order")),
+    "--tolerance": ("solver", "tolerance",
+                    dict(type=float, help="override the convergence tolerance")),
+    "--seed": ("simulation", "seed", dict(type=int, help="override the RNG seed")),
+    "--paths": ("simulation", "n_paths", dict(type=int, help="override the path count")),
+    "--dt": ("simulation", "dt", dict(type=float, help="override the Euler step")),
+}
+
+
 def _apply_overrides(cfg: RunConfig, args) -> RunConfig:
-    solver = cfg.solver
     updates = {}
-    if getattr(args, "mode", None):
-        updates["mode"] = args.mode
-    if getattr(args, "sweep", None):
-        updates["sweep"] = args.sweep
-    if getattr(args, "tolerance", None) is not None:
-        updates["tolerance"] = args.tolerance
-    if updates:
-        solver = dataclasses.replace(solver, **updates)
-    simulation = cfg.simulation
-    sim_updates = {}
-    if getattr(args, "seed", None) is not None:
-        sim_updates["seed"] = args.seed
-    if getattr(args, "paths", None) is not None:
-        sim_updates["n_paths"] = args.paths
-    if getattr(args, "dt", None) is not None:
-        sim_updates["dt"] = args.dt
-    if sim_updates:
-        simulation = dataclasses.replace(simulation, **sim_updates)
-    if updates or sim_updates:
-        return dataclasses.replace(cfg, solver=solver, simulation=simulation)
-    return cfg
+    for flag, (section, name, _) in _OVERRIDES.items():
+        value = getattr(args, flag[2:], None)
+        if value is not None:
+            updates.setdefault(section, {})[name] = value
+    if not updates:
+        return cfg
+    return dataclasses.replace(cfg, **{section: dataclasses.replace(getattr(cfg, section), **kw)
+                                       for section, kw in updates.items()})
 
 
 def _manifest(cfg: RunConfig, args, report=None, extra=None) -> dict:
@@ -176,21 +177,9 @@ def _cmd_simulate(cfg: RunConfig, args, out_dir: Path) -> int:
                 cols = (rec.times, rec.x, rec.y, rec.regime, rec.u, rec.discounted_profit)
                 for t, x, y, m, u, v in zip(*(c.tolist() for c in cols)):
                     fh.write(f"{p},{t!r},{x!r},{y!r},{m},{u!r},{v!r}\n")
-    extra = {
-        "estimate": {
-            "mean": est.mean,
-            "std_error": est.std_error,
-            "n_paths": est.n_paths,
-            "antithetic": est.antithetic,
-            "dt": est.dt,
-            "seed": est.seed,
-            "grid_value_at_start": v_grid,
-            "gap": gap,
-            "diagnostics": est.diagnostics,
-            "wall_time_s": mc_wall,
-        }
-    }
-    _write_manifest(out_dir, _manifest(cfg, args, report, extra))
+    estimate = {f.name: getattr(est, f.name) for f in dataclasses.fields(est) if f.name != "paths"}
+    estimate.update(grid_value_at_start=v_grid, gap=gap, wall_time_s=mc_wall)
+    _write_manifest(out_dir, _manifest(cfg, args, report, {"estimate": estimate}))
     print(
         f"simulated {est.n_paths} paths: mean {est.mean:.4f} (SE {est.std_error:.4f}), "
         f"grid value {v_grid:.4f}, gap {gap:.4f} -> {out_dir}"
@@ -231,16 +220,9 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p, sim_flags=False):
         p.add_argument("--config", required=True, help="YAML run configuration")
         p.add_argument("--out", default="out", help="output directory (default: ./out)")
-        p.add_argument("--mode", choices=["upwind", "paper_faithful"], default=None,
-                       help="override the spatial stencil")
-        p.add_argument("--sweep", choices=["jacobi", "backward"], default=None,
-                       help="override the iteration order")
-        p.add_argument("--tolerance", type=float, default=None,
-                       help="override the convergence tolerance")
-        if sim_flags:
-            p.add_argument("--seed", type=int, default=None, help="override the RNG seed")
-            p.add_argument("--paths", type=int, default=None, help="override the path count")
-            p.add_argument("--dt", type=float, default=None, help="override the Euler step")
+        for flag, (section, _, kw) in _OVERRIDES.items():
+            if sim_flags or section == "solver":
+                p.add_argument(flag, **kw)
 
     common(sub.add_parser("solve", help="solve the balance equation, dump the value field"))
     common(sub.add_parser("policy", help="extract the bang-bang policy and threshold curve"))

@@ -40,7 +40,6 @@ _MODEL_KEYS = {
 _GRID_KEYS = {"price_cap", "time_step", "price_step", "reserve_step"}
 _ECONOMICS_KEYS = [f.name for f in fields(Economics)]
 _SOLVER_DEFAULTS = {f.name: f.default for f in fields(SolverConfig)}
-_SIM_KEYS = {"n_paths", "dt", "seed", "antithetic", "start"}
 _START_KEYS = {"s", "x", "y", "regime"}
 _TOP_KEYS = {"schema_version", "model", "economics", "grid", "solver", "simulation"}
 
@@ -52,6 +51,9 @@ class SimulationSettings:
     seed: int = 0
     antithetic: bool = False
     start: tuple = (0.0, 50.0, 5.0, 0)  # (s, x, y, regime)
+
+
+_SIM_DEFAULTS = {f.name: f.default for f in fields(SimulationSettings)}
 
 
 @dataclass(frozen=True)
@@ -158,7 +160,7 @@ def parse_config(data: dict) -> RunConfig:
     ssec = _require_mapping(data.get("solver", {}) or {}, "solver")
     _check_keys(ssec, _SOLVER_DEFAULTS, "solver")
     simsec = _require_mapping(data.get("simulation", {}) or {}, "simulation")
-    _check_keys(simsec, _SIM_KEYS, "simulation")
+    _check_keys(simsec, _SIM_DEFAULTS, "simulation")
 
     try:
         generator = np.array([_floats(row, "generator", "model")
@@ -229,13 +231,11 @@ def parse_config(data: dict) -> RunConfig:
     antithetic = simsec.get("antithetic", False)
     if not isinstance(antithetic, bool):
         raise ConfigError(f"simulation.antithetic must be true or false, got {antithetic!r}")
-    simulation = SimulationSettings(
-        n_paths=_get_number(simsec, "n_paths", "simulation", 10000, integer=True),
-        dt=_get_number(simsec, "dt", "simulation", 1e-3),
-        seed=_get_number(simsec, "seed", "simulation", 0, integer=True),
-        antithetic=antithetic,
-        start=start,
-    )
+    # the numbers are parsed with the type of their SimulationSettings default
+    simulation = SimulationSettings(antithetic=antithetic, start=start, **{
+        k: _get_number(simsec, k, "simulation", v, integer=isinstance(v, int))
+        for k, v in _SIM_DEFAULTS.items() if k not in ("antithetic", "start")
+    })
     if simulation.n_paths < 2:
         raise ConfigError(f"simulation.n_paths must be at least 2, got {simulation.n_paths}")
     if simulation.dt <= 0:

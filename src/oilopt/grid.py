@@ -123,9 +123,9 @@ class GridField:
             raise ValueError(f"field shape {values.shape} != grid shape {grid.shape}")
         self.values = values
 
-    def to_csv(self, path_or_buf, value_name: str = "value", s_indices=None):
-        """Write rows ordered s-outer, then x, then y, then regime."""
-        write_node_csv(self.grid, (value_name,), (self.values,), path_or_buf, s_indices)
+    def to_csv(self, path_or_buf):
+        """Write rows s,x,y,regime,value ordered s-outer, then x, then y, then regime."""
+        write_node_csv(self.grid, ("value",), (self.values,), path_or_buf)
 
 
 @contextmanager
@@ -139,13 +139,12 @@ def csv_handle(path_or_buf):
         yield path_or_buf
 
 
-def write_node_csv(grid: Grid4D, columns, fields, path_or_buf, s_indices=None):
+def write_node_csv(grid: Grid4D, columns, fields, path_or_buf):
     """Node rows s,x,y,regime,<columns> ordered s-outer, then x, then y, then regime.
 
     fields holds one array of the grid's shape per column. Numbers are
     written as shortest round-trip decimal strings.
     """
-    s_indices = range(grid.n_s) if s_indices is None else s_indices
     s_str = [repr(v) for v in grid.s_values.tolist()]
     # the "x,y,regime" part of every row of one time slice, in row order
     xym = [
@@ -156,7 +155,7 @@ def write_node_csv(grid: Grid4D, columns, fields, path_or_buf, s_indices=None):
     ]
     with csv_handle(path_or_buf) as fh:
         fh.write(",".join(("s", "x", "y", "regime", *columns)) + "\n")
-        for si in s_indices:
+        for si in range(grid.n_s):
             cols = [map(repr, f[:, si].transpose(1, 2, 0).ravel().tolist()) for f in fields]
             rows = zip(repeat(s_str[si], len(xym)), xym, *cols)
             fh.write("\n".join(map(",".join, rows)) + "\n")

@@ -76,16 +76,19 @@ def switching_curve(switching: GridField, s_idx: int, y_idx: int, regime: int):
     return (crossings[0] if crossings else None), diag
 
 
-def curve_table(switching: GridField, s_fractions=(0.0, 0.4, 0.7, 1.0)):
+CURVE_FRACTIONS = (0.0, 0.4, 0.7, 1.0)  # of the horizon: the report's threshold slices
+
+
+def curve_table(switching: GridField):
     """Threshold rows for the standard report slices.
 
     Returns (rows, diagnostics): rows are (s, y, regime, x_star or None) for
-    every reserve level and regime at each requested time fraction;
+    every reserve level and regime at each time fraction in CURVE_FRACTIONS;
     diagnostics collects every row with more than one upward crossing.
     """
     g = switching.grid
     rows, flagged = [], []
-    for frac in s_fractions:
+    for frac in CURVE_FRACTIONS:
         s_idx = int(round(frac * (g.n_s - 1)))
         for y_idx in range(g.n_y):
             for m in range(g.n_regimes):
@@ -107,9 +110,7 @@ def write_curve_csv(rows, path_or_buf):
             fh.write(f"{s!r},{y!r},{m},{tail}\n")
 
 
-def write_policy_csv(switching: GridField, policy: GridField, path_or_buf, s_indices=None):
+def write_policy_csv(switching: GridField, policy: GridField, path_or_buf):
     """Node dump s,x,y,regime,G,u_star in the standard row order."""
-    write_node_csv(
-        switching.grid, ("G", "u_star"), (switching.values, policy.values), path_or_buf,
-        s_indices,
-    )
+    write_node_csv(switching.grid, ("G", "u_star"), (switching.values, policy.values),
+                   path_or_buf)

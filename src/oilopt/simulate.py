@@ -4,8 +4,7 @@ Each path gets its own child random stream (SeedSequence spawning), so
 batched or parallel evaluation cannot change any number. Per path the draw
 script is fixed: regime chain first (exact exponential holding times),
 then the jump count over the whole window, jump times, jump sizes, and
-finally one normal per Euler step. The estimator reduction is a fixed-order
-pairwise sum over the path index.
+finally one normal per Euler step.
 
 All paths of a batch advance together in one lockstep loop over the Euler
 steps. Everything but the normals is drawn up front and kept as per-step
@@ -20,12 +19,15 @@ paths of a batch can be recorded step by step as it runs: that is how
 estimate_value hands back recorded paths, and simulate_path is its
 one-path case.
 
-A large estimate runs on two processes. The streams are cut into two
-contiguous halves; the calling process steps the first and one worker,
-forked for the call and reaped before it returns, steps the second, each
-through the same batched share function. The halves are joined in stream
-order before the one reduction, so the process count moves no bit. Threads
-would not help: the per-path draws are Generator calls that hold the GIL.
+Each batch returns its per-stream results (samples, jump counts, clamp
+counts), its timings and its recorded paths; estimate_value joins every
+batch in stream order and reduces them once, a fixed-order pairwise sum
+over the stream index for the mean. A large estimate runs on two processes.
+The streams are cut into two contiguous halves; the calling process steps
+the first and one worker, forked for the call and reaped before it returns,
+steps the second, each as a list of batches. The process count moves no
+bit. Threads would not help: the per-path draws are Generator calls that
+hold the GIL.
 
 The applied extraction rate is min(policy rate, Y/dt): a step may not
 extract more than the remaining reserve, which keeps the booked revenue
@@ -35,7 +37,6 @@ applied rate.
 
 from __future__ import annotations
 
-import functools
 import math
 import operator
 import time
@@ -126,7 +127,7 @@ def _policy_callable(policy, model):
 
         return lookup
     if callable(policy):
-        return lambda t, x, y, regime: np.asarray(policy(t, x, y, regime), dtype=float)
+        return policy
     raise TypeError("policy must be a GridField or a callable (t, x, y, regime) -> u")
 
 
@@ -217,7 +218,11 @@ def _simulate_block(model, policy_fn, start, dt_target, streams, antithetic=Fals
                     record=0):
     """Advance all paths of one batch in lockstep; per-path streams, shared clock.
 
-    The first `record` paths are kept step by step and returned as PathRecords.
+    Returns (samples, n_jumps, clamps, draw_s, step_s, paths): per stream,
+    its payoff (the average of its pair when antithetic) and its jump count;
+    the price clamp count of every simulated path; the seconds spent drawing
+    and stepping; and the first `record` paths, kept step by step, as
+    PathRecords.
     """
     s0, x0, y0, i0 = start
     e = model.economics
@@ -238,10 +243,9 @@ def _simulate_block(model, policy_fn, start, dt_target, streams, antithetic=Fals
         jumps.append(jp)
     if antithetic:
         switches, jumps = switches * 2, jumps * 2
-        n_jumps = np.concatenate([n_jumps, n_jumps])
     sw_paths, sw_codes, sw_bounds = _step_events(switches, n_steps)
     jp_paths, jp_values, jp_bounds = _step_events(jumps, n_steps)
-    n = n_jumps.size
+    n = len(switches)
     normals = np.empty((min(NORMAL_BLOCK, n_steps), n))
     draw_s = time.perf_counter() - t_draw
     normals_s = 0.0
@@ -310,14 +314,9 @@ def _simulate_block(model, policy_fn, start, dt_target, streams, antithetic=Fals
                    float(term[p]), float(total[p]), int(n_jumps[p]), int(clamps[p]))
         for p in range(record)
     ]
-    return {
-        "payoff": total,
-        "n_jumps": n_jumps,
-        "clamps": clamps,
-        "draw_s": draw_s,
-        "step_s": step_s,
-        "paths": paths,
-    }
+    k = len(streams)
+    samples = 0.5 * (total[:k] + total[k:]) if antithetic else total
+    return samples, n_jumps, clamps, draw_s, step_s, paths
 
 
 def simulate_path(model: MarketModel, policy, start, dt, seed_or_stream) -> PathRecord:
@@ -325,9 +324,8 @@ def simulate_path(model: MarketModel, policy, start, dt, seed_or_stream) -> Path
     _validate_start(model, start, dt)
     if not isinstance(seed_or_stream, np.random.SeedSequence):
         seed_or_stream = np.random.SeedSequence(seed_or_stream)
-    res = _simulate_block(model, _policy_callable(policy, model), start, dt, [seed_or_stream],
-                          record=1)
-    return res["paths"][0]
+    return _simulate_block(model, _policy_callable(policy, model), start, dt, [seed_or_stream],
+                           record=1)[-1][0]
 
 
 def check_record(model: MarketModel, start, n_paths: int, dt: float, antithetic: bool,
@@ -346,35 +344,9 @@ def check_record(model: MarketModel, start, n_paths: int, dt: float, antithetic:
     return n_streams
 
 
-def _simulate_share(model, policy_fn, start, dt, streams, antithetic, record, lo, hi):
-    """Step streams[lo:hi] in BATCH_PATHS batches: their samples (pair
-    averages when antithetic) and jump counts in stream order, the clamp
-    counts, the recorded paths among the first `record` streams, and the
-    seconds spent drawing and stepping."""
-    samples = np.empty(hi - lo)
-    jumps = np.empty(hi - lo, dtype=np.int64)
-    clamped = clamp_total = 0
-    paths = []
-    draw_s = step_s = 0.0
-    for b in range(lo, hi, BATCH_PATHS):
-        chunk = streams[b : min(b + BATCH_PATHS, hi)]
-        k = len(chunk)
-        res = _simulate_block(model, policy_fn, start, dt, chunk, antithetic=antithetic,
-                              record=min(k, max(0, record - b)))
-        payoff = res["payoff"]
-        samples[b - lo : b - lo + k] = 0.5 * (payoff[:k] + payoff[k:]) if antithetic else payoff
-        jumps[b - lo : b - lo + k] = res["n_jumps"][:k]
-        clamped += int(np.count_nonzero(res["clamps"]))
-        clamp_total += int(np.sum(res["clamps"]))
-        paths += res["paths"]
-        draw_s += res["draw_s"]
-        step_s += res["step_s"]
-    return samples, jumps, clamped, clamp_total, paths, draw_s, step_s
-
-
 def _worker_main(share, lo, hi, conn):
-    """The forked worker: send back share(lo, hi), or the exception it raised
-    with its traceback, for the caller to raise."""
+    """The forked worker: send back share(lo, hi), its list of batch results,
+    or the exception it raised with its traceback, for the caller to raise."""
     try:
         reply = (True, share(lo, hi), None)
     except Exception as exc:
@@ -388,11 +360,11 @@ def _worker_main(share, lo, hi, conn):
 
 def _in_two_processes(share, n):
     """share(0, h) in this process and share(h, n) in one forked worker,
-    h = ceil(n / 2); both results in stream order.
+    h = ceil(n / 2); both lists of batch results, in stream order.
 
-    The model and the policy (a lambda or a grid lookup closure) reach the
-    worker by fork inheritance, so neither is pickled; only the worker's
-    result comes back over a pipe. Forking a process that has threads is
+    share, the model and the policy (any callable or a grid lookup closure)
+    reach the worker by fork inheritance, so none is pickled; only the
+    worker's result comes back over a pipe. Forking a process that has threads is
     safe here: the solver's sweep thread is idle between sweeps, holding no
     lock, and the worker never sweeps. The worker is reaped before this
     returns or raises; its exception is raised here, chained to its traceback.
@@ -439,26 +411,32 @@ def estimate_value(model: MarketModel, policy, start, n_paths: int, dt: float,
 
     With PATH_WORKERS = 2 and at least SPLIT_MIN_PATH_STEPS path-steps
     (streams x Euler steps), the streams are cut into two contiguous halves:
-    this process steps the first and one forked worker the second. The
-    halves are joined in stream order before the one reduction, so the
-    process count moves no bit. Smaller estimates, and platforms without the
-    fork start method, stay in process.
+    this process steps the first and one forked worker the second. Smaller
+    estimates, and platforms without the fork start method, stay in process.
+    Every batch's results are joined in stream order and reduced here once,
+    so neither the batches nor the process count move a bit.
 
     The diagnostics count price clamps on every simulated path, and carry
     the processes that stepped the paths (workers) and the seconds spent
-    drawing (draw_s) and stepping (step_s), each summed over the processes.
+    drawing (draw_s) and stepping (step_s), each summed over the batches.
     """
     n_streams = check_record(model, start, n_paths, dt, antithetic, record)
     n_steps = _clock(model.economics.horizon, start[0], dt)[0]
     streams = np.random.SeedSequence(seed).spawn(n_streams)
-    share = functools.partial(_simulate_share, model, _policy_callable(policy, model), start,
-                              dt, streams, antithetic, record)
+    policy_fn = _policy_callable(policy, model)
+
+    def share(lo, hi):  # streams[lo:hi] in BATCH_PATHS batches, recording below `record`
+        return [_simulate_block(model, policy_fn, start, dt, streams[b : min(b + BATCH_PATHS, hi)],
+                                antithetic=antithetic,
+                                record=max(0, min(record, hi, b + BATCH_PATHS) - b))
+                for b in range(lo, hi, BATCH_PATHS)]
+
     if PATH_WORKERS < 2 or n_streams * n_steps < SPLIT_MIN_PATH_STEPS:
         parts = [share(0, n_streams)]
     else:
         parts = _in_two_processes(share, n_streams)
-    samples, jumps, clamped, clamp_total, paths, draw_s, step_s = zip(*parts)
-    samples, jumps = np.concatenate(samples), np.concatenate(jumps)
+    samples, jumps, clamps, draw_s, step_s, paths = zip(*(b for part in parts for b in part))
+    samples, jumps, clamps = map(np.concatenate, (samples, jumps, clamps))
     mean = float(np.sum(samples) / samples.size)
     sd = float(np.std(samples, ddof=1))
     se = sd / math.sqrt(samples.size)
@@ -471,14 +449,14 @@ def estimate_value(model: MarketModel, policy, start, n_paths: int, dt: float,
         dt=dt,
         diagnostics={
             "mean_jumps_per_path": float(np.mean(jumps)),
-            "paths_with_price_clamp": sum(clamped),
-            "total_price_clamps": sum(clamp_total),
+            "paths_with_price_clamp": int(np.count_nonzero(clamps)),
+            "total_price_clamps": int(np.sum(clamps)),
             "n_steps": n_steps,
             "workers": len(parts),
             "draw_s": sum(draw_s),
             "step_s": sum(step_s),
         },
-        paths=[rec for part in paths for rec in part],
+        paths=[rec for batch in paths for rec in batch],
     )
 
 

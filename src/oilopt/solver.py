@@ -408,9 +408,8 @@ class DiscreteOperator:
                 if out is not None:
                     out[m, lo:hi] = new
                 if change:
-                    diff = np.subtract(new, values[m, lo:hi], out=None if lo == n else new)
-                    t, x, y = np.unravel_index(int(np.argmax(np.abs(diff, out=diff))), diff.shape)
-                    found.append((float(diff[t, x, y]), (m, lo + int(t), int(x), int(y))))
+                    c, (t, x, y) = _largest_change(new, values[m, lo:hi], None if lo == n else new)
+                    found.append((c, (m, lo + t, x, y)))
             return found
 
         if SWEEP_WORKERS < 2 or len(tasks) < 2:
@@ -430,6 +429,14 @@ class DiscreteOperator:
     def initial_guess(self) -> np.ndarray:
         """Terminal payoff broadcast across all time slices."""
         return np.broadcast_to(self.terminal[:, None], self.grid.shape).copy()
+
+
+def _largest_change(new, old, out=None):
+    """(largest |new - old|, its first index in C order), a NaN ranking first
+    as np.argmax ranks it; the difference is written to `out` if given."""
+    diff = np.subtract(new, old, out=out)
+    idx = np.unravel_index(int(np.argmax(np.abs(diff, out=diff))), diff.shape)
+    return float(diff[idx]), tuple(map(int, idx))
 
 
 def _non_finite(context, m, t, xi, yi):
@@ -517,9 +524,7 @@ def _solve_backward(op, V, cfg, slices):
                 W[m, t : t + 1] = op._best_candidate(W, m, t, t + 1, scan=True)
             total_inner += 1
             passes += 1
-            diff = np.abs(np.subtract(W[:, t], prev, out=prev), out=prev)
-            m, xi, yi = np.unravel_index(int(np.argmax(diff)), diff.shape)  # a NaN first
-            change = float(diff[m, xi, yi])
+            change, (m, xi, yi) = _largest_change(W[:, t], prev, out=prev)  # a NaN first
             if not math.isfinite(change):
                 raise _non_finite(f"backward slice {t} pass {passes}", m, t, xi, yi)
             if change < inner_tol:

@@ -139,14 +139,3 @@ def test_csv_deterministic():
     assert a.getvalue() == b.getvalue()
     # plain decimal text, no numpy reprs
     assert "np." not in a.getvalue()
-
-
-def test_csv_slice_selection():
-    g = build_grid(horizon=1.0, price_cap=1.0, reserve_capacity=1.0,
-                   time_step=0.25, price_step=0.5, reserve_step=0.5, n_regimes=1)
-    field = GridField(g)
-    buf = io.StringIO()
-    field.to_csv(buf, s_indices=[0, 4])
-    body = buf.getvalue().splitlines()[1:]
-    seen = {row.split(",")[0] for row in body}
-    assert seen == {"0.0", "1.0"}

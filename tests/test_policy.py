@@ -170,9 +170,16 @@ def test_policy_csv_format(solved):
     sw = switching_function(field, op)
     pol = extract_policy(sw, model)
     buf = io.StringIO()
-    write_policy_csv(sw, pol, buf, s_indices=[0])
+    write_policy_csv(sw, pol, buf)
     lines = buf.getvalue().splitlines()
     assert lines[0] == "s,x,y,regime,G,u_star"
-    assert len(lines) == 1 + grid.n_x * grid.n_y * 2
+    per_slice = grid.n_x * grid.n_y * 2
+    assert len(lines) == 1 + grid.n_s * per_slice
     first = lines[1].split(",")
     assert first[:4] == ["0.0", "0.0", "0.0", "0"]
+    slice0 = [row.split(",") for row in lines[1 : 1 + per_slice]]
+    assert {row[0] for row in slice0} == {"0.0"}
+    assert lines[1 + per_slice].split(",")[0] == repr(grid.s_values[1].item())
+    for col, f in ((4, sw), (5, pol)):  # row order x, then y, then regime
+        expected = f.values[:, 0].transpose(1, 2, 0).ravel().tolist()
+        assert [float(row[col]) for row in slice0] == expected
