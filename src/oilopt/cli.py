@@ -26,10 +26,10 @@ from . import __version__, solver
 from .config import RunConfig, load_config
 from .errors import ConfigError, NumericalError
 from .grid import csv_handle
-from .policy import curve_table, extract_policy, write_curve_csv, write_policy_csv
+from .policy import curve_table, write_curve_csv, write_policy_csv
 from .simulate import check_record
 from .solver import solve
-from .verify import MC_DISCRETIZATION_CONSTANT, pipeline, run_verification, simulation_gap
+from .verify import MC_DISCRETIZATION_CONSTANT, run_verification, simulation_gap
 
 
 # flag -> (RunConfig section, field, argparse keywords); every command takes
@@ -142,15 +142,15 @@ def _cmd_solve(cfg: RunConfig, args, out_dir: Path) -> int:
 
 
 def _cmd_policy(cfg: RunConfig, args, out_dir: Path) -> int:
-    report, sw = pipeline(cfg)[1:]  # the value field is not kept for the CSVs
-    rows, flagged = curve_table(sw)
+    field, report = solve(cfg.model, cfg.grid, cfg.solver)
+    rows, flagged = curve_table(field, report.operator)
     near_cap = _cap_warning(cfg, rows)
     if flagged:
         print(
             f"warning: {len(flagged)} rows show multiple threshold crossings",
             file=sys.stderr,
         )
-    write_policy_csv(sw, extract_policy(sw, cfg.model), out_dir / "policy.csv")
+    write_policy_csv(field, report.operator, out_dir / "policy.csv")
     write_curve_csv(rows, out_dir / "switching_curve.csv")
     extra = {"threshold_rows": len(rows), "threshold_rows_near_cap": near_cap}
     _write_manifest(out_dir, _manifest(cfg, args, report, extra))
@@ -165,10 +165,9 @@ def _cmd_simulate(cfg: RunConfig, args, out_dir: Path) -> int:
     sim = cfg.simulation
     check_record(cfg.model, sim.start, sim.n_paths, sim.dt, sim.antithetic,
                  args.record)  # before the solve
-    field, report, sw = pipeline(cfg)
-    policy = extract_policy(sw, cfg.model)
+    field, report = solve(cfg.model, cfg.grid, cfg.solver)
     t0 = time.perf_counter()
-    est, v_grid, gap = simulation_gap(cfg, field, policy, record=args.record)
+    est, v_grid, gap = simulation_gap(cfg, field, report.operator, record=args.record)
     mc_wall = time.perf_counter() - t0
     if est.paths:
         with csv_handle(out_dir / "paths.csv") as fh:

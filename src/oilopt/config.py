@@ -86,20 +86,21 @@ def _get(section: dict, key: str, where: str, default=_MEASURE_KEYS):
 
 
 def _number(value, key, integer=False):
-    """The one reading of a YAML number. A bool is refused; an integer key
-    refuses a non-integral value (10000.0 reads as 10000); a float key takes
-    a numeric string too, as PyYAML reads 1e-3 (no dot) as one."""
+    """The one reading of a YAML number. A bool, NaN and +-inf are refused; an
+    integer key refuses a non-integral value (10000.0 reads as 10000); a float
+    key takes a numeric string too, as PyYAML reads 1e-3 (no dot) as one."""
     if not isinstance(value, (bool, np.bool_)):
         try:
             number = float(value)
         except (TypeError, ValueError):
             pass
         else:
-            if not integer:
+            if not integer and np.isfinite(number):
                 return number
-            if number.is_integer():
+            if integer and number.is_integer():
                 return value if isinstance(value, int) else int(number)
-    raise ConfigError(f"{key} must be {'an integer' if integer else 'a number'}, got {value!r}")
+    kind = "an integer" if integer else "a finite number"
+    raise ConfigError(f"{key} must be {kind}, got {value!r}")
 
 
 def _get_number(section: dict, key: str, where: str, default=_MEASURE_KEYS, integer=False):

@@ -91,24 +91,7 @@ class Grid4D:
         return si, xi, yi
 
 
-def build_grid(
-    horizon: float,
-    price_cap: float,
-    reserve_capacity: float,
-    time_step: float,
-    price_step: float,
-    reserve_step: float,
-    n_regimes: int,
-) -> Grid4D:
-    return Grid4D(
-        horizon=horizon,
-        price_cap=price_cap,
-        reserve_capacity=reserve_capacity,
-        time_step=time_step,
-        price_step=price_step,
-        reserve_step=reserve_step,
-        n_regimes=n_regimes,
-    )
+build_grid = Grid4D  # the public constructor: Grid4D's fields are its parameters
 
 
 class GridField:
@@ -125,7 +108,7 @@ class GridField:
 
     def to_csv(self, path_or_buf):
         """Write rows s,x,y,regime,value ordered s-outer, then x, then y, then regime."""
-        write_node_csv(self.grid, ("value",), (self.values,), path_or_buf)
+        write_node_csv(self.grid, ("value",), lambda si: (self.values[:, si],), path_or_buf)
 
 
 @contextmanager
@@ -139,10 +122,11 @@ def csv_handle(path_or_buf):
         yield path_or_buf
 
 
-def write_node_csv(grid: Grid4D, columns, fields, path_or_buf):
+def write_node_csv(grid: Grid4D, columns, slice_columns, path_or_buf):
     """Node rows s,x,y,regime,<columns> ordered s-outer, then x, then y, then regime.
 
-    fields holds one array of the grid's shape per column. Numbers are
+    slice_columns(si) returns one (M, n_x, n_y) array per column, the values
+    on time slice si; it is called once per slice, in order. Numbers are
     written as shortest round-trip decimal strings.
     """
     s_str = [repr(v) for v in grid.s_values.tolist()]
@@ -156,6 +140,7 @@ def write_node_csv(grid: Grid4D, columns, fields, path_or_buf):
     with csv_handle(path_or_buf) as fh:
         fh.write(",".join(("s", "x", "y", "regime", *columns)) + "\n")
         for si in range(grid.n_s):
-            cols = [map(repr, f[:, si].transpose(1, 2, 0).ravel().tolist()) for f in fields]
+            cols = [map(repr, f.transpose(1, 2, 0).ravel().tolist())
+                    for f in slice_columns(si)]
             rows = zip(repeat(s_str[si], len(xym)), xym, *cols)
             fh.write("\n".join(map(",".join, rows)) + "\n")

@@ -9,7 +9,9 @@ the reserve difference of the operator the solve iterated, read through its
 reserve_neighbor (y - l for the upwind stencil, y + l for the paper-faithful
 one), so the sign of G reproduces the argmax of the solved sweep: extract
 at capacity where G > 0 and the reserve is nonempty, wait otherwise. Ties
-G = 0 wait.
+G = 0 wait. G reads only its own time slice of V, so the commands compute it
+one slice at a time; switching_function and extract_policy are the full-grid
+forms of the same rules.
 """
 
 from __future__ import annotations
@@ -23,26 +25,40 @@ from .model import MarketModel
 from .solver import DiscreteOperator
 
 
-def switching_function(field: GridField, op: DiscreteOperator) -> GridField:
-    """G on every node, read with the reserve stencil of `op`, the operator
-    the solve iterated (report.operator): G = -(V - N)/(u_sign*l) + price(x)
-    - marginal_cost(y), where N is the stencil's reserve neighbor. On its
-    clamped face N is the node itself, so G reduces to price(x) - marginal_cost(y).
-    """
-    g, V = field.grid, field.values
-    G = op.reserve_neighbor(V, out=np.empty_like(V))  # N first, turned into G in place
+def _switching_block(V: np.ndarray, op: DiscreteOperator) -> np.ndarray:
+    """G on a block of V's time slices (any shape ending in (n_x, n_y)):
+    -(V - N)/(u_sign*l) + price(x) - marginal_cost(y), N the reserve neighbor
+    of `op`'s stencil. On its clamped face N = V, so G is price - cost there."""
+    g = op.grid
+    G = op.reserve_neighbor(V)  # N first, turned into G in place
     np.subtract(V, G, out=G)
     G /= -op.u_sign * g.reserve_step  # x/(-y) is -(x/y) bit for bit
     G += op.model.price(g.x_values)[:, None] - op.model.marginal_extraction_cost(g.y_values)
-    return GridField(g, G)
+    return G
+
+
+def _bang_bang(G: np.ndarray, u_max: float) -> np.ndarray:
+    u = np.where(G > 0.0, u_max, 0.0)
+    u[..., 0] = 0.0  # empty reserve admits no extraction
+    return u
+
+
+def switching_function(field: GridField, op: DiscreteOperator) -> GridField:
+    """G on every node, read with the stencil of `op`, the operator the solve iterated."""
+    return GridField(field.grid, _switching_block(field.values, op))
 
 
 def extract_policy(switching: GridField, model: MarketModel) -> GridField:
     """Bang-bang rule: u = u_max where G > 0 and y > 0, else 0."""
-    g = switching.grid
-    u = np.where(switching.values > 0.0, model.economics.u_max, 0.0)
-    u[..., 0] = 0.0  # empty reserve admits no extraction
-    return GridField(g, u)
+    return GridField(switching.grid, _bang_bang(switching.values, model.economics.u_max))
+
+
+def bang_bang_policy(field: GridField, op: DiscreteOperator) -> GridField:
+    """extract_policy(switching_function(field, op), model), one slice of G at a time."""
+    u, u_max = np.empty_like(field.values), op.model.economics.u_max
+    for si in range(field.grid.n_s):
+        u[:, si] = _bang_bang(_switching_block(field.values[:, si], op), u_max)
+    return GridField(field.grid, u)
 
 
 @dataclass
@@ -57,6 +73,13 @@ class CrossingDiagnostics:
         return len(self.crossings) > 1
 
 
+def _curve(row: np.ndarray, g, s_idx: int, y_idx: int, regime: int):
+    j = np.flatnonzero((row[:-1] <= 0.0) & (row[1:] > 0.0))  # upward sign changes
+    crossings = (g.x_values[j] + g.price_step * (0.0 - row[j]) / (row[j + 1] - row[j])).tolist()
+    diag = CrossingDiagnostics(s_idx, y_idx, regime, crossings)
+    return (crossings[0] if crossings else None), diag
+
+
 def switching_curve(switching: GridField, s_idx: int, y_idx: int, regime: int):
     """First threshold where G crosses from <= 0 to > 0 along the price axis.
 
@@ -64,35 +87,27 @@ def switching_curve(switching: GridField, s_idx: int, y_idx: int, regime: int):
     the bracketing nodes. Returns (x_star or None, CrossingDiagnostics);
     x_star is None when G never changes sign upward on the row.
     """
-    g = switching.grid
-    row = switching.values[regime, s_idx, :, y_idx]
-    xs = g.x_values
-    crossings = []
-    for j in range(g.n_x - 1):
-        if row[j] <= 0.0 < row[j + 1]:
-            x_star = xs[j] + g.price_step * (0.0 - row[j]) / (row[j + 1] - row[j])
-            crossings.append(float(x_star))
-    diag = CrossingDiagnostics(s_idx, y_idx, regime, crossings)
-    return (crossings[0] if crossings else None), diag
+    return _curve(switching.values[regime, s_idx, :, y_idx], switching.grid, s_idx, y_idx, regime)
 
 
 CURVE_FRACTIONS = (0.0, 0.4, 0.7, 1.0)  # of the horizon: the report's threshold slices
 
 
-def curve_table(switching: GridField):
-    """Threshold rows for the standard report slices.
+def curve_table(field: GridField, op: DiscreteOperator):
+    """Threshold rows of the solved field, G computed on the report slices alone.
 
     Returns (rows, diagnostics): rows are (s, y, regime, x_star or None) for
     every reserve level and regime at each time fraction in CURVE_FRACTIONS;
     diagnostics collects every row with more than one upward crossing.
     """
-    g = switching.grid
+    g = field.grid
     rows, flagged = [], []
     for frac in CURVE_FRACTIONS:
         s_idx = int(round(frac * (g.n_s - 1)))
+        G = _switching_block(field.values[:, s_idx], op)
         for y_idx in range(g.n_y):
             for m in range(g.n_regimes):
-                x_star, diag = switching_curve(switching, s_idx, y_idx, m)
+                x_star, diag = _curve(G[m, :, y_idx], g, s_idx, y_idx, m)
                 rows.append(
                     (float(g.s_values[s_idx]), float(g.y_values[y_idx]), m, x_star)
                 )
@@ -110,7 +125,10 @@ def write_curve_csv(rows, path_or_buf):
             fh.write(f"{s!r},{y!r},{m},{tail}\n")
 
 
-def write_policy_csv(switching: GridField, policy: GridField, path_or_buf):
-    """Node dump s,x,y,regime,G,u_star in the standard row order."""
-    write_node_csv(switching.grid, ("G", "u_star"), (switching.values, policy.values),
-                   path_or_buf)
+def write_policy_csv(field: GridField, op: DiscreteOperator, path_or_buf):
+    """Node dump s,x,y,regime,G,u_star of the solved field, one time slice at a time."""
+    def columns(si):
+        G = _switching_block(field.values[:, si], op)
+        return G, _bang_bang(G, op.model.economics.u_max)
+
+    write_node_csv(field.grid, ("G", "u_star"), columns, path_or_buf)

@@ -463,12 +463,12 @@ def estimate_value(model: MarketModel, policy, start, n_paths: int, dt: float,
 def _validate_start(model, start, dt):
     s0, x0, y0, i0 = start
     e = model.economics
-    if dt <= 0:
-        raise ValueError(f"dt must be positive, got {dt}")
+    if not (0 < dt < math.inf):
+        raise ValueError(f"dt must be positive{' and finite' if dt > 0 else ''}, got {dt}")
     if not (0.0 <= s0 < e.horizon):
         raise ValueError(f"start time {s0} outside [0, {e.horizon})")
-    if x0 < 0:
-        raise ValueError(f"start price state {x0} must be nonnegative")
+    if not (0 <= x0 < math.inf):
+        raise ValueError(f"start price state {x0} must be nonnegative and finite")
     if not (0.0 <= y0 <= e.reserve_capacity):
         raise ValueError(f"start reserve {y0} outside [0, {e.reserve_capacity}]")
     if not (0 <= int(i0) < model.n_regimes):

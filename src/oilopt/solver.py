@@ -97,8 +97,8 @@ class SolverConfig:
     truncation: float = 5.0  # quadrature half-width cap
 
     def __post_init__(self):
-        if self.tolerance <= 0:
-            raise ConfigError(f"tolerance must be positive, got {self.tolerance}")
+        if not (0 < self.tolerance < math.inf):
+            raise ConfigError(f"tolerance must be positive and finite, got {self.tolerance}")
         if self.max_iterations < 1:
             raise ConfigError("max_iterations must be at least 1")
         if self.mode not in ("upwind", "paper_faithful"):
@@ -279,10 +279,10 @@ class DiscreteOperator:
             out[..., 0, :] = block[..., 0, :]
         return out
 
-    def reserve_neighbor(self, block, out=None):
-        """The stencil's clamped reserve-neighbor read into `out` (new if None):
+    def reserve_neighbor(self, block):
+        """The stencil's clamped reserve-neighbor read of `block`, a new array:
         y - l upwind, y + l paper-faithful. The sweep and the switching field use it."""
-        out = np.empty_like(block) if out is None else out
+        out = np.empty_like(block)
         if self.u_sign > 0:  # upwind reads y - l
             out[..., 1:] = block[..., :-1]
             out[..., 0] = block[..., 0]

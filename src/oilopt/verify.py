@@ -17,7 +17,7 @@ import numpy as np
 
 from .config import RunConfig
 from .errors import NumericalError
-from .policy import curve_table, extract_policy, switching_function
+from .policy import bang_bang_policy, curve_table
 from .quadrature import build_quadrature, check_contraction
 from .simulate import analytic_oracle, check_record, estimate_value
 from .solver import dpp_residual, solve
@@ -113,9 +113,10 @@ def check_solution(cfg: RunConfig, field, report) -> list[CheckResult]:
     return out
 
 
-def check_policy_structure(cfg: RunConfig, switching) -> list[CheckResult]:
-    """Bang-bang audit: at most one upward sign change per (s, y, regime) row."""
-    rows, flagged = curve_table(switching)
+def check_policy_structure(cfg: RunConfig, field, op) -> list[CheckResult]:
+    """Bang-bang audit: at most one upward sign change per (s, y, regime) row
+    of the report slices' switching field."""
+    rows, flagged = curve_table(field, op)
     if flagged:
         worst = flagged[0]
         detail = (
@@ -161,24 +162,25 @@ def check_oracle(cfg: RunConfig, field) -> list[CheckResult]:
     ]
 
 
-def simulation_gap(cfg: RunConfig, field, policy, record: int = 0):
-    """Monte Carlo estimate under the policy against the grid value at the
-    simulation start node. Returns (estimate, grid value, gap)."""
+def simulation_gap(cfg: RunConfig, field, op, record: int = 0):
+    """Monte Carlo estimate under the bang-bang policy read off the solved
+    field with the operator `op` against the grid value at the simulation
+    start node. Returns (estimate, grid value, gap)."""
     sim = cfg.simulation
-    est = estimate_value(cfg.model, policy, sim.start, sim.n_paths, sim.dt, sim.seed,
-                         antithetic=sim.antithetic, record=record)
+    est = estimate_value(cfg.model, bang_bang_policy(field, op), sim.start, sim.n_paths,
+                         sim.dt, sim.seed, antithetic=sim.antithetic, record=record)
     si, xi, yi = cfg.grid.nearest_indices(*sim.start[:3])
     v_grid = float(field.values[sim.start[3], si, xi, yi])
     return est, v_grid, abs(est.mean - v_grid)
 
 
-def check_monte_carlo(cfg: RunConfig, field, policy) -> list[CheckResult]:
+def check_monte_carlo(cfg: RunConfig, field, op) -> list[CheckResult]:
     """Simulated payoff under the bang-bang policy vs the grid value.
 
     The allowance is 3*SE + MC_DISCRETIZATION_CONSTANT*(h + k + l):
     statistical noise plus a first-order discretization budget.
     """
-    est, v_grid, gap = simulation_gap(cfg, field, policy)
+    est, v_grid, gap = simulation_gap(cfg, field, op)
     g = cfg.grid
     allowance = 3.0 * est.std_error + MC_DISCRETIZATION_CONSTANT * (
         g.price_step + g.time_step + g.reserve_step
@@ -195,17 +197,6 @@ def check_monte_carlo(cfg: RunConfig, field, policy) -> list[CheckResult]:
     ]
 
 
-def pipeline(cfg: RunConfig):
-    """Solve, then read the switching field off the value function.
-
-    Returns (field, report, switching). The bang-bang policy is left to the
-    callers that need it (extract_policy), so a run that only audits the
-    switching field never builds one.
-    """
-    field, report = solve(cfg.model, cfg.grid, cfg.solver)
-    return field, report, switching_function(field, report.operator)
-
-
 def run_verification(cfg: RunConfig, skip_simulation: bool = False):
     """Full check sequence. Returns (results, field, report). Invalid
     simulation inputs raise ValueError before the solve."""
@@ -216,18 +207,15 @@ def run_verification(cfg: RunConfig, skip_simulation: bool = False):
     if any(r.status == "fail" for r in results):
         return results, None, None
     try:
-        field, report, sw = pipeline(cfg)
+        field, report = solve(cfg.model, cfg.grid, cfg.solver)
     except NumericalError as exc:
         results.append(CheckResult("convergence", "fail", str(exc)))
         return results, None, None
-    structure = check_policy_structure(cfg, sw)
-    # the simulation needs only the policy of the switching field; freeing the
-    # field here keeps it out of the balance-residual sweep's peak memory
-    policy = None if skip_simulation else extract_policy(sw, cfg.model)
-    del sw
-    results += check_solution(cfg, field, report) + structure + check_oracle(cfg, field)
-    if policy is None:
+    op = report.operator
+    results += (check_solution(cfg, field, report) + check_policy_structure(cfg, field, op)
+                + check_oracle(cfg, field))
+    if skip_simulation:
         results.append(CheckResult("simulation-gap", "skip", "disabled by flag"))
     else:
-        results += check_monte_carlo(cfg, field, policy)
+        results += check_monte_carlo(cfg, field, op)
     return results, field, report

@@ -1,11 +1,12 @@
 import dataclasses
+import hashlib
 import json
+import math
 import os
 import re
 import subprocess
 import sys
 import warnings
-import weakref
 from pathlib import Path
 
 import numpy as np
@@ -19,6 +20,7 @@ from oilopt import (
     analytic_oracle,
     cli,
     dpp_residual,
+    policy,
     simulate,
     solve,
     solver,
@@ -57,6 +59,32 @@ SMALL = {
     "simulation": {"n_paths": 400, "dt": 1.0e-2, "seed": 42,
                    "start": {"s": 0.0, "x": 50.0, "y": 4.0, "regime": 0}},
 }
+
+
+REFERENCE = yaml.safe_load((CONFIG_DIR / "reference.yaml").read_text())
+
+
+def numeric_settings(node, path=()):
+    """The index path of every number in reference.yaml, a bool excepted."""
+    if isinstance(node, dict):
+        return [p for k, v in node.items() for p in numeric_settings(v, path + (k,))]
+    if isinstance(node, list):
+        return [p for i, v in enumerate(node) for p in numeric_settings(v, path + (i,))]
+    return [path] if isinstance(node, (int, float)) and not isinstance(node, bool) else []
+
+
+# one case per key: a number inside a list is named by the list's key
+NUMERIC_KEYS = {}
+for _path in numeric_settings(REFERENCE):
+    NUMERIC_KEYS.setdefault(".".join(k for k in _path if isinstance(k, str)), _path)
+
+
+def no_solve(monkeypatch):
+    """Replace both names a command solves through; returns the calls made."""
+    solves = []
+    for module in (cli, verify):
+        monkeypatch.setattr(module, "solve", lambda *a, **kw: solves.append(a))
+    return solves
 
 
 def write_config(tmp_path, data, name="cfg.yaml"):
@@ -173,6 +201,19 @@ class TestConfigParsing:
         value = read(parse_config(data))
         assert value == expected and type(value) is type(expected)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("key", list(NUMERIC_KEYS))
+    def test_non_finite_numbers_are_refused(self, key, bad):
+        """No setting gives NaN or infinity a meaning, so each is refused by name."""
+        *outer, last = NUMERIC_KEYS[key]
+        data = json.loads(json.dumps(REFERENCE))
+        node = data
+        for k in outer:
+            node = node[k]
+        node[last] = bad
+        with pytest.raises(ConfigError, match=re.escape(key)):
+            parse_config(data)
+
     def test_a_refused_number_exits_one(self, tmp_path, capsys):
         data, node, key = deep(SMALL, "simulation", "seed")
         node[key] = True
@@ -230,6 +271,43 @@ class TestCli:
         assert (a / "value.csv").read_bytes() == (b / "value.csv").read_bytes()
         assert (a / "convergence.csv").read_bytes() == (b / "convergence.csv").read_bytes()
 
+    # SHA-256 of every CSV the commands write on SMALL, per sweep order
+    CSV_SHA256 = {
+        "jacobi": {
+            "solve/convergence.csv":
+                "ae84269b3a8113de13f9fa6c47ee899515528f2ad149f165ba48c7b4f776f66a",
+            "solve/value.csv": "b8ff8234f3d9a1338ab88c66c2cc9db256ae6c83daf676e0a5c63b732a735543",
+            "policy/policy.csv":
+                "9cc5e3a13cad26bcf03016152eeb44728ba6cd5935e8e8478c1f1506bcda309e",
+            "policy/switching_curve.csv":
+                "09290127b7d7c7f1e2511ba89c117081e235c0df40a215b57cb1de53652c460a",
+            "simulate/paths.csv":
+                "a13ad79e36403a9a156a6df461865e83a26e835c0ae5b687d947e99d07065a68",
+        },
+        "backward": {
+            "solve/convergence.csv":
+                "5a55410f1e9bc26daf92008c77b23a5e3bdca2355f33de2a753a0d3c8d2088c0",
+            "solve/value.csv": "521ba1a191988939684aa6dbcaa0a36d6273d03402d467f3404a329503fc59e4",
+            "policy/policy.csv":
+                "d7f60c2041ac75e02ca2f08b7517bea95dfc0ab447730d0d057a680400ba58bc",
+            "policy/switching_curve.csv":
+                "14a32dc8cf9133598988bab651106bb6a6e675ebfa603a36d0791e36a6214338",
+            "simulate/paths.csv":
+                "a13ad79e36403a9a156a6df461865e83a26e835c0ae5b687d947e99d07065a68",
+        },
+    }
+
+    @pytest.mark.parametrize("sweep", ["jacobi", "backward"])
+    def test_csv_bytes_are_pinned(self, tmp_path, sweep):
+        cfg = write_config(tmp_path, SMALL)
+        for argv in (["solve"], ["policy"], ["simulate", "--record", "2"]):
+            out = tmp_path / argv[0]
+            assert main([argv[0], "--config", cfg, "--out", str(out), "--sweep", sweep,
+                         *argv[1:]]) == 0
+        written = {f"{f.parent.name}/{f.name}": hashlib.sha256(f.read_bytes()).hexdigest()
+                   for f in sorted(tmp_path.glob("*/*.csv"))}
+        assert written == self.CSV_SHA256[sweep]
+
     def test_backward_convergence_has_one_row_per_slice(self, tmp_path):
         cfg = write_config(tmp_path, SMALL)
         out = tmp_path / "run"
@@ -271,26 +349,27 @@ class TestCli:
                  (out / "switching_curve.csv").read_text().splitlines()[1:]]
         assert sum(1 for x in cells if x and float(x) >= 24.0 - 0.5) == 6
 
-    def test_policy_frees_the_value_field_before_writing_csv(self, tmp_path, monkeypatch):
-        """policy writes its CSVs from the switching field alone, so the
-        solved value field must be gone by then, not held to the end."""
-        solved, alive = [], []
-        real_pipeline, real_write = cli.pipeline, cli.write_policy_csv
+    @pytest.mark.parametrize("argv, slices", [
+        (["policy"], 4 + 11),  # the curve's report slices, then every slice of policy.csv
+        (["simulate", "--record", "0"], 11),  # the Monte Carlo policy
+        (["verify"], 4 + 11),
+        (["verify", "--skip-simulation"], 4),
+    ], ids=["policy", "simulate", "verify", "verify-skip-simulation"])
+    def test_commands_compute_the_switching_field_one_slice_at_a_time(
+            self, tmp_path, monkeypatch, argv, slices):
+        """No command holds a full-grid G: every call of the per-slice core
+        returns one time slice, (M, n_x, n_y), and each slice is read once."""
+        shapes, core = [], policy._switching_block
 
-        def pipeline(cfg):
-            result = real_pipeline(cfg)
-            solved.append(weakref.ref(result[0]))
-            return result
+        def switching_block(V, op):
+            G = core(V, op)
+            shapes.append(G.shape)
+            return G
 
-        def write_policy_csv(*args, **kwargs):
-            alive.append(solved[0]() is not None)
-            return real_write(*args, **kwargs)
-
-        monkeypatch.setattr(cli, "pipeline", pipeline)
-        monkeypatch.setattr(cli, "write_policy_csv", write_policy_csv)
+        monkeypatch.setattr(policy, "_switching_block", switching_block)
         cfg = write_config(tmp_path, SMALL)
-        assert main(["policy", "--config", cfg, "--out", str(tmp_path / "run")]) == 0
-        assert alive == [False]
+        assert main([argv[0], "--config", cfg, "--out", str(tmp_path / "run"), *argv[1:]]) == 0
+        assert shapes == [(2, 201, 21)] * slices
 
     def test_simulate_manifest_and_paths(self, tmp_path):
         cfg = write_config(tmp_path, SMALL)
@@ -320,8 +399,7 @@ class TestCli:
     def test_record_above_the_stream_count_exits_one(self, tmp_path, capsys, monkeypatch,
                                                      antithetic, record, streams):
         """The flag is refused before the solve, not after it."""
-        solves = []
-        monkeypatch.setattr(verify, "solve", lambda *a, **kw: solves.append(a))
+        solves = no_solve(monkeypatch)
         data, node, key = deep(SMALL, "simulation", "antithetic")
         node[key] = antithetic
         cfg = write_config(tmp_path, data)
@@ -334,6 +412,9 @@ class TestCli:
     @pytest.mark.parametrize("flags, simulation, message", [
         pytest.param(["--dt", "0"], {}, "dt must be positive, got 0.0", id="dt-zero"),
         pytest.param(["--dt", "-1"], {}, "dt must be positive, got -1.0", id="dt-negative"),
+        pytest.param(["--dt", "nan"], {}, "dt must be positive, got nan", id="dt-nan"),
+        pytest.param(["--dt", "inf"], {}, "dt must be positive and finite, got inf",
+                     id="dt-inf"),
         pytest.param(["--paths", "1"], {}, "n_paths must be at least 2 for a standard error",
                      id="one-path"),
         pytest.param([], {"start": {"s": 0.0, "x": 50.0, "y": 20.0, "regime": 0}},
@@ -343,8 +424,7 @@ class TestCli:
     ])
     def test_bad_simulation_input_exits_one_before_the_solve(
             self, tmp_path, capsys, monkeypatch, command, flags, simulation, message):
-        solves = []
-        monkeypatch.setattr(verify, "solve", lambda *a, **kw: solves.append(a))
+        solves = no_solve(monkeypatch)
         data = deep(SMALL, "schema_version")[0]
         data["simulation"].update(simulation)
         cfg = write_config(tmp_path, data)
@@ -352,6 +432,18 @@ class TestCli:
             flags = flags + ["--record", "0"]  # so no record bound fires first
         assert main([command, "--config", cfg, "--out", str(tmp_path / "run"), *flags]) == 1
         assert message in capsys.readouterr().err
+        assert solves == []
+
+    @pytest.mark.parametrize("value", ["inf", "nan"])
+    def test_non_finite_tolerance_exits_one_before_the_solve(
+            self, tmp_path, capsys, monkeypatch, value):
+        """An infinite tolerance would pass convergence after one sweep; a NaN
+        one would never converge."""
+        solves = no_solve(monkeypatch)
+        cfg = write_config(tmp_path, SMALL)
+        assert main(["verify", "--config", cfg, "--out", str(tmp_path / "run"),
+                     "--skip-simulation", "--tolerance", value]) == 1
+        assert f"tolerance must be positive and finite, got {value}" in capsys.readouterr().err
         assert solves == []
 
     def test_mc_constant_flag_is_refused(self, tmp_path):

@@ -3,8 +3,10 @@
 perfbench/child.py wraps the functions named in its SPANS table and reads
 the cProfile rows of the functions in its PROFILED table. A renamed
 function would not fail the benchmark: its per-layer metric would read 0.
-The child script is parsed here, not imported, so nothing is written
-under perfbench/.
+Its plain mode checks the start-node value of every solve made through
+cli.solve or verify.solve; a command that solved through neither name
+would pass that check with nothing checked. The child script is parsed
+here, not imported, so nothing is written under perfbench/.
 """
 
 import ast
@@ -12,6 +14,8 @@ import importlib
 from pathlib import Path
 
 import pytest
+import yaml
+from test_config_cli import SMALL
 
 ROOT = Path(__file__).resolve().parents[1]
 CHILD = ROOT / "perfbench" / "child.py"
@@ -53,3 +57,20 @@ def test_every_profiled_function_is_defined(suffix, name, key, field):
                                           ("verify", "solve"), ("cli", "_COMMANDS")])
 def test_every_plain_hook_resolves(module, attr):
     assert hasattr(importlib.import_module(f"oilopt.{module}"), attr)
+
+
+@pytest.mark.parametrize("argv", [["solve"], ["policy"], ["simulate", "--record", "0"],
+                                  ["verify"]], ids=lambda argv: argv[0])
+def test_every_command_solves_once_through_a_plain_hook(tmp_path, monkeypatch, argv):
+    from oilopt import cli, verify
+
+    calls = []
+    for module in (cli, verify):
+        real = module.solve
+        monkeypatch.setattr(module, "solve",
+                            lambda *a, real=real, **kw: calls.append(a) or real(*a, **kw))
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(yaml.safe_dump(SMALL))
+    assert cli.main([argv[0], "--config", str(cfg), "--out", str(tmp_path / "run"),
+                     *argv[1:]]) == 0
+    assert len(calls) == 1

@@ -117,8 +117,7 @@ def test_switching_curve_none_when_no_crossing():
 
 def test_curve_table_rows_cover_slices(solved):
     model, grid, _, field, op = solved
-    sw = switching_function(field, op)
-    rows, flagged = curve_table(sw)
+    rows, flagged = curve_table(field, op)
     assert len(rows) == 4 * grid.n_y * 2
     assert flagged == []
     # requested time fractions map to actual slice values
@@ -170,7 +169,7 @@ def test_policy_csv_format(solved):
     sw = switching_function(field, op)
     pol = extract_policy(sw, model)
     buf = io.StringIO()
-    write_policy_csv(sw, pol, buf)
+    write_policy_csv(field, op, buf)
     lines = buf.getvalue().splitlines()
     assert lines[0] == "s,x,y,regime,G,u_star"
     per_slice = grid.n_x * grid.n_y * 2

@@ -142,6 +142,17 @@ class TestSinglePath:
         with pytest.raises(ValueError):
             simulate_path(model, zero_policy, (0.0, 50.0, 4.0, 9), 1e-2, 1)
 
+    @pytest.mark.parametrize("start, dt, message", [
+        ((0.0, math.nan, 4.0, 0), 1e-2, "start price state nan must be nonnegative and finite"),
+        ((0.0, math.inf, 4.0, 0), 1e-2, "start price state inf must be nonnegative and finite"),
+        ((0.0, 50.0, 4.0, 0), math.nan, "dt must be positive, got nan"),
+        ((0.0, 50.0, 4.0, 0), math.inf, "dt must be positive and finite, got inf"),
+    ])
+    def test_non_finite_start_or_step_is_refused(self, start, dt, message):
+        with pytest.raises(ValueError) as info:
+            simulate_path(jumpy_model(), zero_policy, start, dt, 1)
+        assert str(info.value) == message
+
 
 class TestEstimate:
     def test_matches_closed_form(self):
