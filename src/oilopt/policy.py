@@ -5,9 +5,9 @@ The per-node switching function is
     G(s,x,y,i) = -D_y V + (price(x) - marginal_cost(y)),
 
 the sensitivity of the node's Hamiltonian to the extraction rate. D_y is
-the reserve difference of the operator the solve iterated, read through its
-reserve_neighbor (y - l for the upwind stencil, y + l for the paper-faithful
-one), so the sign of G reproduces the argmax of the solved sweep: extract
+the backward reserve difference (V(y) - V(y - l))/l, read through the
+operator's reserve_neighbor as the sweep reads it for either stencil, so
+the sign of G reproduces the argmax of the solved sweep: extract
 at capacity where G > 0 and the reserve is nonempty, wait otherwise. Ties
 G = 0 wait. G reads only its own time slice of V, so the commands compute it
 one slice at a time; switching_function and extract_policy are the full-grid
@@ -27,12 +27,12 @@ from .solver import DiscreteOperator
 
 def _switching_block(V: np.ndarray, op: DiscreteOperator) -> np.ndarray:
     """G on a block of V's time slices (any shape ending in (n_x, n_y)):
-    -(V - N)/(u_sign*l) + price(x) - marginal_cost(y), N the reserve neighbor
-    of `op`'s stencil. On its clamped face N = V, so G is price - cost there."""
+    -(V - N)/l + price(x) - marginal_cost(y), N = V(y - l) the reserve
+    neighbor of `op`. On the clamped face y = 0, N = V, so G is price - cost there."""
     g = op.grid
     G = op.reserve_neighbor(V)  # N first, turned into G in place
     np.subtract(V, G, out=G)
-    G /= -op.u_sign * g.reserve_step  # x/(-y) is -(x/y) bit for bit
+    G /= -g.reserve_step  # x/(-y) is -(x/y) bit for bit
     G += op.model.price(g.x_values)[:, None] - op.model.marginal_extraction_cost(g.y_values)
     return G
 

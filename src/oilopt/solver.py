@@ -14,9 +14,8 @@ per-node balance equation
 where RHS' gathers the time neighbor (weight 1/(rk)), the price neighbors
 (weights a and b, which carry the diffusion and the total drift: the mean
 reversion less the small-jump compensator of I), the reserve neighbor
-(weight u/(rl) at y - l in upwind mode; -u/(rl) at y + l in paper-faithful
-mode), the jump destinations (weights c_j/r), the other regimes (weights
-q_ij/r), and the running profit L/r.
+(weight u/(rl) at y - l), the jump destinations (weights c_j/r), the other
+regimes (weights q_ij/r), and the running profit L/r.
 
 The sweep iterated here solves each node's balance for its own value with
 all neighbor values frozen from the previous iterate:
@@ -25,20 +24,20 @@ all neighbor values frozen from the previous iterate:
 
 This has exactly the same fixed points as the textbook operator statement
 (moving the center term across the equation is an identity whenever
-1 + c(u) > 0, which holds unconditionally for the upwind stencil), but
-unlike the literal statement every weight in the upwind update is
-nonnegative, so that sweep is monotone, and the update is a strict sup-norm
-contraction on constants with factor |sum c_j - Gamma| / r. The
-paper-faithful stencil is monotone only for u_max = 0: its price weights are
-checked positive when the operator is built, but its forward reserve
-difference puts the weight -u/(rl) on V(y + l), and nothing refuses that.
-Both RHS'(u) and 1 + c(u) are affine in u, so the per-node maximum over a
-control interval is attained at an endpoint: evaluating u in {0, u_max} is
-exact (bang-bang). One implementation of this update,
+1 + c(u) > 0, which holds for every u >= 0), but unlike the literal
+statement every weight in the update is nonnegative, so the sweep is
+monotone, and the update is a strict sup-norm contraction on constants with
+factor |sum c_j - Gamma| / r. The paper-faithful stencil is monotone only
+for u_max = 0: its price weights are checked positive when the operator is
+built, and control_terms refuses every extracting control, since the
+paper's forward reserve difference would put the weight -u/(rl) on
+V(y + l). Both RHS'(u) and 1 + c(u) are affine in u, so the per-node
+maximum over a control interval is attained at an endpoint: evaluating u in
+{0, u_max} is exact (bang-bang). One implementation of this update,
 DiscreteOperator._best_candidate, serves the sweep, the backward reserve
 scan, dense control scans and pinned-control checks (the last two through
 sweep(controls=...)); one method, reserve_neighbor, makes the frozen
-reserve-neighbor read for the sweep and for the switching field.
+reserve-neighbor read at y - l for the sweep and for the switching field.
 
 Two sweep orders are provided. "jacobi" recomputes every node from the
 previous full-grid iterate (deterministic, trivially parallel: the update
@@ -48,15 +47,15 @@ left alone, as on large grids OpenBLAS's thread count moves the last bits
 of the jump product). "backward" walks time slices from the horizon down,
 running the same per-node update as an inner fixed point on each slice
 until it settles before stepping back. Within a pass it updates the
-regimes in turn and scans the reserve axis in the order the stencil reads
-it, each node reading the neighbor value just written (Gauss-Seidel in y):
-the upwind stencil reads only y - l, so the slice's reserve coupling is
-lower-triangular and one ascending scan solves it exactly, and the passes
-per slice do not grow with the reserve grid. Each slice's inner iteration
-starts from the cubic in time through the four converged slices above it
-(lower orders next to the horizon; see _warm_start), which roughly halves
-the passes per slice against a copy of the slice above. It reaches the same
-fixed point and is much faster when the horizon carries many slices.
+regimes in turn and scans the reserve axis upward, each node reading the
+neighbor value just written (Gauss-Seidel in y): the stencil reads only
+y - l, so the slice's reserve coupling is lower-triangular and one
+ascending scan solves it exactly, and the passes per slice do not grow
+with the reserve grid. Each slice's inner iteration starts from the cubic
+in time through the four converged slices above it (lower orders next to
+the horizon; see _warm_start), which roughly halves the passes per slice
+against a copy of the slice above. It reaches the same fixed point and is
+much faster when the horizon carries many slices.
 """
 
 from __future__ import annotations
@@ -153,14 +152,12 @@ class DiscreteOperator:
         self.r = model.dynamics.discount_rate
         self.contraction = check_contraction(self.scheme, self.r)
         self.contraction.require()
-        # the u-dependent center addition is +u/(rl) upwind, -u/(rl) paper-faithful
-        self.u_sign = -1.0 if cfg.mode == "paper_faithful" else 1.0
         self._build_coefficients()
         self.jump_mat = [self._build_jump_matrix(m) for m in range(grid.n_regimes)]
         self.controls = np.unique([0.0, model.economics.u_max])
         self._terms = {}
         for u in self.controls:
-            self.control_terms(u)  # a nonpositive 1+c at an endpoint fails the build
+            self.control_terms(u)  # a refused endpoint fails the build
         x, y = grid.x_values[:, None], grid.y_values[None, :]
         self.terminal = np.broadcast_to(
             np.asarray(terminal_value(model, x, y)), (grid.n_regimes, grid.n_x, grid.n_y)
@@ -245,21 +242,20 @@ class DiscreteOperator:
         """(running profit, 1 + c(u)) for one control, shapes (n_x, n_y) and (M, n_x).
 
         The cost family is time-independent, so one profit slab per control
-        serves every time slice. Terms are built on first use and cached.
+        serves every time slice. Terms are built on first use and cached. The
+        paper-faithful stencil refuses u > 0 with a MonotonicityError.
         """
         u = float(u)
         terms = self._terms.get(u)
         if terms is None:
             g = self.grid
-            den = 1.0 + self.center_base + self.u_sign * u / (self.r * g.reserve_step)
-            if np.any(den <= 0.0):
-                m_bad, x_bad = np.unravel_index(int(np.argmin(den)), den.shape)
-                raise NumericalError(
-                    f"center coefficient 1+c = {den[m_bad, x_bad]:.6g} is nonpositive at "
-                    f"x={g.x_values[x_bad]:.6g}, regime {m_bad}, u={u:.6g}; the "
-                    "paper-faithful reserve stencil cannot be iterated at this control "
-                    "cap and step size"
+            if self.cfg.mode == "paper_faithful" and u > 0.0:
+                raise MonotonicityError(
+                    f"paper-faithful reserve stencil puts the weight -u/(rl) = "
+                    f"{-u / (self.r * g.reserve_step):.6g} on V(y + l) at u={u:.6g}; it is "
+                    "monotone only for u_max = 0"
                 )
+            den = 1.0 + self.center_base + u / (self.r * g.reserve_step)
             profit = np.asarray(
                 profit_rate(self.model, 0.0, g.x_values[:, None], g.y_values[None, :], u)
             )
@@ -280,15 +276,11 @@ class DiscreteOperator:
         return out
 
     def reserve_neighbor(self, block):
-        """The stencil's clamped reserve-neighbor read of `block`, a new array:
-        y - l upwind, y + l paper-faithful. The sweep and the switching field use it."""
+        """The stencil's reserve-neighbor read of `block` at y - l, clamped at
+        y = 0, a new array. The sweep and the switching field use it."""
         out = np.empty_like(block)
-        if self.u_sign > 0:  # upwind reads y - l
-            out[..., 1:] = block[..., :-1]
-            out[..., 0] = block[..., 0]
-        else:  # paper-faithful reads y + l
-            out[..., :-1] = block[..., 1:]
-            out[..., -1] = block[..., -1]
+        out[..., 1:] = block[..., :-1]
+        out[..., 0] = block[..., 0]
         return out
 
     def _base_block(self, V, m, lo, hi):
@@ -315,10 +307,8 @@ class DiscreteOperator:
         An extracting candidate reads its reserve neighbor from V as given
         (scan=False: the frozen read of a sweep) or, with scan=True, from the
         value this call has just produced there: the reserve axis is walked in
-        the order the stencil reads it (ascending y upwind, descending y
-        paper-faithful), so the slice's reserve coupling is solved exactly in
-        one pass. On the stencil's clamped face the neighbor is the node
-        itself, read from V either way.
+        ascending y, the order the y - l read needs, so the slice's reserve
+        coupling is solved exactly in one pass.
         """
         g = self.grid
         r, l = self.r, g.reserve_step
@@ -334,7 +324,7 @@ class DiscreteOperator:
                 num /= den[m][:, None]
                 best = num if best is None else np.maximum(best, num, out=best)
                 continue
-            alpha = self.u_sign * (u / (r * l))
+            alpha = u / (r * l)
             if scan:
                 terms.append((num.transpose(2, 0, 1).copy(), alpha, den[m]))
                 continue
@@ -352,14 +342,11 @@ class DiscreteOperator:
                 np.maximum(best[..., 1:], cand[..., 1:], out=best[..., 1:])
         if not terms:
             return best
-        # one contiguous price row per reserve node, walked in stencil order
+        # one contiguous price row per reserve node, walked upward; y = 0 keeps u = 0
         rows = best.transpose(2, 0, 1).copy()
-        if self.u_sign > 0:  # reads y - l; y = 0 keeps u = 0
-            order, prev = range(1, g.n_y), rows[0]
-        else:  # reads y + l; the top face reads itself
-            order, prev = range(g.n_y - 1, 0, -1), V[m, lo:hi, :, -1]
+        prev = rows[0]
         cand = np.empty_like(rows[0])
-        for y in order:
+        for y in range(1, g.n_y):
             w = rows[y]
             for num, alpha, den in terms:
                 np.multiply(prev, alpha, out=cand)
@@ -452,7 +439,7 @@ def solve(model: MarketModel, grid: Grid4D, cfg: SolverConfig | None = None):
 
     Returns (GridField, ConvergenceReport). Raises ContractionError before
     iterating if the quadrature mass check fails, MonotonicityError if the
-    paper-faithful coefficient signs are wrong, NumericalError at the first
+    paper-faithful coefficient signs are wrong or u_max > 0, NumericalError at the first
     sweep or pass whose change is not finite (naming its largest change's
     node, a NaN first), and ConvergenceError (with the residual history
     attached) if the iteration cap is reached.

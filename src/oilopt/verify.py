@@ -199,10 +199,9 @@ def check_monte_carlo(cfg: RunConfig, field, op) -> list[CheckResult]:
 
 def run_verification(cfg: RunConfig, skip_simulation: bool = False):
     """Full check sequence. Returns (results, field, report). Invalid
-    simulation inputs raise ValueError before the solve."""
-    if not skip_simulation:
-        sim = cfg.simulation
-        check_record(cfg.model, sim.start, sim.n_paths, sim.dt, sim.antithetic)
+    simulation inputs raise ValueError before the solve, skipped or not."""
+    sim = cfg.simulation
+    check_record(cfg.model, sim.start, sim.n_paths, sim.dt, sim.antithetic)
     results = check_quadrature(cfg)
     if any(r.status == "fail" for r in results):
         return results, None, None

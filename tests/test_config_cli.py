@@ -408,7 +408,9 @@ class TestCli:
         assert f"cannot record {record} paths: {streams} streams" in capsys.readouterr().err
         assert solves == []
 
-    @pytest.mark.parametrize("command", ["simulate", "verify"])
+    @pytest.mark.parametrize("command", [["simulate", "--record", "0"], ["verify"],
+                                         ["verify", "--skip-simulation"]],
+                             ids=["simulate", "verify", "verify-skip-simulation"])
     @pytest.mark.parametrize("flags, simulation, message", [
         pytest.param(["--dt", "0"], {}, "dt must be positive, got 0.0", id="dt-zero"),
         pytest.param(["--dt", "-1"], {}, "dt must be positive, got -1.0", id="dt-negative"),
@@ -424,13 +426,13 @@ class TestCli:
     ])
     def test_bad_simulation_input_exits_one_before_the_solve(
             self, tmp_path, capsys, monkeypatch, command, flags, simulation, message):
+        """simulate runs with --record 0, so no record bound fires first;
+        verify checks the simulation settings even when it skips the simulation."""
         solves = no_solve(monkeypatch)
         data = deep(SMALL, "schema_version")[0]
         data["simulation"].update(simulation)
         cfg = write_config(tmp_path, data)
-        if command == "simulate":
-            flags = flags + ["--record", "0"]  # so no record bound fires first
-        assert main([command, "--config", cfg, "--out", str(tmp_path / "run"), *flags]) == 1
+        assert main([*command, "--config", cfg, "--out", str(tmp_path / "run"), *flags]) == 1
         assert message in capsys.readouterr().err
         assert solves == []
 
@@ -484,6 +486,16 @@ class TestCli:
         cfg = write_config(tmp_path, data)
         assert main(["solve", "--config", cfg, "--out", str(tmp_path / "x")]) == 2
         assert "numerical failure" in capsys.readouterr().err
+
+    def test_paper_faithful_extraction_exits_two(self, tmp_path, capsys):
+        """Below x = 40 every paper-faithful price weight is positive, so the
+        refusal comes from the reserve stencil at u_max = 50000."""
+        data, node, key = deep(SMALL, "grid", "price_cap")
+        node[key] = 40.0
+        cfg = write_config(tmp_path, data)
+        assert main(["solve", "--config", cfg, "--out", str(tmp_path / "x"),
+                     "--mode", "paper_faithful"]) == 2
+        assert "monotone only for u_max = 0" in capsys.readouterr().err
 
     def test_verify_passes_on_small_config(self, tmp_path, capsys):
         cfg = write_config(tmp_path, SMALL)

@@ -9,6 +9,7 @@ from oilopt import (
     GridField,
     LevyMeasure,
     MarketModel,
+    MonotonicityError,
     SolverConfig,
     build_grid,
     curve_table,
@@ -38,11 +39,11 @@ def solved():
     return model, grid, cfg, field, report.operator
 
 
-@pytest.fixture(scope="module")
-def paper_faithful_solved():
+def test_paper_faithful_stencil_refuses_extraction():
     """The solver tests' paper-faithful problem: one regime, the grid stopped
-    at x = 57.5 so every forward price weight stays positive, and u_max 0.005
-    so the forward reserve difference leaves 1 + c(u) positive."""
+    at x = 57.5 so every forward price weight stays positive. Its forward
+    reserve difference is not monotone at any u > 0, so u_max 0.005 is
+    refused before a policy could be read off it."""
     dyn = Dynamics(kappa=0.01, mu=(55.0,), sigma=(0.2,), jump_scale=(0.0,),
                    discount_rate=0.05)
     eco = Economics(fixed_cost=0.0, marginal_cost=20.0, reserve_slope=0.0,
@@ -52,9 +53,8 @@ def paper_faithful_solved():
                         measure=LevyMeasure.null())
     grid = build_grid(horizon=1.0, price_cap=57.5, reserve_capacity=10.0,
                       time_step=0.1, price_step=0.5, reserve_step=0.5, n_regimes=1)
-    cfg = SolverConfig(tolerance=1e-8, mode="paper_faithful")
-    field, report = solve(model, grid, cfg)
-    return model, grid, cfg, field, report.operator
+    with pytest.raises(MonotonicityError, match="monotone only for u_max = 0"):
+        solve(model, grid, SolverConfig(tolerance=1e-8, mode="paper_faithful"))
 
 
 def test_terminal_switching_is_twice_the_margin(solved):
@@ -124,27 +124,12 @@ def test_curve_table_rows_cover_slices(solved):
     assert sorted({r[0] for r in rows}) == pytest.approx([0.0, 0.8, 1.4, 2.0])
 
 
-def test_paper_faithful_field_reads_the_forward_difference(paper_faithful_solved):
-    """G = -(V(y+l) - V)/l + price - mc bit for bit; the top face reads
-    itself, so its reserve term is zero."""
-    model, grid, _, field, op = paper_faithful_solved
-    V, l = field.values, grid.reserve_step
-    margin = (model.price(grid.x_values)[:, None]
-              - model.marginal_extraction_cost(grid.y_values)[None, :])
-    expected = np.empty_like(V)
-    expected[..., :-1] = -(V[..., 1:] - V[..., :-1]) / l + margin[:, :-1]
-    expected[..., -1] = margin[:, -1]
-    assert np.array_equal(switching_function(field, op).values, expected)
-
-
-@pytest.mark.parametrize("problem", ["solved", "paper_faithful_solved"],
-                         ids=["upwind", "paper_faithful"])
-def test_policy_pinned_sweep_reproduces_value(problem, request):
+def test_policy_pinned_sweep_reproduces_value(solved):
     """Freezing the control at the extracted policy and re-sweeping must
     reproduce the solved field: the G-sign rule and the sweep's argmax agree.
     The policy is bang-bang, so the pinned sweep takes the u_max sweep where
     it extracts and the u = 0 sweep elsewhere (including the empty reserve)."""
-    model, grid, cfg, field, op = request.getfixturevalue(problem)
+    model, grid, cfg, field, op = solved
     sw = switching_function(field, op)
     pol = extract_policy(sw, model)
     u_max = model.economics.u_max

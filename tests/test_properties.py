@@ -3,8 +3,9 @@
 Barles & Souganidis (1991): a monotone, stable and consistent scheme
 converges to the viscosity solution. Monotonicity is what these tests pin,
 on the arrays the solver actually iterates: nonnegative neighbor weights,
-positive center denominators, a raised price row that lowers no node, and
-order preservation of one sweep, for any jump measure.
+positive center denominators, a raised price or reserve row that lowers no
+node (for the paper-faithful stencil too, wherever it builds), and order
+preservation of one sweep, for any jump measure.
 """
 
 import dataclasses
@@ -21,6 +22,7 @@ from oilopt import (
     GridField,
     LevyMeasure,
     MarketModel,
+    MonotonicityError,
     SolverConfig,
     build_grid,
     dpp_residual,
@@ -126,18 +128,44 @@ def test_center_denominators_positive(problem):
         assert np.all(den > 0.0), f"1+c <= 0 at u={u}"
 
 
+def pure_diffusion_problem(u_max):
+    """One regime with no mean reversion and no jumps: every paper-faithful
+    price weight is sigma^2/(2rh^2) > 0, so only the reserve stencil decides
+    whether that stencil builds."""
+    dyn = Dynamics(kappa=0.0, mu=(5.0,), sigma=(1.0,), jump_scale=(0.0,), discount_rate=0.05)
+    eco = Economics(fixed_cost=1.0, marginal_cost=1.0, reserve_slope=0.0, reserve_offset=1.0,
+                    u_max=u_max, reserve_capacity=2.0, horizon=1.0, terminal_offset=1.0)
+    model = MarketModel(generator=np.array([[0.0]]), dynamics=dyn, economics=eco,
+                        measure=LevyMeasure.null())
+    return model, small_grid(1)
+
+
 @settings(max_examples=25, deadline=None)
-@example(problem=skewed_atom_problem(0.3), seed=0, row=10)
-@example(problem=skewed_atom_problem(0.9), seed=0, row=10)
-@given(problem=small_problems(), seed=st.integers(0, 2**32 - 1), row=st.integers(0, 20))
-def test_raising_a_price_row_lowers_no_node(problem, seed, row):
-    """Raising one price row of the field by 1 lowers no node of the sweep,
-    whatever the control. Every weight the sweep applies is nonnegative and
-    rounding is monotone, so this holds exactly."""
-    op = upwind_operator(problem)
+@example(problem=skewed_atom_problem(0.3), seed=0, row=10, axis="price", mode="upwind")
+@example(problem=skewed_atom_problem(0.9), seed=0, row=10, axis="price", mode="upwind")
+@example(problem=pure_diffusion_problem(1.0), seed=0, row=3, axis="reserve",
+         mode="paper_faithful")
+@example(problem=pure_diffusion_problem(0.0), seed=0, row=3, axis="reserve",
+         mode="paper_faithful")
+@given(problem=small_problems(), seed=st.integers(0, 2**32 - 1), row=st.integers(0, 20),
+       axis=st.sampled_from(["price", "reserve"]),
+       mode=st.sampled_from(["upwind", "paper_faithful"]))
+def test_raising_a_price_row_lowers_no_node(problem, seed, row, axis, mode):
+    """Raising one price or reserve row of the field by 1 lowers no node of
+    the sweep, whatever the control. Every weight the sweep applies is
+    nonnegative and rounding is monotone, so this holds exactly. A reserve
+    row is the drawn index modulo n_y. A stencil that refuses the problem
+    (MonotonicityError) iterates nothing, so passes."""
+    try:
+        op = DiscreteOperator(*problem, SolverConfig(mode=mode))
+    except MonotonicityError:
+        return
     V = np.random.default_rng(seed).uniform(-100.0, 400.0, size=op.grid.shape)
     raised = V.copy()
-    raised[:, :, row, :] += 1.0
+    if axis == "price":
+        raised[:, :, row, :] += 1.0
+    else:
+        raised[..., row % op.grid.n_y] += 1.0
     for u in op.controls:
         lower, upper = op.sweep(V, controls=[u]), op.sweep(raised, controls=[u])
         drop = float(np.max(lower - upper))

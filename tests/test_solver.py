@@ -106,20 +106,19 @@ class TestCoefficients:
         assert "= 0.4," in msg and "= -0.05" in msg  # 0.2^2 / (2*0.05)
 
     def test_paper_faithful_control_cap_raises_numerical_error(self):
-        """Coefficients that pass the sign check can still leave 1 + c(u_max)
-        negative: the forward reserve difference subtracts u/(rl). That is a
-        NumericalError naming the control, not a MonotonicityError. Every
-        other term of 1 + c(u) is positive for u >= 0 (the upwind stencil
-        takes |drift|, compensator included), so only this stencil can reach
-        the error, and its text says so."""
+        """Coefficients that pass the sign check still leave the forward
+        reserve difference's weight -u/(rl) on V(y + l) negative for every
+        u > 0, so the build refuses u_max = 50000 with a MonotonicityError
+        (a NumericalError) naming that weight, its value and the control."""
         model = single_regime_model(u_max=50000.0)
-        with pytest.raises(NumericalError) as err:
+        with pytest.raises(MonotonicityError) as err:
             DiscreteOperator(model, small_grid(price_cap=57.5),
                              SolverConfig(mode="paper_faithful"))
-        assert not isinstance(err.value, MonotonicityError)
-        msg = str(err.value)
-        assert "1+c = -1.9998e+06" in msg and "u=50000" in msg
-        assert "paper-faithful reserve stencil" in msg
+        assert isinstance(err.value, NumericalError)
+        assert str(err.value) == (
+            "paper-faithful reserve stencil puts the weight -u/(rl) = -2e+06 on V(y + l) "
+            "at u=50000; it is monotone only for u_max = 0"
+        )
 
     def test_upwind_splits_drift_by_sign(self):
         op = self.operator("upwind")
@@ -303,7 +302,7 @@ class TestReserveScan:
     """backward solves each slice's reserve coupling in one scan per pass."""
 
     @pytest.mark.parametrize("mode, u_max, price_cap", [
-        ("paper_faithful", 0.005, 57.5),  # scans down; the top face reads its own value
+        ("paper_faithful", 0.0, 57.5),  # nothing extracts, so the scan has no term
         ("upwind", 1.0, 100.0),  # u/(rl) does not dominate 1 + c
     ])
     def test_agrees_with_jacobi(self, mode, u_max, price_cap):
@@ -433,11 +432,12 @@ class TestSweepThreads:
         assert (worst, info["node"]) == (float(mism[expect]), first) == (mism.max(), expect)
 
     def test_paper_faithful_control_too_large_raises_in_the_calling_thread(self, monkeypatch):
-        """A pinned control whose 1 + c is nonpositive raises the operator's
-        NumericalError from sweep, before any task runs, and only the calling
-        thread ever builds control terms."""
+        """A paper-faithful operator built at u_max = 0 sweeps at u = 0, and a
+        pinned positive control raises the operator's MonotonicityError from
+        sweep, before any task runs; only the calling thread ever builds
+        control terms."""
         monkeypatch.setattr(solver, "SWEEP_WORKERS", 2)
-        op = DiscreteOperator(single_regime_model(u_max=0.005), small_grid(price_cap=57.5),
+        op = DiscreteOperator(single_regime_model(), small_grid(price_cap=57.5),
                               SolverConfig(mode="paper_faithful"))
         builders = []
         real = DiscreteOperator.control_terms
@@ -448,13 +448,17 @@ class TestSweepThreads:
             return real(self, u)
 
         monkeypatch.setattr(DiscreteOperator, "control_terms", recording)
+        tasks = []
+        real_task = DiscreteOperator._best_candidate
+        monkeypatch.setattr(DiscreteOperator, "_best_candidate",
+                            lambda self, *a, **kw: tasks.append(a) or real_task(self, *a, **kw))
         V = op.initial_guess()
-        op.sweep(V, controls=np.linspace(0.0, 0.005, 5))
-        with pytest.raises(NumericalError) as err:
-            op.sweep(V, controls=[50000.0])
-        assert not isinstance(err.value, MonotonicityError)
-        msg = str(err.value)
-        assert "1+c = -1.9998e+06" in msg and "u=50000" in msg
+        op.sweep(V, controls=[0.0])
+        swept = len(tasks)
+        weight = "the weight -u/(rl) = -0.2 on V(y + l) at u=0.005"
+        with pytest.raises(MonotonicityError, match=re.escape(weight)):
+            op.sweep(V, controls=[0.005])
+        assert swept > 0 and len(tasks) == swept
         assert builders and all(builders)
 
     def test_threaded_sweeps_hold_under_a_short_switch_interval(self, monkeypatch):
