@@ -11,6 +11,11 @@ divergence, failed verification checks).
 Output files are deterministic for a fixed configuration and seed; the run
 manifest (manifest.json) additionally carries wall-clock timings and is the
 only output that may differ between identical runs.
+
+policy and simulate read the value field from value.csv instead of solving
+when the manifest in --out records that solve wrote it for the same
+settings and the field passes the balance check at the tolerance (see
+_value_field); verify always solves.
 """
 
 from __future__ import annotations
@@ -20,15 +25,16 @@ import dataclasses
 import json
 import sys
 import time
+import zlib
 from pathlib import Path
 
 from . import __version__, solver
 from .config import RunConfig, load_config
 from .errors import ConfigError, NumericalError
-from .grid import csv_handle
+from .grid import GridField, csv_handle
 from .policy import curve_table, write_curve_csv, write_policy_csv
 from .simulate import check_record
-from .solver import solve
+from .solver import ConvergenceReport, DiscreteOperator, dpp_residual, solve
 from .verify import MC_DISCRETIZATION_CONSTANT, run_verification, simulation_gap
 
 
@@ -59,18 +65,29 @@ def _apply_overrides(cfg: RunConfig, args) -> RunConfig:
                                        for section, kw in updates.items()})
 
 
-def _manifest(cfg: RunConfig, args, report=None, extra=None) -> dict:
-    data = {
+def _settings(cfg: RunConfig) -> dict:
+    """The manifest keys a stored value field must match to be reused."""
+    return {
         "package_version": __version__,
-        "command": args.command,
-        "config_path": str(args.config),
         "config": cfg.raw,
         "grid_shape": list(cfg.grid.shape),
         "solver": dataclasses.asdict(cfg.solver),
+    }
+
+
+def _manifest(cfg: RunConfig, args, report=None, extra=None, stored=None) -> dict:
+    """`stored` is the value_csv record of a field read from value.csv."""
+    data = {
+        **_settings(cfg),
+        "command": args.command,
+        "config_path": str(args.config),
         "simulation": dataclasses.asdict(cfg.simulation),
     }
+    if stored is not None:
+        data["value_csv"] = stored
     if report is not None:
         data["run"] = {
+            "value_field": "solved" if stored is None else "value.csv",
             "converged": report.final_residual < cfg.solver.tolerance,
             "iterations": report.iterations,
             "final_residual": report.final_residual,
@@ -114,6 +131,54 @@ def _write_convergence(out_dir: Path, report):
     return path
 
 
+def _file_record(path: Path) -> dict:
+    """The value_csv record of a file: its CRC-32, read in 1 MiB blocks, and size."""
+    crc = size = 0
+    with open(path, "rb") as fh:
+        for block in iter(lambda: fh.read(1 << 20), b""):
+            crc = zlib.crc32(block, crc)
+            size += len(block)
+    return {"crc32": crc, "bytes": size}
+
+
+def _value_field(cfg: RunConfig, out_dir: Path):
+    """(field, report, value_csv record): the field a solve left in out_dir,
+    or a fresh solve (record None) when that field may not be used.
+
+    It is used only when the manifest there carries the value_csv record,
+    names this command's package version, YAML config, grid shape and solver
+    settings (after the flags), value.csv still has the recorded CRC-32 and
+    size, and one dpp_residual sweep of this command's operator over the
+    field read back stays below the tolerance: the field then solves this
+    operator at this tolerance, whatever wrote it. Its report counts 0
+    iterations and carries that residual and the time spent here.
+    """
+    t0 = time.perf_counter()
+    path = out_dir / "value.csv"
+    field = None
+    try:
+        with open(out_dir / "manifest.json", encoding="utf-8") as fh:
+            manifest = json.load(fh)
+        record = manifest["value_csv"]
+        own = json.loads(json.dumps(_settings(cfg)))  # as the manifest holds it
+        if (all(manifest.get(key) == value for key, value in own.items())
+                and _file_record(path) == record):
+            field = GridField.from_csv(cfg.grid, path)
+    except (OSError, ValueError, KeyError, TypeError):
+        pass  # no usable field: solve
+    if field is not None:
+        op = DiscreteOperator(cfg.model, cfg.grid, cfg.solver)
+        residual, _ = dpp_residual(field, op)
+        if residual < cfg.solver.tolerance:
+            report = ConvergenceReport(
+                iterations=0, final_residual=residual, mode=cfg.solver.mode,
+                sweep=cfg.solver.sweep, contraction=op.contraction,
+                wall_time=time.perf_counter() - t0, operator=op,
+            )
+            return field, report, record
+    return (*solve(cfg.model, cfg.grid, cfg.solver), None)
+
+
 def _cap_warning(cfg, rows) -> int:
     """Warn about, and return the count of, threshold rows within one price
     step of the cap."""
@@ -133,7 +198,8 @@ def _cmd_solve(cfg: RunConfig, args, out_dir: Path) -> int:
     field, report = solve(cfg.model, cfg.grid, cfg.solver)
     field.to_csv(out_dir / "value.csv")
     _write_convergence(out_dir, report)
-    _write_manifest(out_dir, _manifest(cfg, args, report))
+    extra = {"value_csv": _file_record(out_dir / "value.csv")}
+    _write_manifest(out_dir, _manifest(cfg, args, report, extra))
     print(
         f"solved {tuple(cfg.grid.shape)} in {report.iterations} iterations "
         f"(residual {report.final_residual:.3g}, {report.wall_time:.1f}s) -> {out_dir}"
@@ -142,7 +208,7 @@ def _cmd_solve(cfg: RunConfig, args, out_dir: Path) -> int:
 
 
 def _cmd_policy(cfg: RunConfig, args, out_dir: Path) -> int:
-    field, report = solve(cfg.model, cfg.grid, cfg.solver)
+    field, report, stored = _value_field(cfg, out_dir)
     rows, flagged = curve_table(field, report.operator)
     near_cap = _cap_warning(cfg, rows)
     if flagged:
@@ -153,7 +219,7 @@ def _cmd_policy(cfg: RunConfig, args, out_dir: Path) -> int:
     write_policy_csv(field, report.operator, out_dir / "policy.csv")
     write_curve_csv(rows, out_dir / "switching_curve.csv")
     extra = {"threshold_rows": len(rows), "threshold_rows_near_cap": near_cap}
-    _write_manifest(out_dir, _manifest(cfg, args, report, extra))
+    _write_manifest(out_dir, _manifest(cfg, args, report, extra, stored))
     print(
         f"policy extracted on {tuple(cfg.grid.shape)} -> {out_dir} "
         f"({len(rows)} threshold rows, {len(flagged)} flagged)"
@@ -165,7 +231,7 @@ def _cmd_simulate(cfg: RunConfig, args, out_dir: Path) -> int:
     sim = cfg.simulation
     check_record(cfg.model, sim.start, sim.n_paths, sim.dt, sim.antithetic,
                  args.record)  # before the solve
-    field, report = solve(cfg.model, cfg.grid, cfg.solver)
+    field, report, stored = _value_field(cfg, out_dir)
     t0 = time.perf_counter()
     est, v_grid, gap = simulation_gap(cfg, field, report.operator, record=args.record)
     mc_wall = time.perf_counter() - t0
@@ -178,7 +244,7 @@ def _cmd_simulate(cfg: RunConfig, args, out_dir: Path) -> int:
                     fh.write(f"{p},{t!r},{x!r},{y!r},{m},{u!r},{v!r}\n")
     estimate = {f.name: getattr(est, f.name) for f in dataclasses.fields(est) if f.name != "paths"}
     estimate.update(grid_value_at_start=v_grid, gap=gap, wall_time_s=mc_wall)
-    _write_manifest(out_dir, _manifest(cfg, args, report, {"estimate": estimate}))
+    _write_manifest(out_dir, _manifest(cfg, args, report, {"estimate": estimate}, stored))
     print(
         f"simulated {est.n_paths} paths: mean {est.mean:.4f} (SE {est.std_error:.4f}), "
         f"grid value {v_grid:.4f}, gap {gap:.4f} -> {out_dir}"

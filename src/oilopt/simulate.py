@@ -38,6 +38,7 @@ applied rate.
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 import time
 import traceback
@@ -471,6 +472,9 @@ def _validate_start(model, start, dt):
         raise ValueError(f"start price state {x0} must be nonnegative and finite")
     if not (0.0 <= y0 <= e.reserve_capacity):
         raise ValueError(f"start reserve {y0} outside [0, {e.reserve_capacity}]")
+    # int() would read 1.7 as regime 1 and True as regime 1
+    if isinstance(i0, bool) or not isinstance(i0, numbers.Real) or not float(i0).is_integer():
+        raise ValueError(f"start regime {i0!r} must be an integer")
     if not (0 <= int(i0) < model.n_regimes):
         raise ValueError(f"start regime {i0} out of range")
 

@@ -539,6 +539,131 @@ class TestCli:
         assert proc.stdout.strip() == "[]"
 
 
+def counted_solves(monkeypatch):
+    """Count the solves made through either name a command solves by; each
+    still solves. Returns the list the calls are appended to."""
+    solves = []
+    for module in (cli, verify):
+        real = module.solve
+        monkeypatch.setattr(module, "solve",
+                            lambda *a, real=real, **kw: solves.append(a) or real(*a, **kw))
+    return solves
+
+
+def read_manifest(out):
+    return json.loads((out / "manifest.json").read_text())
+
+
+def change_a_digit(out):
+    """The last digit of a middle row's value: the field moves by about
+    1e-13, which the residual check passes, so only the CRC-32 can refuse it."""
+    path = out / "value.csv"
+    rows = path.read_text().splitlines(keepends=True)
+    row = rows[len(rows) // 2]
+    assert len(row.rsplit(",", 1)[1].strip()) >= 15
+    i = len(row) - 2
+    rows[len(rows) // 2] = row[:i] + str((int(row[i]) + 1) % 10) + row[i + 1:]
+    path.write_text("".join(rows))
+
+
+def edit_a_model_key(out):
+    cfg = out.parent / "cfg.yaml"
+    data = yaml.safe_load(cfg.read_text())
+    data["model"]["kappa"] = 0.02
+    cfg.write_text(yaml.safe_dump(data))
+
+
+def truncate_the_field(out):
+    path = out / "value.csv"
+    path.write_bytes(path.read_bytes()[: path.stat().st_size // 2])
+
+
+def verify_in_the_same_out(out):
+    assert main(["verify", "--config", str(out.parent / "cfg.yaml"), "--out", str(out),
+                 "--skip-simulation"]) == 0
+
+
+def put_the_field_off_balance(out):
+    """A field that is no solution, with its own record: only the residual
+    check can refuse it."""
+    cfg = load_config(out.parent / "cfg.yaml")
+    field = GridField.from_csv(cfg.grid, out / "value.csv")
+    field.values[0, 0, 100, 10] += 1.0
+    field.to_csv(out / "value.csv")
+    manifest = read_manifest(out)
+    manifest["value_csv"] = cli._file_record(out / "value.csv")
+    (out / "manifest.json").write_text(json.dumps(manifest))
+
+
+class TestValueFieldReuse:
+    """policy and simulate read the field solve left in --out when it was
+    solved for their settings and still solves their operator."""
+
+    @pytest.mark.parametrize("sweep", ["jacobi", "backward"])
+    def test_one_solve_serves_solve_policy_and_simulate(self, tmp_path, monkeypatch, sweep):
+        solves = counted_solves(monkeypatch)
+        cfg = write_config(tmp_path, SMALL)
+        out = tmp_path / "run"
+        manifests = []
+        for argv in (["solve"], ["policy"], ["simulate", "--record", "2"]):
+            assert main([argv[0], "--config", cfg, "--out", str(out), "--sweep", sweep,
+                         *argv[1:]]) == 0
+            manifests.append(read_manifest(out))
+        assert len(solves) == 1
+        solved, *reused = manifests
+        assert solved["run"]["value_field"] == "solved"
+        assert solved["value_csv"] == cli._file_record(out / "value.csv")
+        for manifest in reused:
+            run = manifest["run"]
+            assert run["value_field"] == "value.csv"
+            assert run["iterations"] == 0 and run["converged"] is True
+            assert run["final_residual"] < SMALL["solver"]["tolerance"]
+            assert "passes_per_slice" not in run
+            assert manifest["value_csv"] == solved["value_csv"]
+        pinned = {name.split("/")[1]: digest
+                  for name, digest in TestCli.CSV_SHA256[sweep].items()}
+        assert {f.name: hashlib.sha256(f.read_bytes()).hexdigest()
+                for f in sorted(out.glob("*.csv"))} == pinned
+
+    def test_verify_solves_after_solve(self, tmp_path, monkeypatch):
+        solves = counted_solves(monkeypatch)
+        cfg = write_config(tmp_path, SMALL)
+        out = tmp_path / "run"
+        assert main(["solve", "--config", cfg, "--out", str(out)]) == 0
+        assert main(["verify", "--config", cfg, "--out", str(out), "--skip-simulation"]) == 0
+        assert len(solves) == 2
+        assert read_manifest(out)["run"]["value_field"] == "solved"
+        assert "value_csv" not in read_manifest(out)
+
+    @pytest.mark.parametrize("edit, flags", [
+        (None, ["--tolerance", "2e-6"]),
+        (None, ["--sweep", "backward"]),
+        (edit_a_model_key, []),
+        (change_a_digit, []),
+        (truncate_the_field, []),
+        (verify_in_the_same_out, []),
+        (lambda out: (out / "manifest.json").unlink(), []),
+        (put_the_field_off_balance, []),
+    ], ids=["tolerance", "sweep", "model-key", "digit", "truncated", "verify-manifest",
+            "no-manifest", "off-balance"])
+    @pytest.mark.parametrize("command", [["policy"], ["simulate", "--record", "0"]],
+                             ids=lambda argv: argv[0])
+    def test_a_field_that_may_not_be_used_is_solved_again(
+            self, tmp_path, monkeypatch, edit, flags, command):
+        cfg = write_config(tmp_path, SMALL)
+        out = tmp_path / "run"
+        assert main(["solve", "--config", cfg, "--out", str(out)]) == 0
+        if edit is not None:
+            edit(out)
+        solves = counted_solves(monkeypatch)
+        assert main([command[0], "--config", cfg, "--out", str(out), *flags, *command[1:]]) == 0
+        assert len(solves) == 1
+        manifest = read_manifest(out)
+        assert manifest["run"]["value_field"] == "solved"
+        assert manifest["run"]["iterations"] > 0
+        assert "value_csv" not in manifest
+
+
 class TestVerifyChecks:
     def test_verification_builds_one_operator(self, monkeypatch):
         """The balance residual reuses the operator the solve iterated."""

@@ -2,6 +2,8 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from oilopt import (
     DiscreteOperator,
@@ -139,3 +141,69 @@ def test_csv_deterministic():
     assert a.getvalue() == b.getvalue()
     # plain decimal text, no numpy reprs
     assert "np." not in a.getvalue()
+
+
+# the floats whose shortest decimal is hardest to read back: signed zeros,
+# subnormals, the largest magnitudes and 17-significant-digit values
+HARD_FLOATS = [-0.0, 0.0, 5e-324, -5e-324, 1.1125369292536007e-308, 1e308, -1e308,
+               1.7976931348623157e308, 0.30000000000000004, -2.9999999999999996]
+TINY = build_grid(horizon=1.0, price_cap=1.0, reserve_capacity=1.0,
+                  time_step=0.5, price_step=0.5, reserve_step=0.5, n_regimes=2)
+
+
+def tiny_csv(values=None) -> str:
+    buf = io.StringIO()
+    GridField(TINY, values).to_csv(buf)
+    return buf.getvalue()
+
+
+@given(arrays(float, TINY.shape, elements=st.one_of(
+    st.sampled_from(HARD_FLOATS), st.floats(allow_nan=False, allow_infinity=False))))
+def test_csv_read_back_is_bit_exact(values):
+    read = GridField.from_csv(TINY, io.StringIO(tiny_csv(values)))
+    assert read.values.tobytes() == values.tobytes()
+
+
+def test_csv_read_back_from_a_path(tmp_path):
+    field = GridField(TINY, np.arange(np.prod(TINY.shape), dtype=float).reshape(TINY.shape))
+    field.to_csv(tmp_path / "value.csv")
+    assert np.array_equal(GridField.from_csv(TINY, tmp_path / "value.csv").values, field.values)
+
+
+def _swap_first_rows(text):
+    head, a, b, *rest = text.splitlines(keepends=True)
+    return "".join([head, b, a, *rest])
+
+
+@pytest.mark.parametrize("edit", [
+    lambda t: t.replace("value", "G", 1),  # header
+    lambda t: t.split("\n", 1)[1],  # no header
+    lambda t: t[: t.rstrip("\n").rfind("\n") + 1],  # one row short
+    lambda t: t + t.splitlines(keepends=True)[-1],  # one row over
+    lambda t: t[:-1],  # the last newline cut off
+    lambda t: t[:-3],  # cut inside the last number
+    lambda t: t.replace(",0.0\n", ",abc\n", 1),  # a non-number value
+    lambda t: t.replace("0.5,0.5,0.5,1,", "0.5,0.5,x,1,", 1),  # a non-number coordinate
+    lambda t: t.replace(",0.0\n", ",0.0,0.0\n", 1),  # a sixth column
+    lambda t: t.replace("\n", "\n\n", 2),  # a blank line
+    _swap_first_rows,  # the nodes out of order
+    lambda t: "",
+], ids=["header", "no-header", "row-short", "row-over", "no-last-newline", "truncated",
+        "non-number", "non-number-coordinate", "sixth-column", "blank-line", "row-order",
+        "empty"])
+def test_csv_read_back_refuses_what_to_csv_does_not_write(edit):
+    text = tiny_csv()
+    assert GridField.from_csv(TINY, io.StringIO(text)).values.tobytes() == \
+        np.zeros(TINY.shape).tobytes()
+    with pytest.raises(ValueError):
+        GridField.from_csv(TINY, io.StringIO(edit(text)))
+
+
+def test_csv_of_another_grid_with_as_many_nodes_is_refused():
+    """Same shape, other steps: the coordinates differ."""
+    other = build_grid(horizon=1.5, price_cap=1.0, reserve_capacity=1.0,
+                       time_step=0.75, price_step=0.5, reserve_step=0.5, n_regimes=2)
+    buf = io.StringIO()
+    GridField(other).to_csv(buf)
+    with pytest.raises(ValueError, match="nodes in order"):
+        GridField.from_csv(TINY, io.StringIO(buf.getvalue()))

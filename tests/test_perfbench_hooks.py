@@ -5,8 +5,10 @@ the cProfile rows of the functions in its PROFILED table. A renamed
 function would not fail the benchmark: its per-layer metric would read 0.
 Its plain mode checks the start-node value of every solve made through
 cli.solve or verify.solve; a command that solved through neither name
-would pass that check with nothing checked. The child script is parsed
-here, not imported, so nothing is written under perfbench/.
+would pass that check with nothing checked. A command that reads the field
+an earlier solve left in --out makes no solve, so the field it reads is
+checked here instead. The child script is parsed here, not imported, so
+nothing is written under perfbench/.
 """
 
 import ast
@@ -74,3 +76,36 @@ def test_every_command_solves_once_through_a_plain_hook(tmp_path, monkeypatch, a
     assert cli.main([argv[0], "--config", str(cfg), "--out", str(tmp_path / "run"),
                      *argv[1:]]) == 0
     assert len(calls) == 1
+
+
+
+def test_solve_policy_simulate_in_one_out_solve_once(tmp_path, monkeypatch):
+    """ref-solve-policy's commands share one --out, so policy reads the field
+    solve wrote, and the plain mode's start-node check sees one solve. The
+    field each command works on still has that solve's start-node value,
+    bit for bit."""
+    from oilopt import cli, verify
+
+    solved, used = [], []
+
+    def keep(real, found):
+        def call(*args):
+            result = real(*args)
+            found.append(result[0])
+            return result
+        return call
+
+    for module in (cli, verify):
+        monkeypatch.setattr(module, "solve", keep(module.solve, solved))
+    monkeypatch.setattr(cli, "_value_field", keep(cli._value_field, used))
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(yaml.safe_dump(SMALL))
+    for argv in (["solve"], ["policy"], ["simulate", "--record", "0"]):
+        assert cli.main([argv[0], "--config", str(cfg), "--out", str(tmp_path / "run"),
+                         *argv[1:]]) == 0
+    assert len(solved) == 1 and len(used) == 2
+    start = SMALL["simulation"]["start"]
+    grid = solved[0].grid
+    node = (start["regime"], *grid.nearest_indices(start["s"], start["x"], start["y"]))
+    want = solved[0].values[node].tobytes()
+    assert [field.values[node].tobytes() for field in used] == [want, want]

@@ -242,6 +242,24 @@ class TestEstimate:
             estimate_value(model, zero_policy, start, n_paths=11, dt=1e-2, seed=0,
                            antithetic=True)
 
+    @pytest.mark.parametrize("regime", [1.7, -0.5, True, np.True_, math.nan])
+    def test_non_integer_start_regime_is_refused(self, regime):
+        """int() read 1.7 and True as regime 1 and -0.5 as regime 0."""
+        model = jumpy_model()
+        start = (0.0, 50.0, 4.0, regime)
+        with pytest.raises(ValueError, match="must be an integer"):
+            simulate.check_record(model, start, 10, 0.01, False)
+        with pytest.raises(ValueError, match="must be an integer"):
+            estimate_value(model, zero_policy, start, n_paths=10, dt=1e-2, seed=0)
+
+    @pytest.mark.parametrize("regime", [1, 1.0, np.int64(1)])
+    def test_integral_start_regime_is_read_as_that_regime(self, regime):
+        model = jumpy_model()
+        assert simulate.check_record(model, (0.0, 50.0, 4.0, regime), 10, 0.01, False) == 10
+        kw = dict(n_paths=10, dt=1e-2, seed=0)
+        assert (estimate_value(model, zero_policy, (0.0, 50.0, 4.0, regime), **kw).mean
+                == estimate_value(model, zero_policy, (0.0, 50.0, 4.0, 1), **kw).mean)
+
 
 def threshold_policy(t, x, y, regime):
     return np.where(x > 45.0 + 10.0 * regime, 3.0, 0.0)
