@@ -5,8 +5,8 @@ function, bang-bang policy, threshold curve), simulate (Monte Carlo payoff
 under the extracted policy), verify (the self-check suite).
 
 Exit codes: 0 on success, 1 for configuration problems (bad YAML, bad keys,
-invalid model or grid), 2 for numerical failures (contraction violation,
-divergence, failed verification checks).
+invalid model or grid, an --out that cannot be a directory), 2 for numerical
+failures (contraction violation, divergence, failed verification checks).
 
 Output files are deterministic for a fixed configuration and seed; the run
 manifest (manifest.json) additionally carries wall-clock timings and is the
@@ -96,7 +96,7 @@ def _manifest(cfg: RunConfig, args, report=None, extra=None, stored=None) -> dic
             "contraction_value": report.contraction.value,
             "wall_time_s": report.wall_time,
             "sweep_workers": solver.SWEEP_WORKERS,  # threads per full sweep
-            "sweep_block": solver.SWEEP_BLOCK,  # time slices per sweep task
+            "sweep_block": solver.sweep_block(cfg.grid),  # time slices per sweep task
         }
         if report.slices:  # backward: inner passes per time slice
             passes = [p for p, _ in report.slices]
@@ -315,7 +315,10 @@ def main(argv=None) -> int:
     try:
         cfg = _apply_overrides(load_config(args.config), args)
         out_dir = Path(args.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
+        try:
+            out_dir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:  # an existing file, a file on the path, no permission
+            raise ValueError(f"cannot use --out {out_dir} as a directory: {exc.strerror}") from None
         return _COMMANDS[args.command](cfg, args, out_dir)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

@@ -74,9 +74,16 @@ from .grid import Grid4D, GridField
 from .model import MarketModel, profit_rate, terminal_value, validate_model
 from .quadrature import ContractionReport, build_quadrature, check_contraction
 
-SWEEP_BLOCK = 10  # time slices per block of a full sweep
+# bytes per block-sized array of a full sweep: 10 time slices of reference.yaml
+SWEEP_BLOCK_BYTES = 10 * 201 * 21 * 8
 _CPUS = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else range(os.cpu_count() or 1)
 SWEEP_WORKERS = min(2, len(_CPUS))  # threads per full sweep, the caller included
+
+
+def sweep_block(grid: Grid4D) -> int:
+    """Time slices per task of a full sweep on `grid`: as many as keep one
+    block-sized array within SWEEP_BLOCK_BYTES, and at least one."""
+    return max(1, SWEEP_BLOCK_BYTES // (grid.n_x * grid.n_y * 8))
 
 
 @functools.cache
@@ -371,12 +378,15 @@ class DiscreteOperator:
         C order as (regime, s_idx, x_idx, y_idx)), a NaN winning; without
         `out` the update is then dropped block by block.
 
-        The tasks, one per (regime, SWEEP_BLOCK time slices), each write only
-        their own slab, so no bit depends on the blocks or on the threads:
-        the calling thread runs the even tasks and, with SWEEP_WORKERS = 2,
-        one pool worker the odd ones (numpy's ufuncs and matmul release the
-        GIL). Blocks keep the temporaries small: regime-sized ones (3.4 MB on
-        reference.yaml) made the allocator re-fault its heap every regime.
+        The tasks, one per (regime, sweep_block(grid) time slices), each write
+        only their own slab, so no bit depends on the blocks or on the
+        threads: the calling thread runs the even tasks and, with
+        SWEEP_WORKERS = 2, one pool worker the odd ones (numpy's ufuncs and
+        matmul release the GIL). A task's temporaries are block-sized, so the
+        byte budget bounds them on any grid: regime-sized blocks (3.4 MB on
+        reference.yaml) made the allocator re-fault its heap every regime,
+        and 10-slice blocks (1.3 MB) raised the 2x-refined verify's peak RSS
+        by 13 MiB.
         """
         g = self.grid
         n = g.n_s - 1
@@ -384,7 +394,7 @@ class DiscreteOperator:
             out = np.empty_like(values)
         for u in self.controls if controls is None else controls:
             self.control_terms(u)  # a bad control raises here; no thread writes the cache
-        edges = [*range(0, n, SWEEP_BLOCK), n, n + 1]  # the terminal slice is a task of its own
+        edges = [*range(0, n, sweep_block(g)), n, n + 1]  # the terminal slice is a task of its own
         tasks = [(m, lo, hi) for m in range(g.n_regimes) for lo, hi in zip(edges, edges[1:])]
 
         def run(part):  # per task: its slab of `out`, its largest change and first node

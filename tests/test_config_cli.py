@@ -259,9 +259,51 @@ class TestCli:
         assert manifest["run"]["converged"] is True
         assert manifest["config"]["schema_version"] == 1
         assert manifest["run"]["sweep_workers"] == solver.SWEEP_WORKERS
-        assert manifest["run"]["sweep_block"] == solver.SWEEP_BLOCK
+        assert manifest["run"]["sweep_block"] == solver.sweep_block(load_config(cfg).grid)
         assert "passes_per_slice" not in manifest["run"]  # jacobi has no slices
         assert "solved" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("refine, shape, block", [(1, (101, 201, 21), 10),
+                                                      (2, (201, 401, 41), 2)])
+    def test_manifest_reports_the_block_the_sweep_uses(self, monkeypatch, refine, shape, block):
+        """run.sweep_block is the time slices per task of the operator's own
+        sweep: 10 on reference.yaml and 2 on its 2x-refined grid, whose slice
+        is about four times larger. No solve runs: the operator is built and
+        swept once."""
+        data = yaml.safe_load((CONFIG_DIR / "reference.yaml").read_text())
+        for key in ("time_step", "price_step", "reserve_step"):
+            data["grid"][key] /= refine
+        cfg = parse_config(data)
+        assert cfg.grid.shape == (2, *shape)
+        op = DiscreteOperator(cfg.model, cfg.grid, cfg.solver)
+        sizes, real = set(), DiscreteOperator._best_candidate
+
+        def recording(self, V, m, lo, hi, *rest):
+            sizes.add(hi - lo)
+            return real(self, V, m, lo, hi, *rest)
+
+        monkeypatch.setattr(DiscreteOperator, "_best_candidate", recording)
+        op.sweep(op.initial_guess(), change=True)
+        report = solver.ConvergenceReport(iterations=0, final_residual=0.0,
+                                          contraction=op.contraction, operator=op)
+        args = cli.build_parser().parse_args(["solve", "--config", "reference.yaml"])
+        assert cli._manifest(cfg, args, report)["run"]["sweep_block"] == max(sizes) == block
+
+    @pytest.mark.parametrize("below", [False, True], ids=["is-a-file", "below-a-file"])
+    def test_unusable_out_exits_one_naming_the_path(self, tmp_path, capsys, monkeypatch, below):
+        """An --out that cannot be a directory is an input error: one line
+        naming the path, exit 1, no traceback and no solve."""
+        solves = no_solve(monkeypatch)
+        cfg = write_config(tmp_path, SMALL)
+        taken = tmp_path / "taken"
+        taken.write_text("not a directory\n")
+        out = taken / "run" if below else taken
+        assert main(["solve", "--config", cfg, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"invalid input: cannot use --out {out} as a directory: ")
+        assert err.count("\n") == 1
+        assert solves == []
+        assert taken.read_text() == "not a directory\n"
 
     def test_outputs_byte_identical_across_runs(self, tmp_path):
         cfg = write_config(tmp_path, SMALL)

@@ -276,15 +276,17 @@ def test_blocks_and_threads_move_no_bit(op, seed, data):
     swept serially: every sweep, the jacobi residual history and field, and
     dpp_residual's worst node."""
     n_s, u_max = op.grid.n_s, op.model.economics.u_max
-    block = data.draw(st.integers(1, n_s), label="SWEEP_BLOCK")
+    block = data.draw(st.integers(1, n_s), label="time slices per block")
     workers = data.draw(st.sampled_from([1, 2]), label="SWEEP_WORKERS")
     V = np.random.default_rng(seed).uniform(-100.0, 400.0, size=op.grid.shape)
     field = GridField(op.grid, V)
     cfg = SolverConfig(mode="upwind")
 
     def run(block_size, threads):
-        with (mock.patch.object(solver, "SWEEP_BLOCK", block_size),
+        budget = block_size * op.grid.n_x * op.grid.n_y * 8
+        with (mock.patch.object(solver, "SWEEP_BLOCK_BYTES", budget),
               mock.patch.object(solver, "SWEEP_WORKERS", threads)):
+            assert solver.sweep_block(op.grid) == block_size
             sweeps = [op.sweep(V, c) for c in (None, [0.0], [u_max], np.linspace(0.0, u_max, 7))]
             solved, report = solve(op.model, op.grid, cfg)
             return sweeps, solved.values, report.residuals, dpp_residual(field, op)

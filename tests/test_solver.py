@@ -6,6 +6,7 @@ import os
 import re
 import sys
 import threading
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -32,7 +33,6 @@ from oilopt import (
 )
 from oilopt import solver
 from oilopt.config import load_config, parse_config
-from oilopt.solver import SWEEP_BLOCK
 
 REFERENCE = Path(__file__).resolve().parents[1] / "src" / "oilopt" / "configs" / "reference.yaml"
 
@@ -62,6 +62,11 @@ def reference_model(horizon=2.0, u_max=50000.0):
 def small_grid(horizon=1.0, price_cap=100.0, k=0.1, h=0.5, l=0.5, n_regimes=1):
     return build_grid(horizon=horizon, price_cap=price_cap, reserve_capacity=10.0,
                       time_step=k, price_step=h, reserve_step=l, n_regimes=n_regimes)
+
+
+def block_budget(grid, slices):
+    """The SWEEP_BLOCK_BYTES that gives `grid` blocks of `slices` time slices."""
+    return slices * grid.n_x * grid.n_y * 8
 
 
 class TestCoefficients:
@@ -366,18 +371,56 @@ class TestWarmStart:
 
 
 class TestSweepBlocks:
-    def test_blocked_sweep_matches_one_block(self):
-        """sweep updates each regime SWEEP_BLOCK time slices at a time. Every
-        slice is computed on its own, so one block over all slices, ragged last
-        block included, gives the same bits."""
+    def test_block_is_the_budget_in_whole_slices_and_at_least_one(self, monkeypatch):
+        """reference.yaml's slice (201 x 21 nodes) takes 10 slices per block
+        under the default budget; a smaller budget rounds down, and a slice
+        larger than the budget is a block of its own."""
+        grid = small_grid()
+        assert solver.sweep_block(grid) == 10
+        for budget, block in ((block_budget(grid, 10) - 1, 9), (block_budget(grid, 1), 1), (1, 1)):
+            monkeypatch.setattr(solver, "SWEEP_BLOCK_BYTES", budget)
+            assert solver.sweep_block(grid) == block
+
+    def test_blocked_sweep_matches_one_block(self, monkeypatch):
+        """sweep updates each regime sweep_block(grid) time slices at a time.
+        Every slice is computed on its own, so one block over all slices,
+        ragged last block included, gives the same bits."""
         grid = small_grid(horizon=2.5, n_regimes=2)
         op = DiscreteOperator(reference_model(horizon=2.5), grid, SolverConfig())
         n = grid.n_s - 1
-        assert n > SWEEP_BLOCK and n % SWEEP_BLOCK
+        monkeypatch.setattr(solver, "SWEEP_BLOCK_BYTES", block_budget(grid, 10))
+        block = solver.sweep_block(grid)
+        assert n > block == 10 and n % block
         V = np.random.default_rng(5).uniform(-100.0, 400.0, size=grid.shape)
         for controls in (None, [0.0], [50000.0], np.linspace(0.0, 50000.0, 7)):
             whole = [op._best_candidate(V, m, 0, n, controls) for m in range(2)]
             assert np.array_equal(op.sweep(V, controls)[:, :n], np.stack(whole))
+
+    def test_sweep_temporaries_are_bounded_by_the_budget(self):
+        """A full sweep's traced peak is O(block bytes x threads), not
+        O(slices per block x slice bytes): about six block-sized arrays are
+        alive per thread. The slice here (401 x 101 nodes, 324 KB) is just
+        under the budget, so a block is one slice; ten-slice blocks peak
+        at about 26 MB against the bound's 5.4 MB on two threads."""
+        grid = build_grid(horizon=2.0, price_cap=100.0, reserve_capacity=10.0, time_step=0.1,
+                          price_step=0.25, reserve_step=0.1, n_regimes=2)
+        slice_bytes = grid.n_x * grid.n_y * 8
+        assert solver.sweep_block(grid) == 1 and slice_bytes > 0.9 * solver.SWEEP_BLOCK_BYTES
+        op = DiscreteOperator(reference_model(horizon=2.0), grid, SolverConfig())
+        V = np.random.default_rng(19).uniform(-100.0, 400.0, size=grid.shape)
+        bound = 8 * max(solver.SWEEP_BLOCK_BYTES, slice_bytes) * solver.SWEEP_WORKERS
+        was_tracing = tracemalloc.is_tracing()
+        if not was_tracing:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base, _ = tracemalloc.get_traced_memory()
+            op.sweep(V, change=True)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            if not was_tracing:
+                tracemalloc.stop()
+        assert peak - base < bound, f"traced peak {(peak - base) / 1e6:.1f} MB"
 
 
 class TestSweepThreads:
@@ -392,8 +435,9 @@ class TestSweepThreads:
         the reduction of the block maxima."""
         monkeypatch.setattr(solver, "SWEEP_WORKERS", workers)
         model, grid = reference_model(horizon=2.5), small_grid(horizon=2.5, n_regimes=2)
-        n = grid.n_s - 1
-        last_lo = (n - 1) // SWEEP_BLOCK * SWEEP_BLOCK
+        block, n = 10, grid.n_s - 1
+        monkeypatch.setattr(solver, "SWEEP_BLOCK_BYTES", block_budget(grid, block))
+        last_lo = (n - 1) // block * block
         real, calls = DiscreteOperator._best_candidate, []
 
         def planting(self, V, m, lo, hi, controls=None, scan=False):
@@ -419,9 +463,11 @@ class TestSweepThreads:
         argmax over the full mismatch field does."""
         monkeypatch.setattr(solver, "SWEEP_WORKERS", workers)
         model, grid = reference_model(horizon=2.5), small_grid(horizon=2.5, n_regimes=2)
+        block = 10
+        monkeypatch.setattr(solver, "SWEEP_BLOCK_BYTES", block_budget(grid, block))
         op = DiscreteOperator(model, grid, SolverConfig())
         V = np.random.default_rng(7).uniform(0.0, 300.0, size=grid.shape)
-        first, second = (0, SWEEP_BLOCK + 2, 50, 20), (0, 2 * SWEEP_BLOCK + 2, 50, 20)
+        first, second = (0, block + 2, 50, 20), (0, 2 * block + 2, 50, 20)
         # no upwind reserve read reaches the top reserve node, and next to
         # 1e200 the node's other terms vanish in rounding: the two tie exactly
         V[first] = V[second] = 1e200
@@ -471,7 +517,7 @@ class TestSweepThreads:
         monkeypatch.setattr(solver, "SWEEP_WORKERS", 1)
         serial = DiscreteOperator(model, grid, SolverConfig()).sweep(V, dense)
         monkeypatch.setattr(solver, "SWEEP_WORKERS", 2)
-        monkeypatch.setattr(solver, "SWEEP_BLOCK", 1)
+        monkeypatch.setattr(solver, "SWEEP_BLOCK_BYTES", block_budget(grid, 1))
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
