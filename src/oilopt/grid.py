@@ -25,6 +25,16 @@ def _node_count(span: float, step: float, name: str) -> int:
     return n + 1
 
 
+def _nearest(v, step: float, n: int):
+    """Nearest of n nodes `step` apart, clamped: an int for a scalar v, a new
+    index array for an array."""
+    if np.ndim(v) == 0:
+        return min(max(round(float(v) / step), 0), n - 1)  # half-to-even, as np.rint
+    i = np.rint(np.asarray(v) / step).astype(int)
+    np.maximum(i, 0, out=i)
+    return np.minimum(i, n - 1, out=i)
+
+
 @dataclass(frozen=True)
 class Grid4D:
     horizon: float  # T
@@ -85,10 +95,8 @@ class Grid4D:
 
     def nearest_indices(self, t, x, y):
         """Round coordinates to the nearest node, clamped into the box."""
-        si = np.clip(np.rint(np.asarray(t) / self.time_step).astype(int), 0, self.n_s - 1)
-        xi = np.clip(np.rint(np.asarray(x) / self.price_step).astype(int), 0, self.n_x - 1)
-        yi = np.clip(np.rint(np.asarray(y) / self.reserve_step).astype(int), 0, self.n_y - 1)
-        return si, xi, yi
+        return (_nearest(t, self.time_step, self.n_s), _nearest(x, self.price_step, self.n_x),
+                _nearest(y, self.reserve_step, self.n_y))
 
 
 build_grid = Grid4D  # the public constructor: Grid4D's fields are its parameters

@@ -33,6 +33,16 @@ The applied extraction rate is min(policy rate, Y/dt): a step may not
 extract more than the remaining reserve, which keeps the booked revenue
 consistent with the admissibility constraint Y >= 0. The recorded u is the
 applied rate.
+
+A path with an empty reserve has no decision left: for a rate u >= 0,
+clip(min(u, 0/dt), 0, u_max) is +0.0 (for u = -0.0 it is -0.0). A GridField
+policy's rates are checked once to be finite, >= 0 and not -0.0, so after
+the first step that ends with every reserve of the batch empty, each step
+applies +0.0 without reading the policy and leaves Y as it is. The payoff still books profit_rate at u = 0. A
+callable policy is read at every step, since min(NaN, 0.0) is NaN. Where
+every path extracts its whole reserve in the first step, as at
+reference.yaml's start, that leaves one policy read per batch; a start that
+extracts later reads the policy until its last reserve is empty.
 """
 
 from __future__ import annotations
@@ -115,20 +125,36 @@ class EstimateReport:
     paths: list = field(default_factory=list)  # recorded PathRecords
 
 
-def _policy_callable(policy, model):
+def _policy_callable(policy):
+    """(rate function, skip_empty). skip_empty holds for a GridField, whose
+    rates are checked here to be finite, >= 0 and not -0.0: an empty reserve
+    then applies +0.0 whatever its node holds, as a read would. A callable is
+    read at every step."""
     if isinstance(policy, GridField):
         g = policy.grid
+        v = policy.values
+        # no field-sized temporaries: a set sign bit (a negative, -0.0, -inf
+        # or -NaN) is a negative int64 view, and a NaN max fails the bound
+        if not (v.view(np.int64).min() >= 0 and v.max() < math.inf):
+            node = tuple(np.argwhere(np.signbit(v) | ~(v < math.inf))[0].tolist())
+            raise ValueError(f"policy rate {float(v[node])!r} at node (regime, s_idx, x_idx, "
+                             f"y_idx) = {node}: a grid policy needs finite rates >= 0, "
+                             "and no -0.0")
         # one flat read per path: node (m, s, x, y) sits at this offset
-        flat = policy.values.reshape(-1)
+        flat = v.reshape(-1)
         per_regime, per_time = g.n_s * g.n_x * g.n_y, g.n_x * g.n_y
 
         def lookup(t, x, y, regime):
-            si, xi, yi = g.nearest_indices(t, x, y)
-            return flat[regime * per_regime + si * per_time + xi * g.n_y + yi]
+            si, xi, yi = g.nearest_indices(t, x, y)  # xi is a new array, summed into in place
+            xi *= g.n_y
+            xi += yi
+            xi += si * per_time
+            xi += regime * per_regime
+            return flat[xi]
 
-        return lookup
+        return lookup, True
     if callable(policy):
-        return policy
+        return policy, False
     raise TypeError("policy must be a GridField or a callable (t, x, y, regime) -> u")
 
 
@@ -215,16 +241,20 @@ def _clock(horizon, s0, dt_target):
     return n_steps, (horizon - s0) / n_steps
 
 
-def _simulate_block(model, policy_fn, start, dt_target, streams, antithetic=False,
-                    record=0):
+def _simulate_block(model, policy, start, dt_target, streams, antithetic=False, record=0):
     """Advance all paths of one batch in lockstep; per-path streams, shared clock.
 
-    Returns (samples, n_jumps, clamps, draw_s, step_s, paths): per stream,
-    its payoff (the average of its pair when antithetic) and its jump count;
-    the price clamp count of every simulated path; the seconds spent drawing
-    and stepping; and the first `record` paths, kept step by step, as
-    PathRecords.
+    policy is _policy_callable's (rate function, skip_empty). With
+    skip_empty, the steps after the first one that ends with every reserve
+    empty apply 0.0 without reading the policy.
+
+    Returns (samples, n_jumps, clamps, draw_s, step_s, lookup_steps, paths):
+    per stream, its payoff (the average of its pair when antithetic) and its
+    jump count; the price clamp count of every simulated path; the seconds
+    spent drawing and stepping; the steps that read the policy; and the
+    first `record` paths, kept step by step, as PathRecords.
     """
+    policy_fn, skip_empty = policy
     s0, x0, y0, i0 = start
     e = model.economics
     d = model.dynamics
@@ -270,6 +300,7 @@ def _simulate_block(model, policy_fn, start, dt_target, streams, antithetic=Fals
     rec_u, rec_profit = np.zeros((record, n_steps + 1)), np.zeros((record, n_steps + 1))
     rec_codes = np.empty((record, n_steps + 1), dtype=np.int64)
     rec_x[:, 0], rec_y[:, 0] = x0, y0
+    reading, lookup_steps = True, n_steps  # the policy decides while a reserve remains
 
     t_loop = time.perf_counter()
     for step in range(n_steps):
@@ -285,10 +316,14 @@ def _simulate_block(model, policy_fn, start, dt_target, streams, antithetic=Fals
             sig_a[p] = sig[codes] * sqrt_dt
         t = s0 + step * dt
         disc = math.exp(-r * (t - s0))
-        u_pol = np.asarray(policy_fn(t, X, Y, alpha), dtype=float)
-        u_app = np.clip(np.minimum(u_pol, Y / dt), 0.0, e.u_max)
+        if reading:
+            u_pol = np.asarray(policy_fn(t, X, Y, alpha), dtype=float)
+            u_app = np.clip(np.minimum(u_pol, Y / dt), 0.0, e.u_max)
         payoff += disc * profit_rate(model, t, X, Y, u_app) * dt
-        X = X + model.drift(X, mu_a, gam_a, comp_drift) * dt + sig_a * normals[row]
+        dX = model.drift(X, mu_a, gam_a, comp_drift)
+        dX *= dt
+        X += dX
+        X += sig_a * normals[row]
         lo, hi = jp_bounds[step], jp_bounds[step + 1]
         if lo < hi:
             p = jp_paths[lo:hi]
@@ -296,13 +331,16 @@ def _simulate_block(model, policy_fn, start, dt_target, streams, antithetic=Fals
         neg = X < 0.0
         if np.any(neg):
             clamps += neg
-            X = np.where(neg, 0.0, X)
-        Y = np.maximum(Y - u_app * dt, 0.0)
+            X[neg] = 0.0
+        if reading:
+            Y = np.maximum(Y - u_app * dt, 0.0)
         if record:
             rec_x[:, step + 1], rec_y[:, step + 1] = X[:record], Y[:record]
             rec_u[:, step] = u_app[:record]
             rec_profit[:, step + 1] = payoff[:record]
             rec_codes[:, step] = alpha[:record]
+        if reading and skip_empty and not Y.any():  # max(0 - 0*dt, 0) = 0 from here on
+            reading, lookup_steps, u_app = False, step + 1, np.zeros(n)
     step_s = time.perf_counter() - t_loop - normals_s
     draw_s += normals_s
 
@@ -317,7 +355,7 @@ def _simulate_block(model, policy_fn, start, dt_target, streams, antithetic=Fals
     ]
     k = len(streams)
     samples = 0.5 * (total[:k] + total[k:]) if antithetic else total
-    return samples, n_jumps, clamps, draw_s, step_s, paths
+    return samples, n_jumps, clamps, draw_s, step_s, lookup_steps, paths
 
 
 def simulate_path(model: MarketModel, policy, start, dt, seed_or_stream) -> PathRecord:
@@ -325,7 +363,7 @@ def simulate_path(model: MarketModel, policy, start, dt, seed_or_stream) -> Path
     _validate_start(model, start, dt)
     if not isinstance(seed_or_stream, np.random.SeedSequence):
         seed_or_stream = np.random.SeedSequence(seed_or_stream)
-    return _simulate_block(model, _policy_callable(policy, model), start, dt, [seed_or_stream],
+    return _simulate_block(model, _policy_callable(policy), start, dt, [seed_or_stream],
                            record=1)[-1][0]
 
 
@@ -418,16 +456,17 @@ def estimate_value(model: MarketModel, policy, start, n_paths: int, dt: float,
     so neither the batches nor the process count move a bit.
 
     The diagnostics count price clamps on every simulated path, and carry
-    the processes that stepped the paths (workers) and the seconds spent
-    drawing (draw_s) and stepping (step_s), each summed over the batches.
+    the processes that stepped the paths (workers), the seconds spent
+    drawing (draw_s) and stepping (step_s), and the Euler steps that read the
+    policy (policy_lookup_steps), each summed over the batches.
     """
     n_streams = check_record(model, start, n_paths, dt, antithetic, record)
     n_steps = _clock(model.economics.horizon, start[0], dt)[0]
     streams = np.random.SeedSequence(seed).spawn(n_streams)
-    policy_fn = _policy_callable(policy, model)
+    rates = _policy_callable(policy)
 
     def share(lo, hi):  # streams[lo:hi] in BATCH_PATHS batches, recording below `record`
-        return [_simulate_block(model, policy_fn, start, dt, streams[b : min(b + BATCH_PATHS, hi)],
+        return [_simulate_block(model, rates, start, dt, streams[b : min(b + BATCH_PATHS, hi)],
                                 antithetic=antithetic,
                                 record=max(0, min(record, hi, b + BATCH_PATHS) - b))
                 for b in range(lo, hi, BATCH_PATHS)]
@@ -436,7 +475,8 @@ def estimate_value(model: MarketModel, policy, start, n_paths: int, dt: float,
         parts = [share(0, n_streams)]
     else:
         parts = _in_two_processes(share, n_streams)
-    samples, jumps, clamps, draw_s, step_s, paths = zip(*(b for part in parts for b in part))
+    samples, jumps, clamps, draw_s, step_s, lookup_steps, paths = zip(
+        *(b for part in parts for b in part))
     samples, jumps, clamps = map(np.concatenate, (samples, jumps, clamps))
     mean = float(np.sum(samples) / samples.size)
     sd = float(np.std(samples, ddof=1))
@@ -456,6 +496,7 @@ def estimate_value(model: MarketModel, policy, start, n_paths: int, dt: float,
             "workers": len(parts),
             "draw_s": sum(draw_s),
             "step_s": sum(step_s),
+            "policy_lookup_steps": sum(lookup_steps),
         },
         paths=[rec for batch in paths for rec in batch],
     )

@@ -421,6 +421,8 @@ class TestCli:
         est = manifest["estimate"]
         assert est["n_paths"] == 400
         assert est["diagnostics"]["workers"] == 1  # 400 x 100 path-steps stay in process
+        # u_max * dt = 500 empties every reserve in the first step: one policy read
+        assert est["diagnostics"]["policy_lookup_steps"] == 1
         assert est["gap"] <= 3 * est["std_error"] + 2.0
         paths = (out / "paths.csv").read_text().splitlines()
         assert paths[0] == "path,t,x,y,regime,u,discounted_profit"

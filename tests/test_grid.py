@@ -69,6 +69,24 @@ def test_nearest_indices(grid):
     assert grid.nearest_indices(10.4, 50.26, -3.0) == (100, 101, 0)
 
 
+def test_nearest_indices_of_arrays_and_scalars_agree(grid):
+    """Half-way ties round to even and points outside the box clamp, the
+    same for an array and for each of its entries as a scalar."""
+    rng = np.random.default_rng(4)
+    ties = np.arange(-4.5, 205.0)  # k + 1/2 steps, from below 0 to beyond the cap
+    t = np.concatenate([rng.uniform(-1.0, 11.0, 100), ties[:110] * grid.time_step, [10.0]])
+    x = np.concatenate([rng.uniform(-20.0, 120.0, 100), ties[:111] * grid.price_step])
+    y = np.concatenate([rng.uniform(-2.0, 12.0, 100), ties[:111] % 30.0 * grid.reserve_step])
+    steps = (grid.time_step, grid.price_step, grid.reserve_step)
+    got = grid.nearest_indices(t, x, y)
+    for v, step, n, idx in zip((t, x, y), steps, grid.shape[1:], got):
+        assert idx.dtype == int
+        assert np.array_equal(idx, np.clip(np.rint(v / step), 0, n - 1))
+    for k in range(t.size):
+        assert grid.nearest_indices(t[k], x[k], y[k]) == tuple(idx[k] for idx in got)
+    assert grid.nearest_indices(np.array(10.45), 50.25, np.array(4.0)) == (100, 100, 8)  # 0-d
+
+
 def operator_on(grid, measure=None):
     """Upwind operator on the fixture grid; jump destinations are x + z."""
     M = grid.n_regimes

@@ -25,6 +25,7 @@ from oilopt import (
     switching_function,
 )
 from oilopt import simulate, solver
+from oilopt.policy import bang_bang_policy
 
 
 def no_action_model(horizon=1.0, sigma=0.2):
@@ -335,6 +336,21 @@ class TestPinnedNumbers:
         assert got == (216.59193941014718, 41.56313453109743, 1.6300000000000125, 122, 3, 0,
                        53.28377315876982)
 
+    @pytest.mark.parametrize("policy", [grid_policy(), threshold_policy],
+                             ids=["gridfield", "callable"])
+    @pytest.mark.parametrize("y0", [-0.0, 0.0], ids=["minus_zero", "plus_zero"])
+    def test_empty_start_reserve_keeps_its_signed_zeros(self, policy, y0, normal_block):
+        """From y = -0.0 the first applied rate is clip(min(u, -0.0), 0, u_max)
+        = -0.0 and the reserve then steps to +0.0; from y = +0.0 no zero is
+        negative. paths.csv prints the sign, so the bits are pinned."""
+        rec = simulate_path(fast_switching(jumpy_model()), policy, (0.0, 50.0, y0, 0), 1e-2, 7)
+        negative = [0] if math.copysign(1.0, y0) < 0 else []
+        assert np.flatnonzero(np.signbit(rec.u)).tolist() == negative
+        assert np.flatnonzero(np.signbit(rec.y)).tolist() == negative
+        assert not rec.u.any() and not rec.y.any()
+        assert (rec.total_payoff, rec.discounted_profit[-1], rec.terminal_contribution,
+                rec.n_jumps) == (185.5926722795939, -9.51863745920852, 195.11130973880242, 3)
+
 
 class TestBatch:
     def test_diagnostics_report_the_simulated_step_count(self):
@@ -391,20 +407,26 @@ def dies_on_four_paths(t, x, y, regime):
     return threshold_policy(t, x, y, regime)
 
 
-def assert_same_estimate(split, single):
-    """Equal reports, timings and the process count aside, with every
-    recorded path equal field by field."""
-    assert (split.diagnostics["workers"], single.diagnostics["workers"]) == (2, 1)
-    for f in dataclasses.fields(split):
+def assert_same_report(a, b):
+    """Equal reports, the cost counters (processes, timings and policy
+    reads) aside, with every recorded path equal field by field, bit for bit."""
+    for f in dataclasses.fields(a):
         if f.name not in ("diagnostics", "paths"):
-            assert getattr(split, f.name) == getattr(single, f.name), f.name
-    skip = {"workers", "draw_s", "step_s"}
-    assert ({k: v for k, v in split.diagnostics.items() if k not in skip}
-            == {k: v for k, v in single.diagnostics.items() if k not in skip})
-    assert len(split.paths) == len(single.paths)
-    for a, b in zip(split.paths, single.paths):
-        for f in dataclasses.fields(a):
-            assert np.array_equal(getattr(a, f.name), getattr(b, f.name)), f.name
+            assert getattr(a, f.name) == getattr(b, f.name), f.name
+    skip = {"workers", "draw_s", "step_s", "policy_lookup_steps"}
+    assert ({k: v for k, v in a.diagnostics.items() if k not in skip}
+            == {k: v for k, v in b.diagnostics.items() if k not in skip})
+    assert len(a.paths) == len(b.paths)
+    for pa, pb in zip(a.paths, b.paths):
+        for f in dataclasses.fields(pa):  # bytes, so a zero's sign counts too
+            assert (np.asarray(getattr(pa, f.name)).tobytes()
+                    == np.asarray(getattr(pb, f.name)).tobytes()), f.name
+
+
+def assert_same_estimate(split, single):
+    """assert_same_report, with the split on two processes and the other on one."""
+    assert (split.diagnostics["workers"], single.diagnostics["workers"]) == (2, 1)
+    assert_same_report(split, single)
 
 
 @pytest.fixture
@@ -503,6 +525,104 @@ class TestTwoProcesses:
         kw = dict(n_paths=40, dt=1e-2, seed=8, record=30)
         split = estimate_value(model, policy, PIN_START, **kw)
         assert_same_estimate(split, two_processes(model, policy, PIN_START, **kw))
+
+
+def grid_read(policy):
+    """A plain callable reading `policy` at Grid4D.nearest_indices' node,
+    which the simulator reads at every step."""
+    g = policy.grid
+    return lambda t, x, y, regime: policy.values[(regime, *g.nearest_indices(t, x, y))]
+
+
+EMPTYING_START = (0.0, 50.0, 0.5, 0)
+
+
+def emptying_grid_policy():
+    """grid_policy() at u_max = 100 on its first time slice: from
+    EMPTYING_START at dt = 0.01, every path empties its reserve in step 0."""
+    policy = grid_policy()
+    policy.values[:, 0] = 100.0
+    return policy
+
+
+SKIP_CASES = {"empty_after_step_0": (EMPTYING_START, emptying_grid_policy),
+              "reserve_kept": (PIN_START, grid_policy)}
+
+
+class TestEmptyReserves:
+    @pytest.mark.parametrize("processes", [1, 2])
+    @pytest.mark.parametrize("antithetic", [False, True])
+    @pytest.mark.parametrize("case", sorted(SKIP_CASES))
+    def test_skipped_policy_reads_move_no_bit(self, case, antithetic, processes, normal_block,
+                                              monkeypatch):
+        """A grid policy stops being read once every reserve is empty; the
+        same grid read through a callable is read at every step. Both give
+        the same estimate, clamps and recorded paths."""
+        if processes == 2:
+            if "fork" not in multiprocessing.get_all_start_methods():
+                pytest.skip("needs the fork start method")
+            monkeypatch.setattr(simulate, "PATH_WORKERS", 2)
+            monkeypatch.setattr(simulate, "SPLIT_MIN_PATH_STEPS", 0)
+        monkeypatch.setattr(simulate, "BATCH_PATHS", 16)
+        start, make = SKIP_CASES[case]
+        policy = make()
+        model = fast_switching(jumpy_model(measure=LevyMeasure.atoms([(-9.7, 0.3), (0.3, 0.5)])))
+        kw = dict(n_paths=64, dt=1e-2, seed=5, antithetic=antithetic, record=6)
+        skipping = estimate_value(model, policy, start, **kw)
+        reading = estimate_value(model, grid_read(policy), start, **kw)
+        assert_same_report(skipping, reading)
+        assert skipping.diagnostics["workers"] == processes
+        assert skipping.diagnostics["total_price_clamps"] > 0
+        batches = (32 if antithetic else 64) // 16  # both halves of a split hold whole batches
+        assert reading.diagnostics["policy_lookup_steps"] == 200 * batches
+        lookups = skipping.diagnostics["policy_lookup_steps"]
+        assert lookups == batches if case == "empty_after_step_0" else lookups > batches
+
+    def test_policy_lookup_steps(self, monkeypatch):
+        """Summed over batches: 1 per batch where every path empties at step
+        0, n_steps per batch for a callable, and in between for the pinned
+        grid-policy case once its batches are small enough to empty before
+        the horizon (5 of its 64 paths keep reserve to the end)."""
+        def lookups(policy, start, **kw):
+            est = estimate_value(fast_switching(jumpy_model()), policy, start, **PIN_KW, **kw)
+            return est.diagnostics["policy_lookup_steps"]
+
+        assert lookups(emptying_grid_policy(), EMPTYING_START) == 1
+        assert lookups(threshold_policy, PIN_START) == 200
+        assert lookups(grid_policy(), PIN_START) == 200
+        monkeypatch.setattr(simulate, "BATCH_PATHS", 8)  # 64 streams: 8 batches
+        assert lookups(emptying_grid_policy(), EMPTYING_START) == 8
+        assert lookups(emptying_grid_policy(), EMPTYING_START, antithetic=True) == 4
+        assert lookups(threshold_policy, PIN_START) == 1600
+        assert lookups(grid_policy(), PIN_START) == 1556
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -1e-300, -0.0],
+                             ids=["nan", "inf", "negative", "minus_zero"])
+    def test_a_grid_policy_with_a_rate_it_cannot_apply_is_refused(self, bad):
+        """A NaN rate turns every estimate that reads it into NaN, and a
+        skipped read would apply 0.0 in its place; an infinite or negative
+        rate is no extraction rate either. A -0.0 rate on an empty reserve
+        applies -0.0 when read and +0.0 when skipped. The first bad node in
+        (regime, s, x, y) order is named."""
+        policy = grid_policy()
+        policy.values[1, 3, 40, 7] = bad
+        policy.values[1, 5, 0, 0] = bad
+        message = (f"policy rate {bad!r} at node (regime, s_idx, x_idx, y_idx) = "
+                   f"(1, 3, 40, 7): a grid policy needs finite rates >= 0, and no -0.0")
+        with pytest.raises(ValueError) as info:
+            estimate_value(jumpy_model(), policy, PIN_START, **PIN_KW)
+        assert str(info.value) == message
+        with pytest.raises(ValueError) as info:
+            simulate_path(jumpy_model(), policy, PIN_START, 1e-2, 7)
+        assert str(info.value) == message
+
+    def test_bang_bang_policy_passes_the_rate_check(self):
+        model = jumpy_model(horizon=1.0)
+        grid = build_grid(1.0, 100.0, 10.0, 0.1, 0.5, 0.5, 2)
+        field, report = solve(model, grid, SolverConfig(sweep="backward"))
+        policy = bang_bang_policy(field, report.operator)
+        assert set(np.unique(policy.values).tolist()) == {0.0, model.economics.u_max}
+        assert simulate._policy_callable(policy)[1]
 
 
 class TestAnalyticOracle:
