@@ -28,6 +28,8 @@ import time
 import zlib
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__, solver
 from .config import RunConfig, load_config
 from .errors import ConfigError, NumericalError
@@ -75,10 +77,20 @@ def _settings(cfg: RunConfig) -> dict:
     }
 
 
+def _provenance() -> dict:
+    """numpy and the BLAS it was built with. The jump products' last bits may
+    depend on the BLAS, but a stored field is checked by its residual, so
+    these are recorded, not matched (they are not _settings)."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return {"numpy_version": np.__version__, "blas_name": blas.get("name"),
+            "blas_version": blas.get("version")}
+
+
 def _manifest(cfg: RunConfig, args, report=None, extra=None, stored=None) -> dict:
     """`stored` is the value_csv record of a field read from value.csv."""
     data = {
         **_settings(cfg),
+        "provenance": _provenance(),
         "command": args.command,
         "config_path": str(args.config),
         "simulation": dataclasses.asdict(cfg.simulation),
@@ -97,6 +109,7 @@ def _manifest(cfg: RunConfig, args, report=None, extra=None, stored=None) -> dic
             "wall_time_s": report.wall_time,
             "sweep_workers": solver.SWEEP_WORKERS,  # threads per full sweep
             "sweep_block": solver.sweep_block(cfg.grid),  # time slices per sweep task
+            "jump_band_share": report.operator.jump_band_share,
         }
         if report.slices:  # backward: inner passes per time slice
             passes = [p for p, _ in report.slices]

@@ -42,20 +42,22 @@ reserve-neighbor read at y - l for the sweep and for the switching field.
 Two sweep orders are provided. "jacobi" recomputes every node from the
 previous full-grid iterate (deterministic, trivially parallel: the update
 is a pure function of the frozen iterate, so any worker partition gives
-bit-identical results; see sweep for its two threads; BLAS threading is
-left alone, as on large grids OpenBLAS's thread count moves the last bits
-of the jump product). "backward" walks time slices from the horizon down,
-running the same per-node update as an inner fixed point on each slice
-until it settles before stepping back. Within a pass it updates the
-regimes in turn and scans the reserve axis upward, each node reading the
-neighbor value just written (Gauss-Seidel in y): the stencil reads only
-y - l, so the slice's reserve coupling is lower-triangular and one
-ascending scan solves it exactly, and the passes per slice do not grow
-with the reserve grid. Each slice's inner iteration starts from the cubic
-in time through the four converged slices above it (lower orders next to
-the horizon; see _warm_start), which roughly halves the passes per slice
-against a copy of the slice above. It reaches the same fixed point and is
-much faster when the horizon carries many slices.
+bit-identical results; see sweep for its two threads). BLAS threading is
+left alone: the jump term is a few small products over row bands (see
+_jump_bands), and on the 2x-refined reference grid OpenBLAS's thread count
+(1, 2 or unset) moved no bit of a backward solve, where the dense 401-wide
+product summed differently per thread count. "backward" walks time slices
+from the horizon down, running the same per-node update as an inner fixed
+point on each slice until it settles before stepping back. Within a pass
+it updates the regimes in turn and scans the reserve axis upward, each
+node reading the neighbor value just written (Gauss-Seidel in y): the
+stencil reads only y - l, so the slice's reserve coupling is
+lower-triangular and one ascending scan solves it exactly, and the passes
+per slice do not grow with the reserve grid. Each slice's inner iteration
+starts from the cubic in time through the four converged slices above it
+(lower orders next to the horizon; see _warm_start), which roughly halves
+the passes per slice against a copy of the slice above. It reaches the
+same fixed point and is much faster when the horizon carries many slices.
 """
 
 from __future__ import annotations
@@ -78,6 +80,10 @@ from .quadrature import ContractionReport, build_quadrature, check_contraction
 SWEEP_BLOCK_BYTES = 10 * 201 * 21 * 8
 _CPUS = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else range(os.cpu_count() or 1)
 SWEEP_WORKERS = min(2, len(_CPUS))  # threads per full sweep, the caller included
+# rows per band of a jump product (see _jump_bands). On reference.yaml 16 to
+# 64 rows kept the dense product's bits; 16 and 24 ran twice as slow as 32,
+# and 32 to 64 about equally fast (32 does the fewest multiply-adds)
+_JUMP_BAND_ROWS = 32
 
 
 def sweep_block(grid: Grid4D) -> int:
@@ -134,7 +140,8 @@ class DiscreteOperator:
     Per regime and price node it holds the price-neighbor weights a_vec and
     b_vec and the u-independent part of the center coefficient center_base,
     the weights the sweep applies as they are; and one jump matrix per
-    regime (jump_mat).
+    regime (jump_mat, dense), which the sweep applies as row bands over
+    their nonzero columns (jump_bands).
     Per control it holds the running profit and the denominators 1 + c(u)
     (see control_terms).
     """
@@ -161,6 +168,7 @@ class DiscreteOperator:
         self.contraction.require()
         self._build_coefficients()
         self.jump_mat = [self._build_jump_matrix(m) for m in range(grid.n_regimes)]
+        self.jump_bands = [None if P is None else _jump_bands(P) for P in self.jump_mat]
         self.controls = np.unique([0.0, model.economics.u_max])
         self._terms = {}
         for u in self.controls:
@@ -269,6 +277,16 @@ class DiscreteOperator:
             terms = self._terms[u] = (profit, den)
         return terms
 
+    @property
+    def jump_band_share(self):
+        """The banded jump products' multiply-adds over the dense products'
+        (None without a jump term)."""
+        dense = sum(P.size for P in self.jump_mat if P is not None)
+        if not dense:
+            return None
+        return sum((r1 - r0) * (c1 - c0) for bands in self.jump_bands if bands is not None
+                   for r0, r1, c0, c1, _ in bands) / dense
+
     # -- sweep building blocks ------------------------------------------------
 
     def _shift_x(self, block, up: bool):
@@ -298,8 +316,10 @@ class DiscreteOperator:
         base = V[m, lo + 1 : hi + 1] / (r * k)
         base += self.a_vec[m][:, None] * self._shift_x(Vt, up=True)
         base += self.b_vec[m][:, None] * self._shift_x(Vt, up=False)
-        if self.jump_mat[m] is not None:
-            jumps = np.matmul(self.jump_mat[m], Vt)
+        if self.jump_bands[m] is not None:
+            jumps = np.empty_like(Vt)
+            for r0, r1, c0, c1, band in self.jump_bands[m]:
+                np.matmul(band, Vt[:, c0:c1], out=jumps[:, r0:r1])
             base += np.divide(jumps, r, out=jumps)
         Q = self.model.generator
         for j in range(g.n_regimes):
@@ -426,6 +446,27 @@ class DiscreteOperator:
     def initial_guess(self) -> np.ndarray:
         """Terminal payoff broadcast across all time slices."""
         return np.broadcast_to(self.terminal[:, None], self.grid.shape).copy()
+
+
+def _jump_bands(P):
+    """P's rows cut into consecutive bands of at most _JUMP_BAND_ROWS rows, as
+    (r0, r1, c0, c1, P[r0:r1, c0:c1] contiguous), [c0, c1) the smallest
+    column range holding every nonzero of rows [r0, r1).
+
+    A band's product drops only exact zeros at the ends of each row, and
+    BLAS sums the rest in order: the dense product's bits wherever that sums
+    a row in one pass (201 columns), one answer where it split the sum per
+    thread count (401). When P has two rows or more, so does every band: a
+    one-row product goes to gemv, which sums in another order.
+    """
+    n = P.shape[0]
+    bands = []
+    for rows in np.array_split(np.arange(n), -(-n // _JUMP_BAND_ROWS)):
+        r0, r1 = int(rows[0]), int(rows[-1]) + 1
+        cols = np.flatnonzero(P[r0:r1].any(axis=0))
+        c0, c1 = (int(cols[0]), int(cols[-1]) + 1) if cols.size else (r0, r0)
+        bands.append((r0, r1, c0, c1, np.ascontiguousarray(P[r0:r1, c0:c1])))
+    return bands
 
 
 def _largest_change(new, old, out=None):

@@ -93,6 +93,20 @@ def write_config(tmp_path, data, name="cfg.yaml"):
     return str(p)
 
 
+def assert_run_records(manifest, cfg_path):
+    """Every command's manifest records numpy and the BLAS it was built with,
+    outside the settings a stored field must match, and the share of the
+    dense jump product's multiply-adds that the banded product computes."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    assert manifest["provenance"] == {"numpy_version": np.__version__,
+                                      "blas_name": blas["name"],
+                                      "blas_version": blas["version"]}
+    cfg = load_config(cfg_path)
+    assert "provenance" not in cli._settings(cfg)
+    op = DiscreteOperator(cfg.model, cfg.grid, cfg.solver)
+    assert manifest["run"]["jump_band_share"] == op.jump_band_share < 0.25
+
+
 def deep(data, *keys):
     out = json.loads(json.dumps(data))  # cheap deep copy
     node = out
@@ -261,6 +275,7 @@ class TestCli:
         assert manifest["run"]["sweep_workers"] == solver.SWEEP_WORKERS
         assert manifest["run"]["sweep_block"] == solver.sweep_block(load_config(cfg).grid)
         assert "passes_per_slice" not in manifest["run"]  # jacobi has no slices
+        assert_run_records(manifest, cfg)
         assert "solved" in capsys.readouterr().out
 
     @pytest.mark.parametrize("refine, shape, block", [(1, (101, 201, 21), 10),
@@ -375,6 +390,7 @@ class TestCli:
         assert (out / "policy.csv").read_text().splitlines()[0] == "s,x,y,regime,G,u_star"
         manifest = json.loads((out / "manifest.json").read_text())
         assert (manifest["threshold_rows"], manifest["threshold_rows_near_cap"]) == (168, 0)
+        assert_run_records(manifest, cfg)
 
     def test_policy_manifest_counts_threshold_rows_near_the_cap(self, tmp_path, capsys):
         """A cap of 24 pulls 6 thresholds to within one price step (0.5) of it:
@@ -418,6 +434,7 @@ class TestCli:
         out = tmp_path / "run"
         assert main(["simulate", "--config", cfg, "--out", str(out), "--record", "2"]) == 0
         manifest = json.loads((out / "manifest.json").read_text())
+        assert_run_records(manifest, cfg)
         est = manifest["estimate"]
         assert est["n_paths"] == 400
         assert est["diagnostics"]["workers"] == 1  # 400 x 100 path-steps stay in process
@@ -551,6 +568,7 @@ class TestCli:
         names = {c["name"] for c in manifest["checks"]}
         assert {"contraction", "balance-residual", "terminal-slice",
                 "single-threshold", "simulation-gap"} <= names
+        assert_run_records(manifest, cfg)
 
     def test_entry_point_runs(self, tmp_path):
         cfg = write_config(tmp_path, SMALL)

@@ -5,7 +5,8 @@ converges to the viscosity solution. Monotonicity is what these tests pin,
 on the arrays the solver actually iterates: nonnegative neighbor weights,
 positive center denominators, a raised price or reserve row that lowers no
 node (for the paper-faithful stencil too, wherever it builds), and order
-preservation of one sweep, for any jump measure.
+preservation of one sweep, for any jump measure. The banded jump product
+keeps the dense product's bits on every such model.
 """
 
 import dataclasses
@@ -13,6 +14,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from conftest import dense_base_block
 from hypothesis import example, given, settings, strategies as st
 
 from oilopt import (
@@ -298,3 +300,21 @@ def test_blocks_and_threads_move_no_bit(op, seed, data):
     assert np.array_equal(values, got_values)
     assert residuals == got_residuals
     assert worst == got_worst
+
+
+@settings(max_examples=25, deadline=None)
+@given(problem=small_problems(), rows=st.integers(3, 21), seed=st.integers(0, 2**32 - 1))
+def test_jump_bands_keep_the_dense_products_bits(problem, rows, seed):
+    """For any band height from 3 rows up (bands of 2 rows or more on 21
+    price nodes) and either jump convention, every regime's base block is
+    the dense product's, bit for bit."""
+    with mock.patch.object(solver, "_JUMP_BAND_ROWS", rows):
+        op = upwind_operator(problem)
+    if op.jump_mat[0] is None:
+        return
+    assert all(r1 - r0 >= 2 for bands in op.jump_bands for r0, r1, *_ in bands)
+    V = np.random.default_rng(seed).uniform(-100.0, 400.0, size=op.grid.shape)
+    n = op.grid.n_s - 1
+    for m in range(op.grid.n_regimes):
+        got, want = op._base_block(V, m, 0, n), dense_base_block(op, V, m, 0, n)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))

@@ -186,5 +186,6 @@ def test_jump_matrix_additive_convention():
 def test_jump_matrix_null_measure_is_zero():
     op = jump_operator(LevyMeasure.null(), gamma=0.1)
     assert op.jump_mat == [None]  # the sweep skips the jump term
+    assert op.jump_bands == [None] and op.jump_band_share is None
     assert op.scheme.total_mass == 0.0
     assert op.scheme.compensator_sum == 0.0

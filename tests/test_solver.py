@@ -1,9 +1,11 @@
 """Solver unit tests: coefficients, invariants, convergence, mode agreement."""
 
 import dataclasses
+import math
 import multiprocessing
 import os
 import re
+import subprocess
 import sys
 import threading
 import tracemalloc
@@ -12,6 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import yaml
+from conftest import dense_base_block
 
 from oilopt import (
     ConfigError,
@@ -62,6 +65,13 @@ def reference_model(horizon=2.0, u_max=50000.0):
 def small_grid(horizon=1.0, price_cap=100.0, k=0.1, h=0.5, l=0.5, n_regimes=1):
     return build_grid(horizon=horizon, price_cap=price_cap, reserve_capacity=10.0,
                       time_step=k, price_step=h, reserve_step=l, n_regimes=n_regimes)
+
+
+def blas_threaded_grid():
+    """Two regimes and 401 price nodes: OpenBLAS threaded the dense jump
+    product on this grid."""
+    return build_grid(horizon=1.0, price_cap=100.0, reserve_capacity=10.0, time_step=0.1,
+                      price_step=0.25, reserve_step=0.5, n_regimes=2)
 
 
 def block_budget(grid, slices):
@@ -549,11 +559,11 @@ class TestSweepThreads:
         assert proc.exitcode == 0
 
     def test_threaded_sweep_matches_serial_on_a_blas_threaded_grid(self, monkeypatch):
-        """With 401 price nodes OpenBLAS may thread the jump product under
-        the sweep's own threads; the bits must not move."""
+        """With 401 price nodes OpenBLAS threaded the dense jump product
+        under the sweep's own threads; the bits must not move (for the BLAS
+        thread count itself, see TestJumpBands)."""
         model = reference_model(horizon=1.0)
-        grid = build_grid(horizon=1.0, price_cap=100.0, reserve_capacity=10.0, time_step=0.1,
-                          price_step=0.25, reserve_step=0.5, n_regimes=2)
+        grid = blas_threaded_grid()
         assert grid.n_x >= 401
         op = DiscreteOperator(model, grid, SolverConfig())
         V = np.random.default_rng(11).uniform(-100.0, 400.0, size=grid.shape)
@@ -562,6 +572,93 @@ class TestSweepThreads:
         monkeypatch.setattr(solver, "SWEEP_WORKERS", 2)
         for _ in range(2):
             assert np.array_equal(op.sweep(V), serial)
+
+
+class TestJumpBands:
+    """The jump term is applied as row bands over each band's nonzero
+    columns, with the dense product's bits wherever that product sums each
+    row in one pass."""
+
+    @staticmethod
+    def reference_operator(refine=1):
+        data = yaml.safe_load(REFERENCE.read_text())
+        for key in ("time_step", "price_step", "reserve_step"):
+            data["grid"][key] /= refine
+        cfg = parse_config(data)
+        return DiscreteOperator(cfg.model, cfg.grid, cfg.solver)
+
+    def test_base_block_has_the_dense_products_bits_on_reference(self):
+        op = self.reference_operator()
+        V = np.random.default_rng(5).uniform(-100.0, 400.0, size=op.grid.shape)
+        for m in range(op.grid.n_regimes):
+            got = op._base_block(V, m, 30, 40)
+            want = dense_base_block(op, V, m, 30, 40)
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    @pytest.mark.parametrize("refine", [1, 2])
+    def test_bands_tile_the_rows_and_hold_every_nonzero(self, refine):
+        op = self.reference_operator(refine)
+        n = op.grid.n_x
+        for P, bands in zip(op.jump_mat, op.jump_bands):
+            covered = np.zeros(P.shape, dtype=bool)
+            edges = [0]
+            for r0, r1, c0, c1, band in bands:
+                assert r0 == edges[-1] and r1 - r0 >= 2
+                edges.append(r1)
+                assert band.flags.c_contiguous and np.array_equal(band, P[r0:r1, c0:c1])
+                # the smallest range: its first and last columns carry a nonzero
+                assert P[r0:r1, c0].any() and P[r0:r1, c1 - 1].any()
+                covered[r0:r1, c0:c1] = True
+            assert edges[-1] == n
+            assert not P[~covered].any()
+        areas = sum((r1 - r0) * (c1 - c0) for bands in op.jump_bands for r0, r1, c0, c1, _ in bands)
+        assert op.jump_band_share == areas / (op.grid.n_regimes * n * n) < 0.25
+
+    # 0 * inf in the product and inf - inf in the change, on either sweep thread
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    def test_an_infinite_entry_fails_in_its_regime_and_slice(self):
+        """inf at (1, 40, 150, 7) of reference.yaml's initial guess: the
+        residual is NaN, at a node of that regime, slice and reserve row
+        whose band reaches column 150 (0 * inf there). The dense product
+        spread the NaN over the whole row and named price index 0."""
+        op = self.reference_operator()
+        V = op.initial_guess()
+        V[1, 40, 150, 7] = np.inf
+        worst, info = dpp_residual(GridField(op.grid, V), op)
+        assert math.isnan(worst)
+        m, t, x, y = info["node"]
+        assert (m, t, y) == (1, 40, 7)
+        assert any(r0 <= x < r1 and c0 <= 150 < c1 for r0, r1, c0, c1, _ in op.jump_bands[1])
+        assert x > 0
+
+    @pytest.mark.skipif(
+        "openblas" not in str(np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+                              .get("name", "")).lower(),
+        reason="numpy's BLAS is not OpenBLAS")
+    def test_openblas_thread_count_moves_no_bit(self):
+        """One sweep of the 401-node grid hashes the same under one and two
+        OpenBLAS threads. The dense 401-wide product did not: OpenBLAS split
+        its sum, differently per thread count."""
+        script = (
+            "import hashlib\n"
+            "import numpy as np\n"
+            "from oilopt import DiscreteOperator, SolverConfig\n"
+            "from test_solver import blas_threaded_grid, reference_model\n"
+            "op = DiscreteOperator(reference_model(horizon=1.0), blas_threaded_grid(),\n"
+            "                      SolverConfig())\n"
+            "V = np.random.default_rng(11).uniform(-100.0, 400.0, size=op.grid.shape)\n"
+            "print(hashlib.sha256(op.sweep(V).tobytes()).hexdigest())\n"
+        )
+        here = Path(__file__).resolve().parent
+        path = [str(here.parent / "src"), str(here), os.environ.get("PYTHONPATH")]
+        digests = set()
+        for threads in ("1", "2"):
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+                   "PYTHONPATH": os.pathsep.join(filter(None, path))}
+            done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                                  text=True, timeout=120, check=True)
+            digests.add(done.stdout.strip())
+        assert len(digests) == 1 and len(digests.pop()) == 64
 
 
 class TestSolverConfig:
