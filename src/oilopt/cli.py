@@ -12,10 +12,11 @@ Output files are deterministic for a fixed configuration and seed; the run
 manifest (manifest.json) additionally carries wall-clock timings and is the
 only output that may differ between identical runs.
 
-policy and simulate read the value field from value.csv instead of solving
-when the manifest in --out records that solve wrote it for the same
-settings and the field passes the balance check at the tolerance (see
-_value_field); verify always solves.
+solve stores the value field twice: value.csv, the exact human-readable
+export, and value.npy, its float64 bytes. policy and simulate load the
+field from value.npy instead of solving when the manifest in --out records
+that solve wrote both files for the same settings and the field passes the
+balance check at the tolerance (see _value_field); verify always solves.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ import sys
 import time
 import zlib
 from pathlib import Path
+from tokenize import TokenError
 
 import numpy as np
 
@@ -87,7 +89,7 @@ def _provenance() -> dict:
 
 
 def _manifest(cfg: RunConfig, args, report=None, extra=None, stored=None) -> dict:
-    """`stored` is the value_csv record of a field read from value.csv."""
+    """`stored` holds the value_csv and value_npy records of a reused field."""
     data = {
         **_settings(cfg),
         "provenance": _provenance(),
@@ -96,10 +98,10 @@ def _manifest(cfg: RunConfig, args, report=None, extra=None, stored=None) -> dic
         "simulation": dataclasses.asdict(cfg.simulation),
     }
     if stored is not None:
-        data["value_csv"] = stored
+        data.update(stored)
     if report is not None:
         data["run"] = {
-            "value_field": "solved" if stored is None else "value.csv",
+            "value_field": "solved" if stored is None else "value.npy",
             "converged": report.final_residual < cfg.solver.tolerance,
             "iterations": report.iterations,
             "final_residual": report.final_residual,
@@ -145,7 +147,7 @@ def _write_convergence(out_dir: Path, report):
 
 
 def _file_record(path: Path) -> dict:
-    """The value_csv record of a file: its CRC-32, read in 1 MiB blocks, and size."""
+    """The manifest record of a file: its CRC-32, read in 1 MiB blocks, and size."""
     crc = size = 0
     with open(path, "rb") as fh:
         for block in iter(lambda: fh.read(1 << 20), b""):
@@ -154,30 +156,38 @@ def _file_record(path: Path) -> dict:
     return {"crc32": crc, "bytes": size}
 
 
-def _value_field(cfg: RunConfig, out_dir: Path):
-    """(field, report, value_csv record): the field a solve left in out_dir,
-    or a fresh solve (record None) when that field may not be used.
+def _stored_records(out_dir: Path) -> dict:
+    """The value_csv and value_npy records of the two files solve stores."""
+    return {f"value_{ext}": _file_record(out_dir / f"value.{ext}") for ext in ("csv", "npy")}
 
-    It is used only when the manifest there carries the value_csv record,
-    names this command's package version, YAML config, grid shape and solver
-    settings (after the flags), value.csv still has the recorded CRC-32 and
-    size, and one dpp_residual sweep of this command's operator over the
-    field read back stays below the tolerance: the field then solves this
+
+def _value_field(cfg: RunConfig, out_dir: Path):
+    """(field, report, records): the field a solve left in out_dir, with the
+    value_csv and value_npy records, or a fresh solve (records None) when
+    that field may not be used.
+
+    It is loaded from value.npy only when the manifest there names this
+    command's package version, YAML config, grid shape and solver settings
+    (after the flags), value.csv and value.npy still have the CRC-32 and
+    size it records, value.npy holds a float64 array of the grid's shape
+    (no pickles), and one dpp_residual sweep of this command's operator over
+    that field stays below the tolerance: the field then solves this
     operator at this tolerance, whatever wrote it. Its report counts 0
     iterations and carries that residual and the time spent here.
     """
     t0 = time.perf_counter()
-    path = out_dir / "value.csv"
     field = None
     try:
         with open(out_dir / "manifest.json", encoding="utf-8") as fh:
             manifest = json.load(fh)
-        record = manifest["value_csv"]
         own = json.loads(json.dumps(_settings(cfg)))  # as the manifest holds it
-        if (all(manifest.get(key) == value for key, value in own.items())
-                and _file_record(path) == record):
-            field = GridField.from_csv(cfg.grid, path)
-    except (OSError, ValueError, KeyError, TypeError):
+        records = _stored_records(out_dir)
+        if all(manifest[key] == value for key, value in {**own, **records}.items()):
+            values = np.load(out_dir / "value.npy", allow_pickle=False)
+            if values.dtype == np.float64:
+                field = GridField(cfg.grid, values)  # ValueError for another shape
+    # np.load: EOFError for an empty file, TokenError for a header it cannot read
+    except (OSError, ValueError, KeyError, TypeError, EOFError, TokenError):
         pass  # no usable field: solve
     if field is not None:
         op = DiscreteOperator(cfg.model, cfg.grid, cfg.solver)
@@ -188,7 +198,7 @@ def _value_field(cfg: RunConfig, out_dir: Path):
                 sweep=cfg.solver.sweep, contraction=op.contraction,
                 wall_time=time.perf_counter() - t0, operator=op,
             )
-            return field, report, record
+            return field, report, records
     return (*solve(cfg.model, cfg.grid, cfg.solver), None)
 
 
@@ -210,9 +220,9 @@ def _cap_warning(cfg, rows) -> int:
 def _cmd_solve(cfg: RunConfig, args, out_dir: Path) -> int:
     field, report = solve(cfg.model, cfg.grid, cfg.solver)
     field.to_csv(out_dir / "value.csv")
+    np.save(out_dir / "value.npy", field.values)
     _write_convergence(out_dir, report)
-    extra = {"value_csv": _file_record(out_dir / "value.csv")}
-    _write_manifest(out_dir, _manifest(cfg, args, report, extra))
+    _write_manifest(out_dir, _manifest(cfg, args, report, _stored_records(out_dir)))
     print(
         f"solved {tuple(cfg.grid.shape)} in {report.iterations} iterations "
         f"(residual {report.final_residual:.3g}, {report.wall_time:.1f}s) -> {out_dir}"

@@ -11,7 +11,7 @@ from __future__ import annotations
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import islice, repeat
+from itertools import repeat
 
 import numpy as np
 
@@ -118,49 +118,13 @@ class GridField:
         """Write rows s,x,y,regime,value ordered s-outer, then x, then y, then regime."""
         write_node_csv(self.grid, ("value",), lambda si: (self.values[:, si],), path_or_buf)
 
-    @classmethod
-    def from_csv(cls, grid: Grid4D, path_or_buf) -> GridField:
-        """The field to_csv wrote for `grid`, bit for bit (a shortest
-        round-trip decimal reads back as the same float).
-
-        Read one time slice at a time. Raises ValueError for a wrong header,
-        a row count other than the grid's, a non-number, a row whose s, x, y
-        or regime is not the grid node to_csv writes there, or a last row
-        without its newline (a truncated file).
-        """
-        M, n_s, n_x, n_y = grid.shape
-        rows = n_x * n_y * M
-        # the x, y and regime columns of every time slice, in row order
-        xym = np.stack([np.repeat(grid.x_values, n_y * M),
-                        np.tile(np.repeat(grid.y_values, M), n_x),
-                        np.tile(np.arange(M, dtype=float), n_x * n_y)], axis=1)
-        values = np.empty(grid.shape)
-        with csv_handle(path_or_buf, "r") as fh:
-            header = fh.readline()
-            if header != "s,x,y,regime,value\n":
-                raise ValueError(f"not a value CSV: header {header!r}")
-            for si, s in enumerate(grid.s_values.tolist()):
-                lines = list(islice(fh, rows))
-                if len(lines) != rows or not lines[-1].endswith("\n"):
-                    raise ValueError(f"time slice {si} holds {len(lines)} lines, not the "
-                                     f"grid's {rows} newline-terminated rows")
-                table = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
-                if table.shape != (rows, 5):  # loadtxt drops blank lines
-                    raise ValueError(f"time slice {si} is not {rows} rows of 5 numbers")
-                if not (np.all(table[:, 0] == s) and np.array_equal(table[:, 1:4], xym)):
-                    raise ValueError(f"time slice {si} does not list the grid's nodes in order")
-                values[:, si] = table[:, 4].reshape(n_x, n_y, M).transpose(2, 0, 1)
-            if fh.read(1):
-                raise ValueError(f"rows beyond the grid's {n_s * rows}")
-        return cls(grid, values)
-
 
 @contextmanager
-def csv_handle(path_or_buf, mode="w"):
-    """Yield a text handle: a path is opened in `mode` (writing by default)
-    and closed on exit, an already-open buffer is passed through untouched."""
+def csv_handle(path_or_buf):
+    """Yield a text handle to write to: a path is opened and closed on exit,
+    an already-open buffer is passed through untouched."""
     if isinstance(path_or_buf, (str, bytes)) or hasattr(path_or_buf, "__fspath__"):
-        with open(path_or_buf, mode, encoding="utf-8", newline="") as fh:
+        with open(path_or_buf, "w", encoding="utf-8", newline="") as fh:
             yield fh
     else:
         yield path_or_buf

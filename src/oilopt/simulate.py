@@ -38,11 +38,13 @@ A path with an empty reserve has no decision left: for a rate u >= 0,
 clip(min(u, 0/dt), 0, u_max) is +0.0 (for u = -0.0 it is -0.0). A GridField
 policy's rates are checked once to be finite, >= 0 and not -0.0, so after
 the first step that ends with every reserve of the batch empty, each step
-applies +0.0 without reading the policy and leaves Y as it is. The payoff still books profit_rate at u = 0. A
-callable policy is read at every step, since min(NaN, 0.0) is NaN. Where
-every path extracts its whole reserve in the first step, as at
-reference.yaml's start, that leaves one policy read per batch; a start that
-extracts later reads the policy until its last reserve is empty.
+applies +0.0 without reading the policy and leaves Y as it is. The payoff
+still books profit_rate, called with the scalars y = u = 0.0, which gives
+the bits of the call on the all-+0.0 Y and u arrays. A callable policy is
+read at every step, since min(NaN, 0.0) is NaN. Where every path extracts
+its whole reserve in the first step, as at reference.yaml's start, that
+leaves one policy read per batch; a start that extracts later reads the
+policy until its last reserve is empty.
 """
 
 from __future__ import annotations
@@ -319,7 +321,10 @@ def _simulate_block(model, policy, start, dt_target, streams, antithetic=False, 
         if reading:
             u_pol = np.asarray(policy_fn(t, X, Y, alpha), dtype=float)
             u_app = np.clip(np.minimum(u_pol, Y / dt), 0.0, e.u_max)
-        payoff += disc * profit_rate(model, t, X, Y, u_app) * dt
+            profit = profit_rate(model, t, X, Y, u_app)
+        else:  # every Y and u_app is +0.0: the same bits from scalars
+            profit = profit_rate(model, t, X, 0.0, 0.0)
+        payoff += disc * profit * dt
         dX = model.drift(X, mu_a, gam_a, comp_drift)
         dX *= dt
         X += dX

@@ -645,20 +645,55 @@ def verify_in_the_same_out(out):
                  "--skip-simulation"]) == 0
 
 
-def put_the_field_off_balance(out):
-    """A field that is no solution, with its own record: only the residual
-    check can refuse it."""
-    cfg = load_config(out.parent / "cfg.yaml")
-    field = GridField.from_csv(cfg.grid, out / "value.csv")
-    field.values[0, 0, 100, 10] += 1.0
-    field.to_csv(out / "value.csv")
+def record_the_stored_files(out):
+    """Record value.csv and value.npy as they now are, as solve would: a
+    forgery that only the checks after the CRC-32 can refuse."""
     manifest = read_manifest(out)
-    manifest["value_csv"] = cli._file_record(out / "value.csv")
+    manifest.update(cli._stored_records(out))
     (out / "manifest.json").write_text(json.dumps(manifest))
 
 
+def forge_the_npy(change):
+    def edit(out):
+        np.save(out / "value.npy", change(np.load(out / "value.npy")))
+        record_the_stored_files(out)
+    return edit
+
+
+def forge_npy_bytes(edit_bytes):
+    def edit(out):
+        path = out / "value.npy"
+        path.write_bytes(edit_bytes(path.read_bytes()))
+        record_the_stored_files(out)
+    return edit
+
+
+def put_the_field_off_balance(out):
+    """A field that is no solution, in both files, with their own records:
+    only the residual check can refuse it."""
+    cfg = load_config(out.parent / "cfg.yaml")
+    field = GridField(cfg.grid, np.load(out / "value.npy"))
+    field.values[0, 0, 100, 10] += 1.0
+    field.to_csv(out / "value.csv")
+    np.save(out / "value.npy", field.values)
+    record_the_stored_files(out)
+
+
+def flip_a_low_bit(out):
+    """The last bit of a middle stored float: the field moves by one ulp,
+    which the residual check passes, so only the CRC-32 can refuse it."""
+    values = np.load(out / "value.npy")
+    values.reshape(-1).view(np.uint64)[values.size // 2] ^= 1
+    np.save(out / "value.npy", values)
+
+
+def truncate_the_npy(out):
+    path = out / "value.npy"
+    path.write_bytes(path.read_bytes()[: path.stat().st_size // 2])
+
+
 class TestValueFieldReuse:
-    """policy and simulate read the field solve left in --out when it was
+    """policy and simulate load the field solve left in --out when it was
     solved for their settings and still solves their operator."""
 
     @pytest.mark.parametrize("sweep", ["jacobi", "backward"])
@@ -674,14 +709,16 @@ class TestValueFieldReuse:
         assert len(solves) == 1
         solved, *reused = manifests
         assert solved["run"]["value_field"] == "solved"
-        assert solved["value_csv"] == cli._file_record(out / "value.csv")
+        records = {"value_csv": cli._file_record(out / "value.csv"),
+                   "value_npy": cli._file_record(out / "value.npy")}
+        for manifest in manifests:
+            assert {key: manifest[key] for key in records} == records
         for manifest in reused:
             run = manifest["run"]
-            assert run["value_field"] == "value.csv"
+            assert run["value_field"] == "value.npy"
             assert run["iterations"] == 0 and run["converged"] is True
             assert run["final_residual"] < SMALL["solver"]["tolerance"]
             assert "passes_per_slice" not in run
-            assert manifest["value_csv"] == solved["value_csv"]
         pinned = {name.split("/")[1]: digest
                   for name, digest in TestCli.CSV_SHA256[sweep].items()}
         assert {f.name: hashlib.sha256(f.read_bytes()).hexdigest()
@@ -694,8 +731,30 @@ class TestValueFieldReuse:
         assert main(["solve", "--config", cfg, "--out", str(out)]) == 0
         assert main(["verify", "--config", cfg, "--out", str(out), "--skip-simulation"]) == 0
         assert len(solves) == 2
-        assert read_manifest(out)["run"]["value_field"] == "solved"
-        assert "value_csv" not in read_manifest(out)
+        manifest = read_manifest(out)
+        assert manifest["run"]["value_field"] == "solved"
+        assert "value_csv" not in manifest and "value_npy" not in manifest
+
+    @pytest.mark.parametrize("sweep", ["jacobi", "backward"])
+    def test_both_stored_files_hold_the_solved_bits(self, tmp_path, monkeypatch, sweep):
+        """value.csv's value column, read as floats, and value.npy are the
+        field solve returned, bit for bit: a float64, C-order array."""
+        solved = []
+        monkeypatch.setattr(cli, "solve", lambda *a: solved.append(solve(*a)) or solved[-1])
+        cfg = write_config(tmp_path, SMALL)
+        out = tmp_path / "run"
+        assert main(["solve", "--config", cfg, "--out", str(out), "--sweep", sweep]) == 0
+        [(field, _)] = solved
+        M, n_s, n_x, n_y = field.grid.shape
+        header, *rows = (out / "value.csv").read_text().splitlines()
+        assert header == "s,x,y,regime,value"
+        csv_values = np.array([float(row.rsplit(",", 1)[1]) for row in rows])
+        csv_values = csv_values.reshape(n_s, n_x, n_y, M).transpose(3, 0, 1, 2)
+        stored = np.load(out / "value.npy", allow_pickle=False)
+        assert stored.dtype == np.float64 and stored.flags.c_contiguous
+        assert stored.shape == field.grid.shape
+        assert stored.tobytes() == field.values.tobytes()
+        assert np.ascontiguousarray(csv_values).tobytes() == field.values.tobytes()
 
     @pytest.mark.parametrize("edit, flags", [
         (None, ["--tolerance", "2e-6"]),
@@ -706,24 +765,39 @@ class TestValueFieldReuse:
         (verify_in_the_same_out, []),
         (lambda out: (out / "manifest.json").unlink(), []),
         (put_the_field_off_balance, []),
+        (lambda out: (out / "value.npy").unlink(), []),
+        (truncate_the_npy, []),
+        (flip_a_low_bit, []),
+        (forge_the_npy(lambda v: v.reshape(-1)), []),
+        (forge_the_npy(lambda v: v.astype(np.float32)), []),
+        (forge_the_npy(lambda v: v.astype(object)), []),
+        (forge_npy_bytes(lambda b: b""), []),  # np.load raises EOFError
+        (forge_npy_bytes(lambda b: b.replace(b"), }", b" , }", 1)), []),  # TokenError
     ], ids=["tolerance", "sweep", "model-key", "digit", "truncated", "verify-manifest",
-            "no-manifest", "off-balance"])
+            "no-manifest", "off-balance", "npy-missing", "npy-truncated", "npy-bit",
+            "npy-shape", "npy-float32", "npy-object", "npy-empty", "npy-header"])
     @pytest.mark.parametrize("command", [["policy"], ["simulate", "--record", "0"]],
                              ids=lambda argv: argv[0])
     def test_a_field_that_may_not_be_used_is_solved_again(
             self, tmp_path, monkeypatch, edit, flags, command):
+        """Only the off-balance field reaches the residual check: every other
+        field is refused before it, by the settings, a record or the load."""
         cfg = write_config(tmp_path, SMALL)
         out = tmp_path / "run"
         assert main(["solve", "--config", cfg, "--out", str(out)]) == 0
         if edit is not None:
             edit(out)
         solves = counted_solves(monkeypatch)
+        checked = []
+        monkeypatch.setattr(cli, "dpp_residual",
+                            lambda *a, real=cli.dpp_residual: checked.append(1) or real(*a))
         assert main([command[0], "--config", cfg, "--out", str(out), *flags, *command[1:]]) == 0
         assert len(solves) == 1
+        assert len(checked) == (edit is put_the_field_off_balance)
         manifest = read_manifest(out)
         assert manifest["run"]["value_field"] == "solved"
         assert manifest["run"]["iterations"] > 0
-        assert "value_csv" not in manifest
+        assert "value_csv" not in manifest and "value_npy" not in manifest
 
 
 class TestVerifyChecks:

@@ -175,53 +175,25 @@ def tiny_csv(values=None) -> str:
     return buf.getvalue()
 
 
+def csv_values(text) -> np.ndarray:
+    """The value column of a value CSV, read with float(), on TINY's shape."""
+    M, n_s, n_x, n_y = TINY.shape
+    values = [float(row.rsplit(",", 1)[1]) for row in text.splitlines()[1:]]
+    return np.array(values).reshape(n_s, n_x, n_y, M).transpose(3, 0, 1, 2)
+
+
 @given(arrays(float, TINY.shape, elements=st.one_of(
     st.sampled_from(HARD_FLOATS), st.floats(allow_nan=False, allow_infinity=False))))
-def test_csv_read_back_is_bit_exact(values):
-    read = GridField.from_csv(TINY, io.StringIO(tiny_csv(values)))
-    assert read.values.tobytes() == values.tobytes()
+def test_csv_values_read_back_bit_exact(values):
+    """Every value to_csv writes is a shortest round-trip decimal: read with
+    float(), it has the field's bits, signed zeros and subnormals included."""
+    read = csv_values(tiny_csv(values))
+    assert np.ascontiguousarray(read).tobytes() == values.tobytes()
 
 
-def test_csv_read_back_from_a_path(tmp_path):
+def test_csv_to_a_path_writes_the_buffer_text(tmp_path):
     field = GridField(TINY, np.arange(np.prod(TINY.shape), dtype=float).reshape(TINY.shape))
     field.to_csv(tmp_path / "value.csv")
-    assert np.array_equal(GridField.from_csv(TINY, tmp_path / "value.csv").values, field.values)
-
-
-def _swap_first_rows(text):
-    head, a, b, *rest = text.splitlines(keepends=True)
-    return "".join([head, b, a, *rest])
-
-
-@pytest.mark.parametrize("edit", [
-    lambda t: t.replace("value", "G", 1),  # header
-    lambda t: t.split("\n", 1)[1],  # no header
-    lambda t: t[: t.rstrip("\n").rfind("\n") + 1],  # one row short
-    lambda t: t + t.splitlines(keepends=True)[-1],  # one row over
-    lambda t: t[:-1],  # the last newline cut off
-    lambda t: t[:-3],  # cut inside the last number
-    lambda t: t.replace(",0.0\n", ",abc\n", 1),  # a non-number value
-    lambda t: t.replace("0.5,0.5,0.5,1,", "0.5,0.5,x,1,", 1),  # a non-number coordinate
-    lambda t: t.replace(",0.0\n", ",0.0,0.0\n", 1),  # a sixth column
-    lambda t: t.replace("\n", "\n\n", 2),  # a blank line
-    _swap_first_rows,  # the nodes out of order
-    lambda t: "",
-], ids=["header", "no-header", "row-short", "row-over", "no-last-newline", "truncated",
-        "non-number", "non-number-coordinate", "sixth-column", "blank-line", "row-order",
-        "empty"])
-def test_csv_read_back_refuses_what_to_csv_does_not_write(edit):
-    text = tiny_csv()
-    assert GridField.from_csv(TINY, io.StringIO(text)).values.tobytes() == \
-        np.zeros(TINY.shape).tobytes()
-    with pytest.raises(ValueError):
-        GridField.from_csv(TINY, io.StringIO(edit(text)))
-
-
-def test_csv_of_another_grid_with_as_many_nodes_is_refused():
-    """Same shape, other steps: the coordinates differ."""
-    other = build_grid(horizon=1.5, price_cap=1.0, reserve_capacity=1.0,
-                       time_step=0.75, price_step=0.5, reserve_step=0.5, n_regimes=2)
-    buf = io.StringIO()
-    GridField(other).to_csv(buf)
-    with pytest.raises(ValueError, match="nodes in order"):
-        GridField.from_csv(TINY, io.StringIO(buf.getvalue()))
+    text = (tmp_path / "value.csv").read_text(encoding="utf-8")
+    assert text == tiny_csv(field.values)
+    assert np.array_equal(csv_values(text), field.values)

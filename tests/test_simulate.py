@@ -19,6 +19,7 @@ from oilopt import (
     build_grid,
     estimate_value,
     extract_policy,
+    profit_rate,
     simulate_path,
     simulate_regime_chain,
     solve,
@@ -577,6 +578,24 @@ class TestEmptyReserves:
         assert reading.diagnostics["policy_lookup_steps"] == 200 * batches
         lookups = skipping.diagnostics["policy_lookup_steps"]
         assert lookups == batches if case == "empty_after_step_0" else lookups > batches
+
+    @pytest.mark.parametrize("fixed_cost", [5.0, 0.0])
+    @pytest.mark.parametrize("price_kind", ["linear", "exponential"])
+    @pytest.mark.parametrize("y", [0.0, -0.0], ids=["plus_zero", "minus_zero"])
+    def test_empty_step_books_the_array_bits_from_scalars(self, y, price_kind, fixed_cost):
+        """Once every reserve is empty, a step books profit_rate(model, t, X,
+        0.0, 0.0): the bits of the call on all-zero Y and u arrays, for every
+        X, non-finite ones included."""
+        model = jumpy_model()
+        model = dataclasses.replace(
+            model, price_kind=price_kind,
+            economics=dataclasses.replace(model.economics, fixed_cost=fixed_cost))
+        X = np.array([0.0, -0.0, 5e-324, 50.0, 1e308, -1e308, math.inf, -math.inf, math.nan,
+                      -math.nan])
+        with np.errstate(over="ignore", invalid="ignore"):  # exp(1e308), inf * 0
+            arrays = profit_rate(model, 0.3, X, np.full(X.size, y), np.zeros(X.size))
+            scalars = profit_rate(model, 0.3, X, 0.0, 0.0)
+        assert scalars.tobytes() == arrays.tobytes()
 
     def test_policy_lookup_steps(self, monkeypatch):
         """Summed over batches: 1 per batch where every path empties at step
