@@ -5,8 +5,9 @@ function, bang-bang policy, threshold curve), simulate (Monte Carlo payoff
 under the extracted policy), verify (the self-check suite).
 
 Exit codes: 0 on success, 1 for configuration problems (bad YAML, bad keys,
-invalid model or grid, an --out that cannot be a directory), 2 for numerical
-failures (contraction violation, divergence, failed verification checks).
+invalid model or grid, an --out that cannot be a directory, an output file
+that cannot be written), 2 for numerical failures (contraction violation,
+divergence, failed verification checks).
 
 Output files are deterministic for a fixed configuration and seed; the run
 manifest (manifest.json) additionally carries wall-clock timings and is the
@@ -35,7 +36,7 @@ import numpy as np
 from . import __version__, solver
 from .config import RunConfig, load_config
 from .errors import ConfigError, NumericalError
-from .grid import GridField, csv_handle
+from .grid import GridField, write_rows
 from .policy import curve_table, write_curve_csv, write_policy_csv
 from .simulate import check_record
 from .solver import ConvergenceReport, DiscreteOperator, dpp_residual, solve
@@ -134,15 +135,11 @@ def _write_manifest(out_dir: Path, data: dict):
 def _write_convergence(out_dir: Path, report):
     """jacobi: one row per sweep; backward: one row per time slice."""
     path = out_dir / "convergence.csv"
-    with csv_handle(path) as fh:
-        if report.slices:
-            fh.write("slice,passes,last_change\n")
-            for t, (passes, change) in enumerate(report.slices):
-                fh.write(f"{t},{passes},{change!r}\n")
-        else:
-            fh.write("iteration,residual\n")
-            for i, res in enumerate(report.residuals, start=1):
-                fh.write(f"{i},{res!r}\n")
+    if report.slices:
+        write_rows(path, ("slice", "passes", "last_change"),
+                   ((t, passes, change) for t, (passes, change) in enumerate(report.slices)))
+    else:
+        write_rows(path, ("iteration", "residual"), enumerate(report.residuals, start=1))
     return path
 
 
@@ -259,12 +256,11 @@ def _cmd_simulate(cfg: RunConfig, args, out_dir: Path) -> int:
     est, v_grid, gap = simulation_gap(cfg, field, report.operator, record=args.record)
     mc_wall = time.perf_counter() - t0
     if est.paths:
-        with csv_handle(out_dir / "paths.csv") as fh:
-            fh.write("path,t,x,y,regime,u,discounted_profit\n")
-            for p, rec in enumerate(est.paths):
-                cols = (rec.times, rec.x, rec.y, rec.regime, rec.u, rec.discounted_profit)
-                for t, x, y, m, u, v in zip(*(c.tolist() for c in cols)):
-                    fh.write(f"{p},{t!r},{x!r},{y!r},{m},{u!r},{v!r}\n")
+        rows = ((p, *row) for p, rec in enumerate(est.paths) for row in zip(
+            *(c.tolist() for c in (rec.times, rec.x, rec.y, rec.regime, rec.u,
+                                   rec.discounted_profit))))
+        write_rows(out_dir / "paths.csv",
+                   ("path", "t", "x", "y", "regime", "u", "discounted_profit"), rows)
     estimate = {f.name: getattr(est, f.name) for f in dataclasses.fields(est) if f.name != "paths"}
     estimate.update(grid_value_at_start=v_grid, gap=gap, wall_time_s=mc_wall)
     _write_manifest(out_dir, _manifest(cfg, args, report, {"estimate": estimate}, stored))
@@ -352,6 +348,11 @@ def main(argv=None) -> int:
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
+    except OSError as exc:  # reads are handled where they happen: a named file is an output
+        if exc.filename is None:
+            raise
+        print(f"cannot write output: {exc.filename}: {exc.strerror}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

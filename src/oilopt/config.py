@@ -131,16 +131,14 @@ def _build_measure(section) -> LevyMeasure:
         except (TypeError, ValueError) as exc:
             raise ConfigError("model.measure.pairs must be a list of [size, mass] pairs") from exc
         return LevyMeasure.atoms(parsed)
+    if family == "double_exponential":
+        _get(section, "decay", "model.measure")  # required; the others default
+    # only the keys given, so the constructor's defaults hold; sorted is the old order
+    numbers = {k: _get_number(section, k, "model.measure") for k in sorted(section)
+               if k != "family"}
     if family == "uniform":
-        return LevyMeasure.uniform(
-            half_width=_get_number(section, "half_width", "model.measure", 1.0),
-            total_mass=_get_number(section, "total_mass", "model.measure", 1.0),
-        )
-    return LevyMeasure.double_exponential(
-        decay=_get_number(section, "decay", "model.measure"),
-        half_width=_get_number(section, "half_width", "model.measure", 5.0),
-        total_mass=_get_number(section, "total_mass", "model.measure", 1.0),
-    )
+        return LevyMeasure.uniform(**numbers)
+    return LevyMeasure.double_exponential(**numbers)
 
 
 def parse_config(data: dict) -> RunConfig:

@@ -130,6 +130,15 @@ def csv_handle(path_or_buf):
         yield path_or_buf
 
 
+def write_rows(path_or_buf, header, rows):
+    """A header line, then one line per row of Python numbers (None for an
+    empty cell), each number as its shortest round-trip decimal (repr)."""
+    with csv_handle(path_or_buf) as fh:
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join("" if v is None else repr(v) for v in row) + "\n")
+
+
 def write_node_csv(grid: Grid4D, columns, slice_columns, path_or_buf):
     """Node rows s,x,y,regime,<columns> ordered s-outer, then x, then y, then regime.
 

@@ -25,6 +25,15 @@ from .quadrature import _integral
 # ---------------------------------------------------------------------------
 
 
+def _on_support(f, w):
+    """The density z -> f(z) on [-w, w] and 0.0 outside, z read as a float array."""
+    def dens(z):
+        z = np.asarray(z, dtype=float)
+        return np.where(np.abs(z) <= w, f(z), 0.0)
+
+    return dens
+
+
 @dataclass(frozen=True)
 class LevyMeasure:
     """Finite-activity jump measure on the real line.
@@ -71,14 +80,8 @@ class LevyMeasure:
             raise ValueError("total_mass must be nonnegative")
         w = float(half_width)
         level = float(total_mass) / (2.0 * w)
-
-        def dens(z):
-            z = np.asarray(z, dtype=float)
-            return np.where(np.abs(z) <= w, level, 0.0)
-
-        return LevyMeasure(
-            kind="density", total_mass=float(total_mass), support=w, _density=dens
-        )
+        return LevyMeasure(kind="density", total_mass=float(total_mass), support=w,
+                           _density=_on_support(lambda z: level, w))
 
     @staticmethod
     def double_exponential(
@@ -94,13 +97,8 @@ class LevyMeasure:
         # integral of exp(-lam|z|) over [-w, w] is 2*(1 - exp(-lam*w))/lam
         scale = float(total_mass) * lam / (2.0 * (1.0 - math.exp(-lam * w)))
 
-        def dens(z):
-            z = np.asarray(z, dtype=float)
-            return np.where(np.abs(z) <= w, scale * np.exp(-lam * np.abs(z)), 0.0)
-
-        out = LevyMeasure(
-            kind="density", total_mass=float(total_mass), support=w, _density=dens
-        )
+        out = LevyMeasure(kind="density", total_mass=float(total_mass), support=w,
+                          _density=_on_support(lambda z: scale * np.exp(-lam * np.abs(z)), w))
         object.__setattr__(out, "_de_params", (lam, w))
         return out
 
@@ -130,12 +128,8 @@ class LevyMeasure:
             dens_fn = lambda z, _f=factor: _f * np.asarray(density(z), dtype=float)
             gamma = float(total_mass)
 
-        def dens(z):
-            z = np.asarray(z, dtype=float)
-            vals = np.asarray(dens_fn(z), dtype=float)
-            return np.where(np.abs(z) <= w, vals, 0.0)
-
-        return LevyMeasure(kind="density", total_mass=gamma, support=w, _density=dens)
+        return LevyMeasure(kind="density", total_mass=gamma, support=w,
+                           _density=_on_support(lambda z: np.asarray(dens_fn(z), dtype=float), w))
 
     # -- queries -------------------------------------------------------------
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import GridField, csv_handle, write_node_csv
+from .grid import GridField, write_node_csv, write_rows
 from .model import MarketModel
 from .solver import DiscreteOperator
 
@@ -118,11 +118,7 @@ def curve_table(field: GridField, op: DiscreteOperator):
 
 def write_curve_csv(rows, path_or_buf):
     """Rows s,y,regime,x_star; empty cell when there is no crossing."""
-    with csv_handle(path_or_buf) as fh:
-        fh.write("s,y,regime,x_star\n")
-        for s, y, m, x_star in rows:
-            tail = "" if x_star is None else repr(float(x_star))
-            fh.write(f"{s!r},{y!r},{m},{tail}\n")
+    write_rows(path_or_buf, ("s", "y", "regime", "x_star"), rows)
 
 
 def write_policy_csv(field: GridField, op: DiscreteOperator, path_or_buf):

@@ -137,13 +137,13 @@ class ConvergenceReport:
 class DiscreteOperator:
     """Precomputed sweep machinery for one (model, grid, config) triple.
 
-    Per regime and price node it holds the price-neighbor weights a_vec and
-    b_vec and the u-independent part of the center coefficient center_base,
-    the weights the sweep applies as they are; and one jump matrix per
-    regime (jump_mat, dense), which the sweep applies as row bands over
-    their nonzero columns (jump_bands).
-    Per control it holds the running profit and the denominators 1 + c(u)
-    (see control_terms).
+    It holds each term of the sweep once, in the form the sweep applies it.
+    Per regime and price node: the price-neighbor weights a_vec and b_vec
+    and the u-independent part of the center coefficient center_base. Per
+    regime: the jump matrix's row bands over their nonzero columns
+    (jump_bands); the dense matrix is built only to cut them, and jump_mat
+    builds it again on first read. Per control: the running profit over r
+    and the denominators 1 + c(u) (see control_terms).
     """
 
     def __init__(self, model: MarketModel, grid: Grid4D, cfg: SolverConfig):
@@ -167,8 +167,8 @@ class DiscreteOperator:
         self.contraction = check_contraction(self.scheme, self.r)
         self.contraction.require()
         self._build_coefficients()
-        self.jump_mat = [self._build_jump_matrix(m) for m in range(grid.n_regimes)]
-        self.jump_bands = [None if P is None else _jump_bands(P) for P in self.jump_mat]
+        self.jump_bands = [None if P is None else _jump_bands(P)
+                           for P in map(self._build_jump_matrix, range(grid.n_regimes))]
         self.controls = np.unique([0.0, model.economics.u_max])
         self._terms = {}
         for u in self.controls:
@@ -253,8 +253,14 @@ class DiscreteOperator:
             np.add.at(P, (rows, hi), w * frac)
         return P
 
+    @functools.cached_property
+    def jump_mat(self):
+        """The dense jump matrix per regime (None without a jump term), built
+        on first read; the sweep reads only jump_bands."""
+        return [self._build_jump_matrix(m) for m in range(self.grid.n_regimes)]
+
     def control_terms(self, u):
-        """(running profit, 1 + c(u)) for one control, shapes (n_x, n_y) and (M, n_x).
+        """(running profit / r, 1 + c(u)) for one control, shapes (n_x, n_y) and (M, n_x).
 
         The cost family is time-independent, so one profit slab per control
         serves every time slice. Terms are built on first use and cached. The
@@ -274,31 +280,20 @@ class DiscreteOperator:
             profit = np.asarray(
                 profit_rate(self.model, 0.0, g.x_values[:, None], g.y_values[None, :], u)
             )
-            terms = self._terms[u] = (profit, den)
+            terms = self._terms[u] = (profit / self.r, den)
         return terms
 
     @property
     def jump_band_share(self):
         """The banded jump products' multiply-adds over the dense products'
         (None without a jump term)."""
-        dense = sum(P.size for P in self.jump_mat if P is not None)
-        if not dense:
+        banded = [bands for bands in self.jump_bands if bands is not None]
+        if not banded:
             return None
-        return sum((r1 - r0) * (c1 - c0) for bands in self.jump_bands if bands is not None
-                   for r0, r1, c0, c1, _ in bands) / dense
+        return sum((r1 - r0) * (c1 - c0) for bands in banded
+                   for r0, r1, c0, c1, _ in bands) / (len(banded) * self.grid.n_x ** 2)
 
     # -- sweep building blocks ------------------------------------------------
-
-    def _shift_x(self, block, up: bool):
-        """Clamped neighbor read along the price axis (axis -2)."""
-        out = np.empty_like(block)
-        if up:
-            out[..., :-1, :] = block[..., 1:, :]
-            out[..., -1, :] = block[..., -1, :]
-        else:
-            out[..., 1:, :] = block[..., :-1, :]
-            out[..., 0, :] = block[..., 0, :]
-        return out
 
     def reserve_neighbor(self, block):
         """The stencil's reserve-neighbor read of `block` at y - l, clamped at
@@ -313,9 +308,13 @@ class DiscreteOperator:
         g = self.grid
         r, k = self.r, g.time_step
         Vt = V[m, lo:hi]
+        a, b = self.a_vec[m][:, None], self.b_vec[m][:, None]
         base = V[m, lo + 1 : hi + 1] / (r * k)
-        base += self.a_vec[m][:, None] * self._shift_x(Vt, up=True)
-        base += self.b_vec[m][:, None] * self._shift_x(Vt, up=False)
+        # the price neighbors, clamped at the faces: every a term before the b terms
+        base[..., :-1, :] += a[:-1] * Vt[..., 1:, :]
+        base[..., -1, :] += a[-1] * Vt[..., -1, :]
+        base[..., 1:, :] += b[1:] * Vt[..., :-1, :]
+        base[..., 0, :] += b[0] * Vt[..., 0, :]
         if self.jump_bands[m] is not None:
             jumps = np.empty_like(Vt)
             for r0, r1, c0, c1, band in self.jump_bands[m]:
@@ -346,7 +345,7 @@ class DiscreteOperator:
         for u in controls:
             u = float(u)
             profit, den = self.control_terms(u)
-            num = base + profit / r
+            num = base + profit
             if u == 0.0:
                 num /= den[m][:, None]
                 best = num if best is None else np.maximum(best, num, out=best)
@@ -363,7 +362,7 @@ class DiscreteOperator:
             if best is None:
                 best = cand
                 profit0, den0 = self.control_terms(0.0)
-                best[..., 0] = (base[..., 0] + profit0[:, 0] / r) / den0[m]
+                best[..., 0] = (base[..., 0] + profit0[:, 0]) / den0[m]
             else:
                 # extraction is not admissible on an empty reserve
                 np.maximum(best[..., 1:], cand[..., 1:], out=best[..., 1:])

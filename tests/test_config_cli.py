@@ -320,6 +320,25 @@ class TestCli:
         assert solves == []
         assert taken.read_text() == "not a directory\n"
 
+    @pytest.mark.parametrize("command, blocked", [
+        (["solve"], "value.csv"),
+        (["policy"], "policy.csv"),
+        (["simulate", "--record", "2"], "paths.csv"),
+        (["verify", "--skip-simulation"], "manifest.json"),
+    ], ids=["solve", "policy", "simulate", "verify"])
+    def test_unwritable_output_exits_one_naming_the_path(self, tmp_path, capsys, command,
+                                                          blocked):
+        """An output file that cannot be written (a directory holds its
+        name) exits 1, as a configuration problem does: one stderr line
+        naming the path, no traceback."""
+        cfg = write_config(tmp_path, SMALL)
+        out = tmp_path / "run"
+        (out / blocked).mkdir(parents=True)
+        assert main([*command, "--config", cfg, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"cannot write output: {out / blocked}: ")
+        assert err.count("\n") == 1 and "Traceback" not in err
+
     def test_outputs_byte_identical_across_runs(self, tmp_path):
         cfg = write_config(tmp_path, SMALL)
         a, b = tmp_path / "a", tmp_path / "b"

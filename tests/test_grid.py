@@ -119,13 +119,19 @@ def test_interpolated_lookup(grid):
 
 def test_neighbor_clamps_at_edges(grid):
     """The operator's neighbor reads replicate the face value (zero gradient)."""
-    op = operator_on(grid)
+    op = operator_on(grid)  # no jumps, no regime coupling: time and price terms only
+    assert np.all(op.a_vec[:, [0, -1]] != 0.0) and np.all(op.b_vec[:, [0, -1]] != 0.0)
     V = np.random.default_rng(1).normal(size=grid.shape)
-    up, down = op._shift_x(V, up=True), op._shift_x(V, up=False)
-    assert np.array_equal(up[..., :-1, :], V[..., 1:, :])
-    assert np.array_equal(up[..., -1, :], V[..., -1, :])
-    assert np.array_equal(down[..., 1:, :], V[..., :-1, :])
-    assert np.array_equal(down[..., 0, :], V[..., 0, :])
+    r, k = op.r, grid.time_step
+    for m, lo, hi in [(0, 0, 1), (1, 40, 50)]:
+        Vt = V[m, lo:hi]
+        up = np.concatenate([Vt[..., 1:, :], Vt[..., -1:, :]], axis=-2)
+        down = np.concatenate([Vt[..., :1, :], Vt[..., :-1, :]], axis=-2)
+        want = V[m, lo + 1 : hi + 1] / (r * k)
+        want += op.a_vec[m][:, None] * up
+        want += op.b_vec[m][:, None] * down
+        got = op._base_block(V, m, lo, hi)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
     below = op.reserve_neighbor(V)  # upwind reads the reserve neighbor at y - l
     assert np.array_equal(below[..., 1:], V[..., :-1])
     assert np.array_equal(below[..., 0], V[..., 0])

@@ -32,6 +32,7 @@ from oilopt import (
     build_grid,
     build_quadrature,
     dpp_residual,
+    profit_rate,
     solve,
 )
 from oilopt import solver
@@ -152,6 +153,16 @@ class TestCoefficients:
                                    rtol=1e-12)
         _, den = op.control_terms(0.0)
         np.testing.assert_array_equal(den, 1.0 + op.center_base)
+
+    def test_control_terms_hold_the_running_profit_over_r(self):
+        """The cached profit is the one the sweep adds: profit_rate / r, bit for bit."""
+        model = reference_model()
+        op = DiscreteOperator(model, small_grid(horizon=2.0, n_regimes=2), SolverConfig())
+        x, y = op.grid.x_values[:, None], op.grid.y_values[None, :]
+        for u in op.controls:
+            profit, _ = op.control_terms(u)
+            want = np.asarray(profit_rate(model, 0.0, x, y, float(u))) / op.r
+            assert np.array_equal(profit.view(np.int64), want.view(np.int64))
 
 
 class TestExactDiscounting:
@@ -586,6 +597,18 @@ class TestJumpBands:
             data["grid"][key] /= refine
         cfg = parse_config(data)
         return DiscreteOperator(cfg.model, cfg.grid, cfg.solver)
+
+    def test_the_operator_holds_no_dense_jump_matrix(self):
+        """Neither a built operator nor a solve's keeps the dense matrices;
+        jump_mat builds them on first read, and jump_band_share needs none."""
+        op = self.reference_operator()
+        assert "jump_mat" not in vars(op)
+        assert op.jump_band_share == 0.2320734635281305
+        _, report = solve(reference_model(horizon=0.2), small_grid(horizon=0.2, n_regimes=2))
+        assert "jump_mat" not in vars(report.operator)
+        assert "jump_mat" not in vars(op)
+        for m, P in enumerate(op.jump_mat):
+            assert np.array_equal(P, op._build_jump_matrix(m))
 
     def test_base_block_has_the_dense_products_bits_on_reference(self):
         op = self.reference_operator()
