@@ -138,12 +138,14 @@ class DiscreteOperator:
     """Precomputed sweep machinery for one (model, grid, config) triple.
 
     It holds each term of the sweep once, in the form the sweep applies it.
-    Per regime and price node: the price-neighbor weights a_vec and b_vec
-    and the u-independent part of the center coefficient center_base. Per
-    regime: the jump matrix's row bands over their nonzero columns
-    (jump_bands); the dense matrix is built only to cut them, and jump_mat
-    builds it again on first read. Per control: the running profit over r
-    and the denominators 1 + c(u) (see control_terms).
+    Per regime, as (n_x, n_y) planes constant along the reserve axis: the
+    price-neighbor weights a_plane and b_plane, so that every product of a
+    block runs over contiguous rows. Per regime and price node: the
+    u-independent part of the center coefficient, center_base. Per regime:
+    the jump matrix's row bands over their nonzero columns (jump_bands); the
+    dense matrix is built only to cut them, and jump_mat builds it again on
+    first read. Per control: the running profit over r and the planes
+    1 + c(u) (see control_terms).
     """
 
     def __init__(self, model: MarketModel, grid: Grid4D, cfg: SolverConfig):
@@ -179,9 +181,11 @@ class DiscreteOperator:
         ).copy()
 
     def _build_coefficients(self):
-        """Node weights of the balance equation, shape (M, n_x) each, as the
-        sweep applies them. The paper-faithful stencil puts the total drift
-        (MarketModel.drift, compensator included) on the forward price
+        """Node weights of the balance equation: the price-neighbor weights a
+        and b as the (M, n_x, n_y) planes the sweep applies, and the
+        u-independent center coefficient center_base, (M, n_x), from which
+        control_terms builds 1 + c(u). The paper-faithful stencil puts the
+        total drift (MarketModel.drift, compensator included) on the forward price
         difference, so its up weight a turns negative where that drift is
         negative enough; the upwind stencil splits it by sign and is signed
         correctly on any grid and for any jump measure.
@@ -220,8 +224,7 @@ class DiscreteOperator:
             drift_center = np.abs(drift) / (r * h)
         Q = model.generator
         q_off = (Q.sum(axis=1) - np.diag(Q))[:, None]
-        self.a_vec = a
-        self.b_vec = b.copy()
+        self.a_plane, self.b_plane = self._plane(a), self._plane(b)
         self.center_base = (
             1.0 / (r * k)
             + sig * sig / (r * h * h)
@@ -229,6 +232,11 @@ class DiscreteOperator:
             + self.scheme.total_mass / r
             + q_off / r
         )
+
+    def _plane(self, w):
+        """The (M, n_x) node weights `w` repeated along the reserve axis, a new
+        (M, n_x, n_y) array."""
+        return np.repeat(w[..., None], self.grid.n_y, axis=-1)
 
     def _build_jump_matrix(self, m: int):
         """Row x_i of the matrix carries sum_j c_j split linearly onto the
@@ -260,10 +268,13 @@ class DiscreteOperator:
         return [self._build_jump_matrix(m) for m in range(self.grid.n_regimes)]
 
     def control_terms(self, u):
-        """(running profit / r, 1 + c(u)) for one control, shapes (n_x, n_y) and (M, n_x).
+        """(running profit / r, 1 + c(u)) for one control, shapes (n_x, n_y)
+        and (M, n_x, n_y): 1 + c(u) is a plane per regime, constant along y,
+        so the sweep divides each block by whole contiguous planes.
 
         The cost family is time-independent, so one profit slab per control
-        serves every time slice. Terms are built on first use and cached. The
+        serves every time slice. Terms are built on first use and cached;
+        sweep builds them for its controls before any thread starts. The
         paper-faithful stencil refuses u > 0 with a MonotonicityError.
         """
         u = float(u)
@@ -276,7 +287,7 @@ class DiscreteOperator:
                     f"{-u / (self.r * g.reserve_step):.6g} on V(y + l) at u={u:.6g}; it is "
                     "monotone only for u_max = 0"
                 )
-            den = 1.0 + self.center_base + u / (self.r * g.reserve_step)
+            den = self._plane(1.0 + self.center_base + u / (self.r * g.reserve_step))
             profit = np.asarray(
                 profit_rate(self.model, 0.0, g.x_values[:, None], g.y_values[None, :], u)
             )
@@ -295,35 +306,45 @@ class DiscreteOperator:
 
     # -- sweep building blocks ------------------------------------------------
 
-    def reserve_neighbor(self, block):
+    def reserve_neighbor(self, block, scale=1.0):
         """The stencil's reserve-neighbor read of `block` at y - l, clamped at
-        y = 0, a new array. The sweep and the switching field use it."""
-        out = np.empty_like(block)
-        out[..., 1:] = block[..., :-1]
-        out[..., 0] = block[..., 0]
+        y = 0, times `scale` (x * 1.0 is x for every x but a signaling NaN):
+        a new C-ordered array for any layout of `block`. One flat shift by a
+        node fills every y >= 1 in one contiguous run, and the y = 0 column
+        is then written over what the shift put there. The sweep's
+        extracting candidates and the switching field use it."""
+        out = np.empty(block.shape, block.dtype)
+        np.multiply(block.reshape(-1)[:-1], scale, out=out.reshape(-1)[1:])
+        np.multiply(block[..., 0], scale, out=out[..., 0])
         return out
 
     def _base_block(self, V, m, lo, hi):
-        """u-independent part of RHS' for regime m on time slices [lo, hi)."""
+        """u-independent part of RHS' for regime m on time slices [lo, hi).
+
+        The weights are whole (n_x, n_y) planes, so every product runs over
+        contiguous rows; one block-sized buffer holds each term in turn.
+        """
         g = self.grid
         r, k = self.r, g.time_step
         Vt = V[m, lo:hi]
-        a, b = self.a_vec[m][:, None], self.b_vec[m][:, None]
+        a, b = self.a_plane[m], self.b_plane[m]
         base = V[m, lo + 1 : hi + 1] / (r * k)
+        term = np.empty_like(base)
         # the price neighbors, clamped at the faces: every a term before the b terms
-        base[..., :-1, :] += a[:-1] * Vt[..., 1:, :]
-        base[..., -1, :] += a[-1] * Vt[..., -1, :]
-        base[..., 1:, :] += b[1:] * Vt[..., :-1, :]
-        base[..., 0, :] += b[0] * Vt[..., 0, :]
+        np.multiply(a[:-1], Vt[..., 1:, :], out=term[..., :-1, :])
+        np.multiply(a[-1], Vt[..., -1, :], out=term[..., -1, :])
+        base += term
+        np.multiply(b[1:], Vt[..., :-1, :], out=term[..., 1:, :])
+        np.multiply(b[0], Vt[..., 0, :], out=term[..., 0, :])
+        base += term
         if self.jump_bands[m] is not None:
-            jumps = np.empty_like(Vt)
             for r0, r1, c0, c1, band in self.jump_bands[m]:
-                np.matmul(band, Vt[:, c0:c1], out=jumps[:, r0:r1])
-            base += np.divide(jumps, r, out=jumps)
+                np.matmul(band, Vt[:, c0:c1], out=term[:, r0:r1])
+            base += np.divide(term, r, out=term)
         Q = self.model.generator
         for j in range(g.n_regimes):
             if j != m and Q[m, j] != 0.0:
-                base += (Q[m, j] / r) * V[j, lo:hi]
+                base += np.multiply(V[j, lo:hi], Q[m, j] / r, out=term)
         return base
 
     def _best_candidate(self, V, m, lo, hi, controls=None, scan=False):
@@ -335,37 +356,42 @@ class DiscreteOperator:
         value this call has just produced there: the reserve axis is walked in
         ascending y, the order the y - l read needs, so the slice's reserve
         coupling is solved exactly in one pass.
+
+        The last control's numerator is summed in place on the base block, so
+        the endpoint pair holds three block-sized arrays: the base block, the
+        best so far and one candidate.
         """
         g = self.grid
         r, l = self.r, g.reserve_step
         controls = self.controls if controls is None else controls
         base = self._base_block(V, m, lo, hi)
-        best = yshift = None
+        best = None
         terms = []  # scan: (RHS' without the reserve term, its weight, 1+c) per u > 0
-        for u in controls:
+        for i, u in enumerate(controls):
             u = float(u)
             profit, den = self.control_terms(u)
-            num = base + profit
+            if best is None and u > 0.0 and not scan:  # the y = 0 face, before base moves
+                profit0, den0 = self.control_terms(0.0)
+                face = (base[..., 0] + profit0[:, 0]) / den0[m, :, 0]
+            num = np.add(base, profit, out=base if i == len(controls) - 1 else None)
             if u == 0.0:
-                num /= den[m][:, None]
+                num /= den[m]
                 best = num if best is None else np.maximum(best, num, out=best)
                 continue
             alpha = u / (r * l)
             if scan:
-                terms.append((num.transpose(2, 0, 1).copy(), alpha, den[m]))
+                terms.append((num.transpose(2, 0, 1).copy(), alpha, den[m, :, 0].copy()))
                 continue
-            if yshift is None:
-                yshift = self.reserve_neighbor(V[m, lo:hi])
-            cand = np.multiply(yshift, alpha)
+            cand = self.reserve_neighbor(V[m, lo:hi], alpha)
             cand += num
-            cand /= den[m][:, None]
+            cand /= den[m]
+            # extraction is not admissible on an empty reserve
             if best is None:
+                cand[..., 0] = face
                 best = cand
-                profit0, den0 = self.control_terms(0.0)
-                best[..., 0] = (base[..., 0] + profit0[:, 0]) / den0[m]
             else:
-                # extraction is not admissible on an empty reserve
-                np.maximum(best[..., 1:], cand[..., 1:], out=best[..., 1:])
+                cand[..., 0] = best[..., 0]
+                np.maximum(best, cand, out=best)
         if not terms:
             return best
         # one contiguous price row per reserve node, walked upward; y = 0 keeps u = 0
@@ -392,23 +418,30 @@ class DiscreteOperator:
         the settlement payoff no matter what the input carries there: the
         terminal condition is part of the operator, not of the iterate.
 
-        Returns the update, written to `out` (new if None; never `values`),
-        or with `change=True` (largest |update - values|, its first node in
-        C order as (regime, s_idx, x_idx, y_idx)), a NaN winning; without
-        `out` the update is then dropped block by block.
+        Returns the update, written to `out` (new if None), or with
+        `change=True` (largest |update - values|, its first node in C order
+        as (regime, s_idx, x_idx, y_idx)), a NaN winning; without `out` the
+        update is then dropped block by block.
 
         The tasks, one per (regime, sweep_block(grid) time slices), each write
         only their own slab, so no bit depends on the blocks or on the
         threads: the calling thread runs the even tasks and, with
         SWEEP_WORKERS = 2, one pool worker the odd ones (numpy's ufuncs and
-        matmul release the GIL). A task's temporaries are block-sized, so the
-        byte budget bounds them on any grid: regime-sized blocks (3.4 MB on
-        reference.yaml) made the allocator re-fault its heap every regime,
-        and 10-slice blocks (1.3 MB) raised the 2x-refined verify's peak RSS
-        by 13 MiB.
+        matmul release the GIL). A task holds three block-sized arrays for the
+        endpoint pair and four for a longer control list (see
+        _best_candidate), so the byte budget bounds them on any grid:
+        regime-sized blocks (3.4 MB on reference.yaml) made the allocator
+        re-fault its heap every regime, and 10-slice blocks (1.3 MB) raised
+        the 2x-refined verify's peak RSS by 13 MiB.
+
+        Raises ValueError if `out` shares memory with `values`: the tasks
+        read their neighbors from `values` while others write `out`.
         """
         g = self.grid
         n = g.n_s - 1
+        if out is not None and np.shares_memory(out, values):
+            raise ValueError("sweep's `out` shares memory with `values`; the update "
+                             "reads the frozen input while it writes")
         if out is None and not change:
             out = np.empty_like(values)
         for u in self.controls if controls is None else controls:

@@ -120,7 +120,7 @@ def test_interpolated_lookup(grid):
 def test_neighbor_clamps_at_edges(grid):
     """The operator's neighbor reads replicate the face value (zero gradient)."""
     op = operator_on(grid)  # no jumps, no regime coupling: time and price terms only
-    assert np.all(op.a_vec[:, [0, -1]] != 0.0) and np.all(op.b_vec[:, [0, -1]] != 0.0)
+    assert np.all(op.a_plane[:, [0, -1]] != 0.0) and np.all(op.b_plane[:, [0, -1]] != 0.0)
     V = np.random.default_rng(1).normal(size=grid.shape)
     r, k = op.r, grid.time_step
     for m, lo, hi in [(0, 0, 1), (1, 40, 50)]:
@@ -128,13 +128,34 @@ def test_neighbor_clamps_at_edges(grid):
         up = np.concatenate([Vt[..., 1:, :], Vt[..., -1:, :]], axis=-2)
         down = np.concatenate([Vt[..., :1, :], Vt[..., :-1, :]], axis=-2)
         want = V[m, lo + 1 : hi + 1] / (r * k)
-        want += op.a_vec[m][:, None] * up
-        want += op.b_vec[m][:, None] * down
+        want += op.a_plane[m][:, :1] * up
+        want += op.b_plane[m][:, :1] * down
         got = op._base_block(V, m, lo, hi)
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
     below = op.reserve_neighbor(V)  # upwind reads the reserve neighbor at y - l
     assert np.array_equal(below[..., 1:], V[..., :-1])
     assert np.array_equal(below[..., 0], V[..., 0])
+
+
+def test_reserve_neighbor_reads_any_layout(grid):
+    """reserve_neighbor flat-shifts its input by one node, so it must give
+    the sliced read on inputs that are not C-contiguous: one time slice of
+    the field across regimes (what the switching field passes), a
+    Fortran-ordered array and a reversed view. It returns a new array that
+    shares no memory with its input; unscaled, it keeps every bit."""
+    op = operator_on(grid)
+    V = np.random.default_rng(3).normal(size=grid.shape)
+    V[0, 5, 7, 0], V[1, 5, 9, -1], V[0, 5, 11, 3] = np.nan, -np.inf, -0.0
+    for block in (V[:, 5], np.asfortranarray(V[1, 2:6]), V[:, 5, ::-1], V[1, 3], V[0, 4, 6]):
+        want = np.empty_like(block)
+        want[..., 1:], want[..., 0] = block[..., :-1], block[..., 0]
+        for scale in (1.0, 2.5):
+            got = op.reserve_neighbor(block, scale)
+            expect = want * scale
+            assert got.shape == block.shape and got.flags.c_contiguous
+            assert np.array_equal(got.view(np.int64), expect.view(np.int64))
+            assert not np.shares_memory(got, block)
+        assert np.array_equal(op.reserve_neighbor(block).view(np.int64), want.view(np.int64))
 
 
 def test_csv_round_trip_and_order():

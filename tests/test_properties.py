@@ -6,7 +6,8 @@ on the arrays the solver actually iterates: nonnegative neighbor weights,
 positive center denominators, a raised price or reserve row that lowers no
 node (for the paper-faithful stencil too, wherever it builds), and order
 preservation of one sweep, for any jump measure. The banded jump product
-keeps the dense product's bits on every such model.
+keeps the dense product's bits on every such model, and the plane-wise
+block update the column-broadcast form's, non-finite values included.
 """
 
 import dataclasses
@@ -14,7 +15,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from conftest import dense_base_block
+from conftest import column_base_block, column_best_candidate, dense_base_block
 from hypothesis import example, given, settings, strategies as st
 
 from oilopt import (
@@ -112,11 +113,11 @@ def skewed_atom_problem(z):
 @example(problem=skewed_atom_problem(0.9))
 @given(problem=small_problems())
 def test_neighbor_weights_nonnegative(problem):
-    """a_vec and b_vec are the weights the sweep applies to the price
+    """a_plane and b_plane are the weights the sweep applies to the price
     neighbors, for any jump measure."""
     op = upwind_operator(problem)
-    assert np.all(op.a_vec >= 0.0)
-    assert np.all(op.b_vec >= 0.0)
+    assert np.all(op.a_plane >= 0.0)
+    assert np.all(op.b_plane >= 0.0)
 
 
 @settings(max_examples=25, deadline=None)
@@ -318,3 +319,35 @@ def test_jump_bands_keep_the_dense_products_bits(problem, rows, seed):
     for m in range(op.grid.n_regimes):
         got, want = op._base_block(V, m, 0, n), dense_base_block(op, V, m, 0, n)
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+@settings(max_examples=25, deadline=None)
+@given(problem=small_problems(), seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_plane_blocks_keep_the_column_broadcast_bits(problem, seed, data):
+    """On any small model and block, with NaN, +-inf and -0.0 planted on the
+    empty-reserve face and above it, _base_block and _best_candidate give
+    the column-broadcast form's bits for every control list, frozen and
+    scanned: the full maximum over a candidate whose y = 0 column is a copy
+    of the best one keeps what the maximum over y >= 1 kept."""
+    op = upwind_operator(problem)
+    g, u_max = op.grid, op.model.economics.u_max
+    lo = data.draw(st.integers(0, g.n_s - 2), label="lo")
+    hi = data.draw(st.integers(lo + 1, g.n_s - 1), label="hi")
+    V = np.random.default_rng(seed).uniform(-100.0, 400.0, size=g.shape)
+    for value in (np.nan, np.inf, -np.inf, -0.0):
+        for y in (0, data.draw(st.integers(1, g.n_y - 1), label="y")):
+            node = (data.draw(st.integers(0, g.n_regimes - 1)), data.draw(st.integers(lo, hi)),
+                    data.draw(st.integers(0, g.n_x - 1)), y)
+            V[node] = value
+    lists = [None, [0.0], [u_max], np.linspace(0.0, u_max, 4), [u_max, 0.0]]
+    with np.errstate(all="ignore"):
+        for m in range(g.n_regimes):
+            got, want = op._base_block(V, m, lo, hi), column_base_block(op, V, m, lo, hi)
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+            for scan in (False, True):
+                for controls in lists:
+                    if scan and controls is not None and min(map(float, controls)) > 0.0:
+                        continue  # a scan needs u = 0 among its controls for the y = 0 face
+                    got = op._best_candidate(V, m, lo, hi, controls, scan)
+                    want = column_best_candidate(op, V, m, lo, hi, controls, scan)
+                    assert np.array_equal(got.view(np.int64), want.view(np.int64))

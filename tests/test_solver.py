@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import yaml
-from conftest import dense_base_block
+from conftest import column_base_block, column_best_candidate, dense_base_block
 
 from oilopt import (
     ConfigError,
@@ -83,7 +83,8 @@ def block_budget(grid, slices):
 class TestCoefficients:
     """Frozen hand-computed weights: sigma=0.2, r=0.05, h=0.5, kappa=0.01, mu=55.
 
-    Read off the operator's (regime, price node) arrays; node 70 is x = 35
+    Read off the operator's (regime, price node, reserve node) planes at
+    reserve node 0; node 70 is x = 35
     and node 120 is x = 60. The paper-faithful stencil needs a > 0, which
     holds for x < 59, so its grid stops at 57.5.
     """
@@ -95,12 +96,12 @@ class TestCoefficients:
 
     def test_diffusion_weight(self):
         op = self.operator("paper_faithful", price_cap=57.5)
-        np.testing.assert_allclose(op.b_vec, 1.6)
+        np.testing.assert_allclose(op.b_plane, 1.6)
 
     def test_drift_boosted_up_weight(self):
         op = self.operator("paper_faithful", price_cap=57.5)
         # 1.6 + 0.01*(55-35)/(0.05*0.5)
-        assert op.a_vec[0, 70] == pytest.approx(9.6)
+        assert op.a_plane[0, 70, 0] == pytest.approx(9.6)
 
     def test_negative_weight_raises_with_step_bound(self):
         # the first node with a <= 0 is x = 59.5: a = 1.6 - 0.4*4.5 = -0.2
@@ -138,9 +139,9 @@ class TestCoefficients:
 
     def test_upwind_splits_drift_by_sign(self):
         op = self.operator("upwind")
-        assert op.a_vec[0, 120] == pytest.approx(1.6)   # no upward drift at x > mu
-        assert op.b_vec[0, 120] == pytest.approx(3.6)   # diffusion + downward drift
-        assert np.all(op.a_vec > 0) and np.all(op.b_vec > 0)
+        assert op.a_plane[0, 120, 0] == pytest.approx(1.6)   # no upward drift at x > mu
+        assert op.b_plane[0, 120, 0] == pytest.approx(3.6)   # diffusion + downward drift
+        assert np.all(op.a_plane > 0) and np.all(op.b_plane > 0)
 
     @pytest.mark.parametrize("mode", ["paper_faithful", "upwind"])
     def test_center_weight_identity(self, mode):
@@ -149,10 +150,24 @@ class TestCoefficients:
         raw balance (the discrete analogue of r*const = 0 + r*const)."""
         op = self.operator(mode, price_cap=57.5)
         r, k = 0.05, op.grid.time_step
-        np.testing.assert_allclose(1.0 / (r * k) + op.a_vec + op.b_vec, op.center_base,
-                                   rtol=1e-12)
+        a, b = op.a_plane[..., 0], op.b_plane[..., 0]
+        np.testing.assert_allclose(1.0 / (r * k) + a + b, op.center_base, rtol=1e-12)
         _, den = op.control_terms(0.0)
-        np.testing.assert_array_equal(den, 1.0 + op.center_base)
+        np.testing.assert_array_equal(den[..., 0], 1.0 + op.center_base)
+
+    def test_weights_are_planes_constant_along_the_reserve_axis(self):
+        """a, b and every 1 + c(u) are (M, n_x, n_y) C-contiguous planes
+        whose reserve rows all hold the (M, n_x) weights, bit for bit."""
+        model = reference_model()
+        op = DiscreteOperator(model, small_grid(horizon=2.0, n_regimes=2), SolverConfig())
+        g = op.grid
+        dens = [op.control_terms(u)[1] for u in (0.0, 17.0, model.economics.u_max)]
+        for plane in (op.a_plane, op.b_plane, *dens):
+            assert plane.shape == (2, g.n_x, g.n_y) and plane.flags.c_contiguous
+            column = np.repeat(plane[..., :1], g.n_y, axis=-1)
+            assert np.array_equal(plane.view(np.int64), column.view(np.int64))
+        np.testing.assert_array_equal(dens[1][..., 0],
+                                      1.0 + op.center_base + 17.0 / (op.r * g.reserve_step))
 
     def test_control_terms_hold_the_running_profit_over_r(self):
         """The cached profit is the one the sweep adds: profit_rate / r, bit for bit."""
@@ -419,17 +434,19 @@ class TestSweepBlocks:
 
     def test_sweep_temporaries_are_bounded_by_the_budget(self):
         """A full sweep's traced peak is O(block bytes x threads), not
-        O(slices per block x slice bytes): about six block-sized arrays are
-        alive per thread. The slice here (401 x 101 nodes, 324 KB) is just
-        under the budget, so a block is one slice; ten-slice blocks peak
-        at about 26 MB against the bound's 5.4 MB on two threads."""
+        O(slices per block x slice bytes): about four block-sized arrays are
+        alive per thread (the base block, the best candidate and one
+        extracting candidate, while the task loop still holds the previous
+        block's update). The slice here (401 x 101 nodes, 324 KB)
+        is just under the budget, so a block is one slice; ten-slice blocks
+        peak at about 26 MB against the bound's 3.4 MB on two threads."""
         grid = build_grid(horizon=2.0, price_cap=100.0, reserve_capacity=10.0, time_step=0.1,
                           price_step=0.25, reserve_step=0.1, n_regimes=2)
         slice_bytes = grid.n_x * grid.n_y * 8
         assert solver.sweep_block(grid) == 1 and slice_bytes > 0.9 * solver.SWEEP_BLOCK_BYTES
         op = DiscreteOperator(reference_model(horizon=2.0), grid, SolverConfig())
         V = np.random.default_rng(19).uniform(-100.0, 400.0, size=grid.shape)
-        bound = 8 * max(solver.SWEEP_BLOCK_BYTES, slice_bytes) * solver.SWEEP_WORKERS
+        bound = 5 * max(solver.SWEEP_BLOCK_BYTES, slice_bytes) * solver.SWEEP_WORKERS
         was_tracing = tracemalloc.is_tracing()
         if not was_tracing:
             tracemalloc.start()
@@ -442,6 +459,50 @@ class TestSweepBlocks:
             if not was_tracing:
                 tracemalloc.stop()
         assert peak - base < bound, f"traced peak {(peak - base) / 1e6:.1f} MB"
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_an_update_written_over_its_input_is_refused(self, workers, monkeypatch):
+        """The tasks read neighbors from `values` while others write `out`,
+        so an `out` that shares memory with `values` would make the update
+        depend on task order and thread timing; sweep refuses it before any
+        task runs, and leaves the input as it was."""
+        monkeypatch.setattr(solver, "SWEEP_WORKERS", workers)
+        op = DiscreteOperator(reference_model(horizon=2.5), small_grid(horizon=2.5, n_regimes=2),
+                              SolverConfig())
+        V = op.initial_guess()
+        kept = V.copy()
+        for out in (V, V[::-1], V.reshape(-1).reshape(V.shape)):
+            with pytest.raises(ValueError, match="shares memory"):
+                op.sweep(V, out=out, change=True)
+            with pytest.raises(ValueError, match="shares memory"):
+                op.sweep(V, out=out)
+        assert np.array_equal(V, kept)
+        assert np.array_equal(op.sweep(V, out=np.empty_like(V)), op.sweep(V))
+
+    # blocks of 1, 2 and 10 slices; the last one reads the terminal slice
+    @pytest.mark.parametrize("lo, hi", [(40, 41), (63, 65), (90, 100)])
+    def test_plane_blocks_keep_the_column_broadcast_bits_on_reference(self, lo, hi):
+        """_base_block and _best_candidate, which apply their weights as
+        whole planes and reuse their buffers, give the bits of the
+        column-broadcast form in conftest on reference.yaml: both regimes,
+        the frozen and the scanned reserve read, and every control list."""
+        op = TestJumpBands.reference_operator()
+        u_max = op.model.economics.u_max
+        V = np.random.default_rng(29).uniform(-100.0, 400.0, size=op.grid.shape)
+        lists = {"endpoints": None, "zero": [0.0], "u_max": [u_max],
+                 "dense": np.linspace(0.0, u_max, 6)}
+        for m in range(op.grid.n_regimes):
+            got, want = op._base_block(V, m, lo, hi), column_base_block(op, V, m, lo, hi)
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+            for scan in (False, True):
+                for name, controls in lists.items():
+                    if scan and name == "u_max":
+                        continue  # a scan needs u = 0 among its controls for the y = 0 face
+                    got = op._best_candidate(V, m, lo, hi, controls, scan)
+                    want = column_best_candidate(op, V, m, lo, hi, controls, scan)
+                    assert got.shape == (hi - lo, op.grid.n_x, op.grid.n_y)
+                    assert np.array_equal(got.view(np.int64), want.view(np.int64)), \
+                        (m, scan, name)
 
 
 class TestSweepThreads:
