@@ -101,7 +101,7 @@ def build_quadrature(measure, xi: float, truncation: float = 5.0) -> QuadratureS
             total_mass=measure.total_mass,
             window=float(np.max(np.abs(locs), initial=0.0)),
         )
-    if truncation < 1.0:
+    if not truncation >= 1.0:  # NaN too; inf integrates the whole support
         raise ValueError(f"truncation must be >= 1 for density measures, got {truncation}")
     window = min(float(measure.support), float(truncation))
     c_nodes, c_weights = _simpson_family(measure.density, window, xi)

@@ -33,11 +33,11 @@ built, and control_terms refuses every extracting control, since the
 paper's forward reserve difference would put the weight -u/(rl) on
 V(y + l). Both RHS'(u) and 1 + c(u) are affine in u, so the per-node
 maximum over a control interval is attained at an endpoint: evaluating u in
-{0, u_max} is exact (bang-bang). One implementation of this update,
-DiscreteOperator._best_candidate, serves the sweep, the backward reserve
-scan, dense control scans and pinned-control checks (the last two through
-sweep(controls=...)); one method, reserve_neighbor, makes the frozen
-reserve-neighbor read at y - l for the sweep and for the switching field.
+{0, u_max} is exact (bang-bang). One implementation of this update and its
+empty-reserve rule (u = 0 at y = 0), DiscreteOperator._best_candidate,
+serves the sweep, the backward reserve scan, dense control scans and
+pinned-control checks (the last two through sweep(controls=...)); one
+method, reserve_neighbor, reads y - l for the sweep and the switching field.
 
 Two sweep orders are provided. "jacobi" recomputes every node from the
 previous full-grid iterate (deterministic, trivially parallel: the update
@@ -349,13 +349,16 @@ class DiscreteOperator:
 
     def _best_candidate(self, V, m, lo, hi, controls=None, scan=False):
         """max over controls of RHS'(u)/(1+c(u)); the y=0 face takes u=0 for
-        any control list, since extraction needs reserve.
+        any control list, since extraction needs reserve: the u = 0
+        candidate's column if u = 0 comes first, else that quotient taken
+        before the base block moves. Every extracting candidate and the
+        scan's row 0 take this face.
 
         An extracting candidate reads its reserve neighbor from V as given
         (scan=False: the frozen read of a sweep) or, with scan=True, from the
-        value this call has just produced there: the reserve axis is walked in
-        ascending y, the order the y - l read needs, so the slice's reserve
-        coupling is solved exactly in one pass.
+        value this call has just produced there, walking y upward from rows
+        seeded with the u = 0 candidate (-inf without u = 0): the y - l read
+        makes the slice's reserve coupling triangular, solved in one pass.
 
         The last control's numerator is summed in place on the base block, so
         the endpoint pair holds three block-sized arrays: the base block, the
@@ -365,18 +368,18 @@ class DiscreteOperator:
         r, l = self.r, g.reserve_step
         controls = self.controls if controls is None else controls
         base = self._base_block(V, m, lo, hi)
+        p0, d0 = self.control_terms(0.0)
+        face = None if float(controls[0]) == 0.0 else (base[..., 0] + p0[:, 0]) / d0[m, :, 0]
         best = None
         terms = []  # scan: (RHS' without the reserve term, its weight, 1+c) per u > 0
         for i, u in enumerate(controls):
             u = float(u)
             profit, den = self.control_terms(u)
-            if best is None and u > 0.0 and not scan:  # the y = 0 face, before base moves
-                profit0, den0 = self.control_terms(0.0)
-                face = (base[..., 0] + profit0[:, 0]) / den0[m, :, 0]
             num = np.add(base, profit, out=base if i == len(controls) - 1 else None)
             if u == 0.0:
                 num /= den[m]
                 best = num if best is None else np.maximum(best, num, out=best)
+                face = best[..., 0] if face is None else face
                 continue
             alpha = u / (r * l)
             if scan:
@@ -385,17 +388,14 @@ class DiscreteOperator:
             cand = self.reserve_neighbor(V[m, lo:hi], alpha)
             cand += num
             cand /= den[m]
-            # extraction is not admissible on an empty reserve
-            if best is None:
-                cand[..., 0] = face
-                best = cand
-            else:
-                cand[..., 0] = best[..., 0]
-                np.maximum(best, cand, out=best)
+            cand[..., 0] = face  # extraction is not admissible on an empty reserve
+            best = cand if best is None else np.maximum(best, cand, out=best)
         if not terms:
             return best
-        # one contiguous price row per reserve node, walked upward; y = 0 keeps u = 0
-        rows = best.transpose(2, 0, 1).copy()
+        # one contiguous price row per reserve node, walked upward from the face
+        rows = np.empty((g.n_y, hi - lo, g.n_x))
+        rows[...] = -np.inf if best is None else best.transpose(2, 0, 1)
+        rows[0] = face
         prev = rows[0]
         cand = np.empty_like(rows[0])
         for y in range(1, g.n_y):
@@ -428,20 +428,22 @@ class DiscreteOperator:
         threads: the calling thread runs the even tasks and, with
         SWEEP_WORKERS = 2, one pool worker the odd ones (numpy's ufuncs and
         matmul release the GIL). A task holds three block-sized arrays for the
-        endpoint pair and four for a longer control list (see
-        _best_candidate), so the byte budget bounds them on any grid:
+        endpoint pair, up to five for a longer list (see _best_candidate), and
+        none once done, so the byte budget bounds them on any grid:
         regime-sized blocks (3.4 MB on reference.yaml) made the allocator
         re-fault its heap every regime, and 10-slice blocks (1.3 MB) raised
         the 2x-refined verify's peak RSS by 13 MiB.
 
-        Raises ValueError if `out` shares memory with `values`: the tasks
-        read their neighbors from `values` while others write `out`.
+        Raises ValueError before any task runs if `controls` is empty, or if
+        `out` shares memory with `values`, which tasks read as others write.
         """
         g = self.grid
         n = g.n_s - 1
         if out is not None and np.shares_memory(out, values):
             raise ValueError("sweep's `out` shares memory with `values`; the update "
                              "reads the frozen input while it writes")
+        if controls is not None and len(controls) == 0:
+            raise ValueError("sweep's control list is empty; the update is a max over controls")
         if out is None and not change:
             out = np.empty_like(values)
         for u in self.controls if controls is None else controls:
@@ -459,6 +461,7 @@ class DiscreteOperator:
                 if change:
                     c, (t, x, y) = _largest_change(new, values[m, lo:hi], None if lo == n else new)
                     found.append((c, (m, lo + t, x, y)))
+                del new  # released before the next block is computed
             return found
 
         if SWEEP_WORKERS < 2 or len(tasks) < 2:

@@ -66,7 +66,8 @@ def column_base_block(op, V, m, lo, hi):
 def column_best_candidate(op, V, m, lo, hi, controls=None, scan=False):
     """op._best_candidate on column_base_block, with (n_x, 1) denominators,
     a sliced reserve shift, a new numerator per control and the extracting
-    candidates' maximum taken over y >= 1 only."""
+    candidates' maximum taken over y >= 1 only; the y = 0 face is u = 0's
+    quotient for every control list, frozen and scanned."""
     g = op.grid
     r, l = op.r, g.reserve_step
     controls = op.controls if controls is None else controls
@@ -102,6 +103,10 @@ def column_best_candidate(op, V, m, lo, hi, controls=None, scan=False):
             np.maximum(best[..., 1:], cand[..., 1:], out=best[..., 1:])
     if not terms:
         return best
+    if best is None:  # no u = 0: y >= 1 starts from -inf, y = 0 takes u = 0's quotient
+        profit0, den0 = op.control_terms(0.0)
+        best = np.full_like(base, -np.inf)
+        best[..., 0] = (base[..., 0] + profit0[:, 0]) / den0[m][:, 0]
     rows = best.transpose(2, 0, 1).copy()
     prev = rows[0]
     cand = np.empty_like(rows[0])

@@ -346,8 +346,6 @@ def test_plane_blocks_keep_the_column_broadcast_bits(problem, seed, data):
             assert np.array_equal(got.view(np.int64), want.view(np.int64))
             for scan in (False, True):
                 for controls in lists:
-                    if scan and controls is not None and min(map(float, controls)) > 0.0:
-                        continue  # a scan needs u = 0 among its controls for the y = 0 face
                     got = op._best_candidate(V, m, lo, hi, controls, scan)
                     want = column_best_candidate(op, V, m, lo, hi, controls, scan)
                     assert np.array_equal(got.view(np.int64), want.view(np.int64))

@@ -84,8 +84,14 @@ def test_xi_and_truncation_bounds():
         build_quadrature(measure, xi=0.0)
     with pytest.raises(ValueError):
         build_quadrature(measure, xi=1.0)
-    with pytest.raises(ValueError):
-        build_quadrature(measure, xi=0.01, truncation=0.5)
+    # NaN fails every comparison, so it must not slip past the bound and
+    # integrate the whole support; inf still means no cap
+    for truncation in (0.5, float("nan")):
+        with pytest.raises(ValueError, match=f"truncation must be >= 1 .* got {truncation}"):
+            build_quadrature(measure, xi=0.01, truncation=truncation)
+    wide = LevyMeasure.double_exponential(decay=2.0, half_width=8.0)
+    scheme = build_quadrature(wide, xi=0.01, truncation=float("inf"))
+    assert scheme.window == 8.0 and scheme.truncated_fraction == 0.0
 
 
 def test_negative_density_rejected():

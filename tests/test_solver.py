@@ -373,6 +373,45 @@ class TestReserveScan:
             per_slice.append(max(p for p, _ in report.slices))
         assert per_slice[1] <= per_slice[0] + 1
 
+    @staticmethod
+    def scanned_by_node(op, V, m, t, controls):
+        """Slice t of regime m's reserve scan, node by node in Python floats
+        from _base_block's output: y = 0 takes u = 0's quotient, and each
+        node y >= 1 the largest (num + alpha * value just made at y - 1) / den
+        over the controls, u = 0 reading no neighbor."""
+        base = op._base_block(V, m, t, t + 1)[0]
+        r, l = op.r, op.grid.reserve_step
+        profit0, den0 = op.control_terms(0.0)
+        out = np.empty_like(base)
+        for i in range(base.shape[0]):
+            out[i, 0] = (float(base[i, 0]) + float(profit0[i, 0])) / float(den0[m, i, 0])
+            for y in range(1, base.shape[1]):
+                best = -math.inf
+                for u in map(float, controls):
+                    profit, den = op.control_terms(u)
+                    num = float(base[i, y]) + float(profit[i, y])
+                    if u != 0.0:
+                        num += u / (r * l) * float(out[i, y - 1])
+                    best = max(best, num / float(den[m, i, y]))
+                out[i, y] = best
+        return out
+
+    def test_scan_matches_a_per_node_loop_for_every_control_list(self):
+        """_best_candidate(..., scan=True) keeps the bits of the per-node
+        loop above on a tiny two-regime model, for a pinned extracting
+        control, an extracting control before u = 0, and a dense list."""
+        grid = small_grid(horizon=0.5, price_cap=20.0, n_regimes=2)
+        op = DiscreteOperator(reference_model(horizon=0.5), grid, SolverConfig())
+        u_max = op.model.economics.u_max
+        V = np.random.default_rng(41).uniform(-100.0, 400.0, size=grid.shape)
+        for controls in ([u_max], [u_max, 0.0], np.linspace(0.0, u_max, 4)):
+            for m in range(grid.n_regimes):
+                for t in (1, grid.n_s - 2):
+                    got = op._best_candidate(V, m, t, t + 1, controls, scan=True)[0]
+                    want = self.scanned_by_node(op, V, m, t, controls)
+                    assert np.array_equal(got.view(np.int64), want.view(np.int64)), \
+                        (list(controls), m, t)
+
 
 class TestWarmStart:
     """_warm_start extrapolates the converged slices above t to slice t."""
@@ -434,19 +473,19 @@ class TestSweepBlocks:
 
     def test_sweep_temporaries_are_bounded_by_the_budget(self):
         """A full sweep's traced peak is O(block bytes x threads), not
-        O(slices per block x slice bytes): about four block-sized arrays are
+        O(slices per block x slice bytes): about three block-sized arrays are
         alive per thread (the base block, the best candidate and one
-        extracting candidate, while the task loop still holds the previous
-        block's update). The slice here (401 x 101 nodes, 324 KB)
+        extracting candidate; the task loop drops each block's update before
+        the next block is computed). The slice here (401 x 101 nodes, 324 KB)
         is just under the budget, so a block is one slice; ten-slice blocks
-        peak at about 26 MB against the bound's 3.4 MB on two threads."""
+        peak at about 26 MB against the bound's 2.7 MB on two threads."""
         grid = build_grid(horizon=2.0, price_cap=100.0, reserve_capacity=10.0, time_step=0.1,
                           price_step=0.25, reserve_step=0.1, n_regimes=2)
         slice_bytes = grid.n_x * grid.n_y * 8
         assert solver.sweep_block(grid) == 1 and slice_bytes > 0.9 * solver.SWEEP_BLOCK_BYTES
         op = DiscreteOperator(reference_model(horizon=2.0), grid, SolverConfig())
         V = np.random.default_rng(19).uniform(-100.0, 400.0, size=grid.shape)
-        bound = 5 * max(solver.SWEEP_BLOCK_BYTES, slice_bytes) * solver.SWEEP_WORKERS
+        bound = 4 * max(solver.SWEEP_BLOCK_BYTES, slice_bytes) * solver.SWEEP_WORKERS
         was_tracing = tracemalloc.is_tracing()
         if not was_tracing:
             tracemalloc.start()
@@ -479,6 +518,23 @@ class TestSweepBlocks:
         assert np.array_equal(V, kept)
         assert np.array_equal(op.sweep(V, out=np.empty_like(V)), op.sweep(V))
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_an_empty_control_list_is_refused(self, workers, monkeypatch):
+        """The update is a max over the controls, which no empty list has:
+        sweep names the empty list before any task runs, with and without
+        `change`, and leaves the input as it was."""
+        monkeypatch.setattr(solver, "SWEEP_WORKERS", workers)
+        op = DiscreteOperator(reference_model(horizon=2.5), small_grid(horizon=2.5, n_regimes=2),
+                              SolverConfig())
+        V = np.random.default_rng(3).uniform(-100.0, 400.0, size=op.grid.shape)
+        kept, calls = V.copy(), []
+        monkeypatch.setattr(op, "_best_candidate", lambda *args: calls.append(args))
+        for controls in ([], np.empty(0)):
+            for change in (False, True):
+                with pytest.raises(ValueError, match="control list is empty"):
+                    op.sweep(V, controls, change=change)
+        assert not calls and np.array_equal(V, kept)
+
     # blocks of 1, 2 and 10 slices; the last one reads the terminal slice
     @pytest.mark.parametrize("lo, hi", [(40, 41), (63, 65), (90, 100)])
     def test_plane_blocks_keep_the_column_broadcast_bits_on_reference(self, lo, hi):
@@ -496,8 +552,6 @@ class TestSweepBlocks:
             assert np.array_equal(got.view(np.int64), want.view(np.int64))
             for scan in (False, True):
                 for name, controls in lists.items():
-                    if scan and name == "u_max":
-                        continue  # a scan needs u = 0 among its controls for the y = 0 face
                     got = op._best_candidate(V, m, lo, hi, controls, scan)
                     want = column_best_candidate(op, V, m, lo, hi, controls, scan)
                     assert got.shape == (hi - lo, op.grid.n_x, op.grid.n_y)
