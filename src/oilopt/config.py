@@ -1,14 +1,20 @@
 """YAML run configuration.
 
 One file describes a full run: model, economics, grid, solver, simulation.
+Each section is read from the dataclass it fills: its keys are the class's
+fields, each read with the field's type and, when left out, taking the
+field's default (a field without one is a required key). A jump-measure
+family takes its keys and defaults from its constructor's signature.
 Parsing is strict — unknown keys anywhere are a ConfigError, so typos fail
-loudly instead of silently falling back to defaults. schema_version pins the
-layout; only version 1 exists.
+loudly instead of silently falling back to defaults. schema_version pins
+the layout; only version 1 exists.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+import functools
+import inspect
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 
 import numpy as np
 import yaml
@@ -19,29 +25,10 @@ from .model import (Dynamics, Economics, LevyMeasure, MarketModel, profit_rate, 
                     validate_model)
 from .solver import SolverConfig
 
-_MEASURE_KEYS = {
-    "null": set(),
-    "atoms": {"pairs"},
-    "uniform": {"half_width", "total_mass"},
-    "double_exponential": {"decay", "half_width", "total_mass"},
-}
-
-_MODEL_KEYS = {
-    "generator",
-    "kappa",
-    "mu",
-    "sigma",
-    "jump_scale",
-    "discount_rate",
-    "price_kind",
-    "jump_convention",
-    "measure",
-}
-_GRID_KEYS = {"price_cap", "time_step", "price_step", "reserve_step"}
-_ECONOMICS_KEYS = [f.name for f in fields(Economics)]
-_SOLVER_DEFAULTS = {f.name: f.default for f in fields(SolverConfig)}
-_START_KEYS = {"s", "x", "y", "regime"}
+_FAMILIES = ("null", "atoms", "uniform", "double_exponential")
 _TOP_KEYS = {"schema_version", "model", "economics", "grid", "solver", "simulation"}
+# simulation.start, read into the tuple (s, x, y, regime): name -> (type, default)
+_START = {"s": (float, 0.0), "x": (float, MISSING), "y": (float, MISSING), "regime": (int, 0)}
 
 
 @dataclass(frozen=True)
@@ -50,10 +37,7 @@ class SimulationSettings:
     dt: float = 1e-3
     seed: int = 0
     antithetic: bool = False
-    start: tuple = (0.0, 50.0, 5.0, 0)  # (s, x, y, regime)
-
-
-_SIM_DEFAULTS = {f.name: f.default for f in fields(SimulationSettings)}
+    start: tuple = field(kw_only=True)  # (s, x, y, regime)
 
 
 @dataclass(frozen=True)
@@ -77,12 +61,10 @@ def _check_keys(section: dict, allowed, where: str):
         raise ConfigError(f"unknown key(s) in {where}: {', '.join(unknown)}")
 
 
-def _get(section: dict, key: str, where: str, default=_MEASURE_KEYS):
-    if key in section:
-        return section[key]
-    if default is _MEASURE_KEYS:  # sentinel: required
+def _get(section: dict, key: str, where: str):
+    if key not in section:
         raise ConfigError(f"missing required key '{key}' in {where}")
-    return default
+    return section[key]
 
 
 def _number(value, key, integer=False):
@@ -103,42 +85,73 @@ def _number(value, key, integer=False):
     raise ConfigError(f"{key} must be {kind}, got {value!r}")
 
 
-def _get_number(section: dict, key: str, where: str, default=_MEASURE_KEYS, integer=False):
-    return _number(_get(section, key, where, default), f"{where}.{key}", integer)
-
-
-def _floats(value, key, where):
+def _floats(value, key):
     try:
-        return tuple(_number(v, f"{where}.{key}") for v in value)
+        return tuple(_number(v, key) for v in value)
     except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{where}.{key} must be a list of numbers") from exc
+        raise ConfigError(f"{key} must be a list of numbers") from exc
+
+
+@functools.cache
+def _schema(source) -> dict:
+    """name -> (type, default) of each field of a dataclass, or of each parameter
+    of a measure constructor; MISSING marks a required one. The annotations
+    are resolved once per class or constructor."""
+    hints = inspect.get_annotations(source, eval_str=True)
+    if is_dataclass(source):
+        return {f.name: (hints[f.name], f.default) for f in fields(source)}
+    return {p.name: (hints.get(p.name), MISSING if p.default is p.empty else p.default)
+            for p in inspect.signature(source).parameters.values()}
+
+
+def _read(section: dict, where: str, schema: dict, filled=()) -> dict:
+    """Each key of a YAML section read with its type in `schema`: a key left
+    out takes its default, or is missing if it has none. A key outside the
+    schema, or among the fields `filled` from other sections, is unknown."""
+    _check_keys(section, set(schema).difference(filled), where)
+    return {k: default if k not in section and default is not MISSING
+            else _value(_get(section, k, where), kind, f"{where}.{k}")
+            for k, (kind, default) in schema.items() if k not in filled}
+
+
+def _value(value, kind, key: str):
+    """A YAML value read as the type of the field it fills."""
+    if kind is float or kind is int:
+        return _number(value, key, integer=kind is int)
+    if kind is bool:
+        if isinstance(value, bool):
+            return value
+        raise ConfigError(f"{key} must be true or false, got {value!r}")
+    if kind == tuple[float, ...]:
+        return _floats(value, key)
+    if kind is np.ndarray:  # the generator
+        try:
+            return np.array([_floats(row, key) for row in value])
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"{key} must be a square matrix of rates") from exc
+    if kind is LevyMeasure:
+        return _build_measure(value)
+    if isinstance(kind, dict):  # a nested section: simulation.start
+        return tuple(_read(_require_mapping(value, key), key, kind).values())
+    return value  # a string, which the class it fills checks, or the atom pairs
 
 
 def _build_measure(section) -> LevyMeasure:
     section = _require_mapping(section, "model.measure")
     family = _get(section, "family", "model.measure")
-    if family not in _MEASURE_KEYS:
+    if family not in _FAMILIES:
         raise ConfigError(
-            f"model.measure.family must be one of {sorted(_MEASURE_KEYS)}, got {family!r}"
+            f"model.measure.family must be one of {sorted(_FAMILIES)}, got {family!r}"
         )
-    _check_keys(section, _MEASURE_KEYS[family] | {"family"}, "model.measure")
-    if family == "null":
-        return LevyMeasure.null()
+    build = getattr(LevyMeasure, family)
+    params = _read({k: v for k, v in section.items() if k != "family"}, "model.measure",
+                   _schema(build))
     if family == "atoms":
-        pairs = _get(section, "pairs", "model.measure")
         try:
-            parsed = [_floats((z, m), "pairs", "model.measure") for z, m in pairs]
+            params["pairs"] = [_floats((z, m), "model.measure.pairs") for z, m in params["pairs"]]
         except (TypeError, ValueError) as exc:
             raise ConfigError("model.measure.pairs must be a list of [size, mass] pairs") from exc
-        return LevyMeasure.atoms(parsed)
-    if family == "double_exponential":
-        _get(section, "decay", "model.measure")  # required; the others default
-    # only the keys given, so the constructor's defaults hold; sorted is the old order
-    numbers = {k: _get_number(section, k, "model.measure") for k in sorted(section)
-               if k != "family"}
-    if family == "uniform":
-        return LevyMeasure.uniform(**numbers)
-    return LevyMeasure.double_exponential(**numbers)
+    return build(**params)
 
 
 def parse_config(data: dict) -> RunConfig:
@@ -151,54 +164,29 @@ def parse_config(data: dict) -> RunConfig:
         raise ConfigError(f"unsupported schema_version {version!r}; this build reads version 1")
 
     msec = _require_mapping(_get(data, "model", "configuration root"), "model")
-    _check_keys(msec, _MODEL_KEYS, "model")
     esec = _require_mapping(_get(data, "economics", "configuration root"), "economics")
-    _check_keys(esec, _ECONOMICS_KEYS, "economics")
     gsec = _require_mapping(_get(data, "grid", "configuration root"), "grid")
-    _check_keys(gsec, _GRID_KEYS, "grid")
-    ssec = _require_mapping(data.get("solver", {}) or {}, "solver")
-    _check_keys(ssec, _SOLVER_DEFAULTS, "solver")
-    simsec = _require_mapping(data.get("simulation", {}) or {}, "simulation")
-    _check_keys(simsec, _SIM_DEFAULTS, "simulation")
+    ssec = _require_mapping(data.get("solver") or {}, "solver")
+    simsec = _require_mapping(data.get("simulation") or {}, "simulation")
 
-    try:
-        generator = np.array([_floats(row, "generator", "model")
-                              for row in _get(msec, "generator", "model")])
-    except (TypeError, ValueError) as exc:
-        raise ConfigError("model.generator must be a square matrix of rates") from exc
-    dynamics = Dynamics(
-        kappa=_get_number(msec, "kappa", "model"),
-        mu=_floats(_get(msec, "mu", "model"), "mu", "model"),
-        sigma=_floats(_get(msec, "sigma", "model"), "sigma", "model"),
-        jump_scale=_floats(_get(msec, "jump_scale", "model"), "jump_scale", "model"),
-        discount_rate=_get_number(msec, "discount_rate", "model"),
-    )
-    economics = Economics(**{k: _get_number(esec, k, "economics") for k in _ECONOMICS_KEYS})
-    model = MarketModel(
-        generator=generator,
-        dynamics=dynamics,
-        economics=economics,
-        measure=_build_measure(_get(msec, "measure", "model", {"family": "null"})),
-        price_kind=str(_get(msec, "price_kind", "model", "linear")),
-        jump_convention=str(_get(msec, "jump_convention", "model", "proportional")),
-    )
+    # the model section holds the Dynamics fields and MarketModel's own
+    m = _read(msec, "model", {**_schema(MarketModel), **_schema(Dynamics)},
+              filled=("dynamics", "economics"))
+    dynamics = Dynamics(**{k: m.pop(k) for k in _schema(Dynamics)})
+    economics = Economics(**_read(esec, "economics", _schema(Economics)))
+    model = MarketModel(dynamics=dynamics, economics=economics, **m)
     report = validate_model(model)
     if not report.ok:
         raise ConfigError("invalid model: " + "; ".join(report.violations))
 
-    cap = _get_number(gsec, "price_cap", "grid")
+    steps = _read(gsec, "grid", _schema(Grid4D), filled=("horizon", "reserve_capacity",
+                                                         "n_regimes"))
     try:
-        grid = build_grid(
-            horizon=economics.horizon,
-            price_cap=cap,
-            reserve_capacity=economics.reserve_capacity,
-            time_step=_get_number(gsec, "time_step", "grid"),
-            price_step=_get_number(gsec, "price_step", "grid"),
-            reserve_step=_get_number(gsec, "reserve_step", "grid"),
-            n_regimes=model.n_regimes,
-        )
+        grid = build_grid(horizon=economics.horizon, reserve_capacity=economics.reserve_capacity,
+                          n_regimes=model.n_regimes, **steps)
     except ValueError as exc:
         raise ConfigError(f"invalid grid: {exc}") from exc
+    cap = grid.price_cap
     with np.errstate(all="ignore"):  # exp(x) overflows above x = 709.78
         settlement = terminal_value(model, cap, 0.0)
         profit = profit_rate(model, 0.0, cap, 0.0, economics.u_max)
@@ -208,33 +196,11 @@ def parse_config(data: dict) -> RunConfig:
             f"settlement {settlement} and the running profit {profit} at the cap must be finite"
         )
 
-    # each setting is parsed with the type of its SolverConfig default
-    solver = SolverConfig(**{  # SolverConfig checks the strings
-        k: _get(ssec, k, "solver", v) if isinstance(v, str)
-        else _get_number(ssec, k, "solver", v, integer=isinstance(v, int))
-        for k, v in _SOLVER_DEFAULTS.items()
-    })
-
-    start_sec = simsec.get("start")
-    if start_sec is None:
-        start = (0.0, 0.5 * cap, 0.5 * economics.reserve_capacity, 0)
-    else:
-        start_sec = _require_mapping(start_sec, "simulation.start")
-        _check_keys(start_sec, _START_KEYS, "simulation.start")
-        start = (
-            _get_number(start_sec, "s", "simulation.start", 0.0),
-            _get_number(start_sec, "x", "simulation.start"),
-            _get_number(start_sec, "y", "simulation.start"),
-            _get_number(start_sec, "regime", "simulation.start", 0, integer=True),
-        )
-    antithetic = simsec.get("antithetic", False)
-    if not isinstance(antithetic, bool):
-        raise ConfigError(f"simulation.antithetic must be true or false, got {antithetic!r}")
-    # the numbers are parsed with the type of their SimulationSettings default
-    simulation = SimulationSettings(antithetic=antithetic, start=start, **{
-        k: _get_number(simsec, k, "simulation", v, integer=isinstance(v, int))
-        for k, v in _SIM_DEFAULTS.items() if k not in ("antithetic", "start")
-    })
+    solver = SolverConfig(**_read(ssec, "solver", _schema(SolverConfig)))  # it checks the strings
+    if simsec.get("start") is None:  # no start: the middle of the box
+        simsec = {**simsec, "start": {"x": 0.5 * cap, "y": 0.5 * economics.reserve_capacity}}
+    simulation = SimulationSettings(**_read(
+        simsec, "simulation", {**_schema(SimulationSettings), "start": (_START, MISSING)}))
     if simulation.n_paths < 2:
         raise ConfigError(f"simulation.n_paths must be at least 2, got {simulation.n_paths}")
     if simulation.dt <= 0:

@@ -38,10 +38,13 @@ def _on_support(f, w):
 class LevyMeasure:
     """Finite-activity jump measure on the real line.
 
-    kind is one of "null", "atoms", "density". Atom measures carry explicit
-    (location, mass) pairs. Density measures carry a callable evaluated on
-    [-support, support]; mass outside the support is zero by definition.
-    total_mass is Gamma = nu(R), always finite here.
+    kind is "atoms" or "density". Atom measures carry explicit (location,
+    mass) pairs; the null measure is the one with no atoms. Density measures
+    carry a callable evaluated on [-support, support]; mass outside the
+    support is zero by definition. A double exponential also carries its
+    decay, with which its jumps are drawn by inversion. Every field is
+    compared, so an equal copy draws the same jumps. total_mass is
+    Gamma = nu(R), always finite here.
     """
 
     kind: str
@@ -49,14 +52,15 @@ class LevyMeasure:
     support: float | None = None
     atom_locations: tuple[float, ...] = ()
     atom_masses: tuple[float, ...] = ()
+    decay: float | None = None
     _density: object = field(default=None, repr=False)
 
     # -- constructors -------------------------------------------------------
 
     @staticmethod
     def null() -> "LevyMeasure":
-        """Measure with no jumps at all (Gamma = 0)."""
-        return LevyMeasure(kind="null", total_mass=0.0)
+        """Measure with no jumps at all (Gamma = 0): no atoms."""
+        return LevyMeasure.atoms(())
 
     @staticmethod
     def atoms(pairs) -> "LevyMeasure":
@@ -96,11 +100,8 @@ class LevyMeasure:
         lam, w = float(decay), float(half_width)
         # integral of exp(-lam|z|) over [-w, w] is 2*(1 - exp(-lam*w))/lam
         scale = float(total_mass) * lam / (2.0 * (1.0 - math.exp(-lam * w)))
-
-        out = LevyMeasure(kind="density", total_mass=float(total_mass), support=w,
-                          _density=_on_support(lambda z: scale * np.exp(-lam * np.abs(z)), w))
-        object.__setattr__(out, "_de_params", (lam, w))
-        return out
+        return LevyMeasure(kind="density", total_mass=float(total_mass), support=w, decay=lam,
+                           _density=_on_support(lambda z: scale * np.exp(-lam * np.abs(z)), w))
 
     @staticmethod
     def from_density(density, half_width: float, total_mass: float | None = None) -> "LevyMeasure":
@@ -145,8 +146,6 @@ class LevyMeasure:
         for atoms; for densities Simpson on the odd part z*(f(z) - f(-z)) over
         [0, min(1, support)], exactly 0.0 for an even density.
         """
-        if self.kind == "null":
-            return 0.0
         if self.kind == "atoms":
             return float(
                 sum(
@@ -174,9 +173,8 @@ class LevyMeasure:
             probs = np.asarray(self.atom_masses) / self.total_mass
             idx = rng.choice(len(probs), size=n, p=probs)
             return np.asarray(self.atom_locations)[idx]
-        de = getattr(self, "_de_params", None)
-        if de is not None:
-            lam, w = de
+        if self.decay is not None:
+            lam, w = self.decay, float(self.support)
             u = rng.uniform(-1.0, 1.0, size=n)
             mag = -np.log1p(-np.abs(u) * (1.0 - math.exp(-lam * w))) / lam
             return np.sign(u) * mag
@@ -232,7 +230,7 @@ class MarketModel:
     generator: np.ndarray  # regime chain generator Q, shape (M, M)
     dynamics: Dynamics
     economics: Economics
-    measure: LevyMeasure
+    measure: LevyMeasure = LevyMeasure.null()
     price_kind: str = "linear"  # "linear" or "exponential"
     jump_convention: str = "proportional"  # or "additive"
 

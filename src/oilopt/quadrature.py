@@ -86,9 +86,6 @@ def build_quadrature(measure, xi: float, truncation: float = 5.0) -> QuadratureS
     """
     if not (0.0 < xi < 1.0):
         raise ValueError(f"quadrature step xi must lie in (0,1), got {xi}")
-    if measure.kind == "null":
-        empty = np.empty(0)
-        return QuadratureScheme(empty, empty, empty, empty, 0.0, 0.0)
     if measure.kind == "atoms":
         locs = np.asarray(measure.atom_locations, dtype=float)
         masses = np.asarray(measure.atom_masses, dtype=float)

@@ -362,7 +362,10 @@ class DiscreteOperator:
 
         The last control's numerator is summed in place on the base block, so
         the endpoint pair holds three block-sized arrays: the base block, the
-        best so far and one candidate.
+        best so far and one candidate. A longer frozen list holds four, the
+        fourth being the numerator of a control before the last: each
+        control's numerator and candidate are released before the next
+        control's are made.
         """
         g = self.grid
         r, l = self.r, g.reserve_step
@@ -373,6 +376,7 @@ class DiscreteOperator:
         best = None
         terms = []  # scan: (RHS' without the reserve term, its weight, 1+c) per u > 0
         for i, u in enumerate(controls):
+            num = cand = None  # the last control's arrays go before the next ones are made
             u = float(u)
             profit, den = self.control_terms(u)
             num = np.add(base, profit, out=base if i == len(controls) - 1 else None)
@@ -428,7 +432,7 @@ class DiscreteOperator:
         threads: the calling thread runs the even tasks and, with
         SWEEP_WORKERS = 2, one pool worker the odd ones (numpy's ufuncs and
         matmul release the GIL). A task holds three block-sized arrays for the
-        endpoint pair, up to five for a longer list (see _best_candidate), and
+        endpoint pair, four for a longer list (see _best_candidate), and
         none once done, so the byte budget bounds them on any grid:
         regime-sized blocks (3.4 MB on reference.yaml) made the allocator
         re-fault its heap every regime, and 10-slice blocks (1.3 MB) raised

@@ -35,10 +35,6 @@ class CheckResult:
     detail: str
     value: float | None = None
 
-    @property
-    def passed(self) -> bool:
-        return self.status == "pass"
-
 
 def check_quadrature(cfg: RunConfig) -> list[CheckResult]:
     """Weight families must reproduce the measure's mass and symmetry."""

@@ -1,12 +1,14 @@
-"""Shared test plumbing: the acceptance-criteria result board, and the
-reference forms the solver's sweep blocks are checked against bit for bit:
-the dense jump product, and the column-broadcast block update.
+"""Shared test plumbing: the acceptance-criteria result board, the traced
+peak of one call, and the reference forms the solver's sweep blocks are
+checked against bit for bit: the dense jump product, and the
+column-broadcast block update.
 
 test_acceptance.py records one line per criterion; the terminal-summary hook
 prints the board after the run so every criterion shows a visible PASS/FAIL
 line regardless of output capturing.
 """
 
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -16,6 +18,23 @@ ACCEPTANCE: dict[int, tuple[bool, str]] = {}
 
 def record_criterion(number: int, passed: bool, detail: str):
     ACCEPTANCE[number] = (passed, detail)
+
+
+def traced_peak(call):
+    """Bytes tracemalloc traces at the peak of call() above those traced
+    before it; tracing is started for the call unless it is already on."""
+    was_tracing = tracemalloc.is_tracing()
+    if not was_tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base, _ = tracemalloc.get_traced_memory()
+        call()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        if not was_tracing:
+            tracemalloc.stop()
+    return peak - base
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

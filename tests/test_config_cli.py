@@ -19,6 +19,7 @@ from oilopt import (
     GridField,
     analytic_oracle,
     cli,
+    config,
     dpp_residual,
     policy,
     simulate,
@@ -249,6 +250,25 @@ class TestConfigParsing:
                 parse_config(data)
         data["grid"]["price_cap"] = 100.0
         assert parse_config(data).grid.price_cap == 100.0
+
+    def test_the_reference_config_writes_every_key_the_parser_accepts(self, monkeypatch):
+        """Each section accepts the fields of the dataclass it fills, so a new
+        field is a new key: reference.yaml, which README's schema block
+        repeats, must write it, and no key can go undocumented."""
+        accepted = {}
+        check_keys = config._check_keys
+
+        def record(section, allowed, where):
+            accepted[where] = set(allowed)
+            return check_keys(section, allowed, where)
+
+        monkeypatch.setattr(config, "_check_keys", record)
+        parse_config(REFERENCE)
+        written = {"configuration root": REFERENCE,
+                   **{s: REFERENCE[s] for s in ("model", "economics", "grid", "solver",
+                                                 "simulation")},
+                   "simulation.start": REFERENCE["simulation"]["start"]}
+        assert {w: accepted[w] for w in written} == {w: set(s) for w, s in written.items()}
 
     def test_readme_schema_block_is_the_reference_config(self):
         """The documented schema parses and says what reference.yaml says."""

@@ -144,8 +144,25 @@ class TestDrift:
 class TestLevyMeasure:
     def test_null_measure(self):
         m = LevyMeasure.null()
+        assert m == LevyMeasure.atoms([])  # the measure with no atoms
         assert m.total_mass == 0.0
         assert m.compensator_drift() == 0.0
+
+    @pytest.mark.parametrize("measure", [
+        LevyMeasure.null(),
+        LevyMeasure.atoms([(1.0, 3.0), (-2.0, 1.0)]),
+        LevyMeasure.uniform(1.0, 0.5),
+        LevyMeasure.double_exponential(2.0, half_width=3.0, total_mass=0.5),
+        LevyMeasure.from_density(lambda z: np.exp(-np.abs(z)), 1.0, total_mass=0.5),
+    ], ids=["null", "atoms", "uniform", "double-exponential", "from-density"])
+    def test_an_equal_copy_draws_the_same_jumps(self, measure):
+        """Every field a draw reads is compared: a copy equal to the measure
+        draws the same jumps from the same seed (the null measure, none)."""
+        copy = dataclasses.replace(measure)
+        assert copy == measure
+        n = 3 if measure.total_mass > 0 else 0
+        assert np.array_equal(copy.sample_jumps(np.random.default_rng(1), n),
+                              measure.sample_jumps(np.random.default_rng(1), n))
 
     def test_uniform_mass_and_density(self):
         m = LevyMeasure.uniform(half_width=1.0, total_mass=0.5)

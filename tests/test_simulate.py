@@ -3,10 +3,10 @@ import math
 import multiprocessing
 import os
 import signal
-import tracemalloc
 
 import numpy as np
 import pytest
+from conftest import traced_peak
 
 from oilopt import (
     Dynamics,
@@ -376,19 +376,10 @@ class TestBatch:
         block_bytes = n_paths * simulate.NORMAL_BLOCK * 8
         # the block, and as much again for generators, events and temporaries
         bound = 2 * block_bytes
-        was_tracing = tracemalloc.is_tracing()
-        if not was_tracing:
-            tracemalloc.start()
-        try:
-            tracemalloc.reset_peak()
-            base, _ = tracemalloc.get_traced_memory()
-            estimate_value(jumpy_model(horizon=2.0), zero_policy, PIN_START, n_paths=n_paths,
-                           dt=2.0 / n_steps, seed=1)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            if not was_tracing:
-                tracemalloc.stop()
-        assert peak - base < bound, f"traced peak {(peak - base) / 1e6:.1f} MB"
+        peak = traced_peak(lambda: estimate_value(jumpy_model(horizon=2.0), zero_policy,
+                                                  PIN_START, n_paths=n_paths,
+                                                  dt=2.0 / n_steps, seed=1))
+        assert peak < bound, f"traced peak {peak / 1e6:.1f} MB"
 
 
 class PolicyFailure(Exception):

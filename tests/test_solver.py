@@ -8,13 +8,13 @@ import re
 import subprocess
 import sys
 import threading
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
-from conftest import column_base_block, column_best_candidate, dense_base_block
+from conftest import (column_base_block, column_best_candidate, dense_base_block,
+                      traced_peak)
 
 from oilopt import (
     ConfigError,
@@ -486,18 +486,25 @@ class TestSweepBlocks:
         op = DiscreteOperator(reference_model(horizon=2.0), grid, SolverConfig())
         V = np.random.default_rng(19).uniform(-100.0, 400.0, size=grid.shape)
         bound = 4 * max(solver.SWEEP_BLOCK_BYTES, slice_bytes) * solver.SWEEP_WORKERS
-        was_tracing = tracemalloc.is_tracing()
-        if not was_tracing:
-            tracemalloc.start()
-        try:
-            tracemalloc.reset_peak()
-            base, _ = tracemalloc.get_traced_memory()
-            op.sweep(V, change=True)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            if not was_tracing:
-                tracemalloc.stop()
-        assert peak - base < bound, f"traced peak {(peak - base) / 1e6:.1f} MB"
+        peak = traced_peak(lambda: op.sweep(V, change=True))
+        assert peak < bound, f"traced peak {peak / 1e6:.1f} MB"
+
+    @pytest.mark.parametrize("points", [4, 7])
+    def test_a_frozen_control_list_holds_four_block_arrays(self, points):
+        """_best_candidate releases each control's numerator and candidate
+        before the next control's are made, so a frozen read of a list of any
+        length holds four block-sized arrays: the base block, the best so far,
+        one numerator and one candidate. A block here is one slice of the
+        401 x 101-node grid; holding the last control's pair reads 5.01."""
+        grid = build_grid(horizon=2.0, price_cap=100.0, reserve_capacity=10.0, time_step=0.1,
+                          price_step=0.25, reserve_step=0.1, n_regimes=2)
+        op = DiscreteOperator(reference_model(horizon=2.0), grid, SolverConfig())
+        V = np.random.default_rng(19).uniform(-100.0, 400.0, size=grid.shape)
+        controls = np.linspace(0.0, 50000.0, points)
+        op._best_candidate(V, 0, 5, 6, controls)  # the control terms are cached from here on
+        arrays = traced_peak(lambda: op._best_candidate(V, 0, 5, 6, controls)) / (
+            grid.n_x * grid.n_y * 8)
+        assert arrays < 4.5, f"traced peak {arrays:.2f} slice arrays"
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_an_update_written_over_its_input_is_refused(self, workers, monkeypatch):
