@@ -37,7 +37,7 @@ from . import __version__, solver
 from .config import RunConfig, load_config
 from .errors import ConfigError, NumericalError
 from .grid import GridField, write_rows
-from .policy import curve_table, write_curve_csv, write_policy_csv
+from .policy import bang_bang_policy, curve_table, write_curve_csv, write_policy_csv
 from .simulate import check_record
 from .solver import ConvergenceReport, DiscreteOperator, dpp_residual, solve
 from .verify import MC_DISCRETIZATION_CONSTANT, run_verification, simulation_gap
@@ -112,7 +112,8 @@ def _manifest(cfg: RunConfig, args, report=None, extra=None, stored=None) -> dic
             "wall_time_s": report.wall_time,
             "sweep_workers": solver.SWEEP_WORKERS,  # threads per full sweep
             "sweep_block": solver.sweep_block(cfg.grid),  # time slices per sweep task
-            "jump_band_share": report.operator.jump_band_share,
+            "jump_band_share": report.jump_band_share,
+            "slice_updates": report.slice_updates,  # (regime, slice) updates the solve computed
         }
         if report.slices:  # backward: inner passes per time slice
             passes = [p for p, _ in report.slices]
@@ -194,6 +195,7 @@ def _value_field(cfg: RunConfig, out_dir: Path):
                 iterations=0, final_residual=residual, mode=cfg.solver.mode,
                 sweep=cfg.solver.sweep, contraction=op.contraction,
                 wall_time=time.perf_counter() - t0, operator=op,
+                jump_band_share=op.jump_band_share,
             )
             return field, report, records
     return (*solve(cfg.model, cfg.grid, cfg.solver), None)
@@ -253,7 +255,9 @@ def _cmd_simulate(cfg: RunConfig, args, out_dir: Path) -> int:
                  args.record)  # before the solve
     field, report, stored = _value_field(cfg, out_dir)
     t0 = time.perf_counter()
-    est, v_grid, gap = simulation_gap(cfg, field, report.operator, record=args.record)
+    policy = bang_bang_policy(field, report.operator)
+    report.operator = None  # the Monte Carlo reads only the policy
+    est, v_grid, gap = simulation_gap(cfg, field, policy, record=args.record)
     mc_wall = time.perf_counter() - t0
     if est.paths:
         rows = ((p, *row) for p, rec in enumerate(est.paths) for row in zip(

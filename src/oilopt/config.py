@@ -61,6 +61,13 @@ def _check_keys(section: dict, allowed, where: str):
         raise ConfigError(f"unknown key(s) in {where}: {', '.join(unknown)}")
 
 
+def _optional_section(data: dict, key: str) -> dict:
+    """A top-level section that may be left out: missing or null reads as
+    empty, anything else must be a mapping (false, 0, "" and [] are not)."""
+    section = data.get(key)
+    return {} if section is None else _require_mapping(section, key)
+
+
 def _get(section: dict, key: str, where: str):
     if key not in section:
         raise ConfigError(f"missing required key '{key}' in {where}")
@@ -151,7 +158,10 @@ def _build_measure(section) -> LevyMeasure:
             params["pairs"] = [_floats((z, m), "model.measure.pairs") for z, m in params["pairs"]]
         except (TypeError, ValueError) as exc:
             raise ConfigError("model.measure.pairs must be a list of [size, mass] pairs") from exc
-    return build(**params)
+    try:
+        return build(**params)
+    except ValueError as exc:  # each constructor's refusal starts with the parameter it refuses
+        raise ConfigError(f"model.measure.{exc}") from exc
 
 
 def parse_config(data: dict) -> RunConfig:
@@ -166,8 +176,8 @@ def parse_config(data: dict) -> RunConfig:
     msec = _require_mapping(_get(data, "model", "configuration root"), "model")
     esec = _require_mapping(_get(data, "economics", "configuration root"), "economics")
     gsec = _require_mapping(_get(data, "grid", "configuration root"), "grid")
-    ssec = _require_mapping(data.get("solver") or {}, "solver")
-    simsec = _require_mapping(data.get("simulation") or {}, "simulation")
+    ssec = _optional_section(data, "solver")
+    simsec = _optional_section(data, "simulation")
 
     # the model section holds the Dynamics fields and MarketModel's own
     m = _read(msec, "model", {**_schema(MarketModel), **_schema(Dynamics)},

@@ -67,7 +67,7 @@ class LevyMeasure:
         locs = tuple(float(z) for z, _ in pairs)
         masses = tuple(float(m) for _, m in pairs)
         if any(m < 0 for m in masses):
-            raise ValueError("atom masses must be nonnegative")
+            raise ValueError(f"pairs must hold nonnegative masses, got {masses}")
         return LevyMeasure(
             kind="atoms",
             total_mass=float(sum(masses)),
@@ -79,9 +79,9 @@ class LevyMeasure:
     def uniform(half_width: float = 1.0, total_mass: float = 1.0) -> "LevyMeasure":
         """Constant density on [-half_width, half_width] normalized to total_mass."""
         if half_width <= 0:
-            raise ValueError("half_width must be positive")
+            raise ValueError(f"half_width must be positive, got {half_width}")
         if total_mass < 0:
-            raise ValueError("total_mass must be nonnegative")
+            raise ValueError(f"total_mass must be nonnegative, got {total_mass}")
         w = float(half_width)
         level = float(total_mass) / (2.0 * w)
         return LevyMeasure(kind="density", total_mass=float(total_mass), support=w,
@@ -93,10 +93,11 @@ class LevyMeasure:
     ) -> "LevyMeasure":
         """Symmetric density ~ exp(-decay*|z|), truncated at half_width,
         normalized so the truncated measure has the given total mass."""
-        if decay <= 0 or half_width <= 0:
-            raise ValueError("decay and half_width must be positive")
+        for name, value in (("decay", decay), ("half_width", half_width)):
+            if value <= 0:
+                raise ValueError(f"{name} must be positive, got {value}")
         if total_mass < 0:
-            raise ValueError("total_mass must be nonnegative")
+            raise ValueError(f"total_mass must be nonnegative, got {total_mass}")
         lam, w = float(decay), float(half_width)
         # integral of exp(-lam|z|) over [-w, w] is 2*(1 - exp(-lam*w))/lam
         scale = float(total_mass) * lam / (2.0 * (1.0 - math.exp(-lam * w)))

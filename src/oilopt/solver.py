@@ -39,10 +39,15 @@ serves the sweep, the backward reserve scan, dense control scans and
 pinned-control checks (the last two through sweep(controls=...)); one
 method, reserve_neighbor, reads y - l for the sweep and the switching field.
 
-Two sweep orders are provided. "jacobi" recomputes every node from the
+Two sweep orders are provided. "jacobi" updates every node from the
 previous full-grid iterate (deterministic, trivially parallel: the update
 is a pure function of the frozen iterate, so any worker partition gives
-bit-identical results; see sweep for its two threads). BLAS threading is
+bit-identical results; see sweep for its two threads). The operator is the
+same on every time slice and slice t's update reads only slices t and
+t + 1, so where the iterate's leading slices are bitwise copies of slice 0
+(the terminal payoff broadcast to every slice, and what the first sweeps
+leave of it) their updates are copies too: sweep computes one of them and
+copies its bits. BLAS threading is
 left alone: the jump term is a few small products over row bands (see
 _jump_bands), and on the 2x-refined reference grid OpenBLAS's thread count
 (1, 2 or unset) moved no bit of a backward solve, where the dense 401-wide
@@ -132,6 +137,8 @@ class ConvergenceReport:
     # backward only: (passes, last inner change) per time slice, slice 0 first
     slices: list = field(default_factory=list)
     balance: tuple | None = None  # backward only: dpp_residual of the returned field
+    jump_band_share: float | None = None  # the operator's, kept when the operator is dropped
+    slice_updates: int = 0  # (regime, slice) updates of the jacobi sweeps or backward passes
 
 
 class DiscreteOperator:
@@ -171,7 +178,9 @@ class DiscreteOperator:
         self._build_coefficients()
         self.jump_bands = [None if P is None else _jump_bands(P)
                            for P in map(self._build_jump_matrix, range(grid.n_regimes))]
-        self.controls = np.unique([0.0, model.economics.u_max])
+        # np.unique would import numpy.ma, which nothing else reads
+        self.controls = np.array(sorted({0.0, float(model.economics.u_max)}))
+        self.slice_updates = 0  # (regime, slice) updates computed by sweep
         self._terms = {}
         for u in self.controls:
             self.control_terms(u)  # a refused endpoint fails the build
@@ -427,6 +436,15 @@ class DiscreteOperator:
         as (regime, s_idx, x_idx, y_idx)), a NaN winning; without `out` the
         update is then dropped block by block.
 
+        When slices 0..j of `values` hold the same bits in every regime
+        (_leading_copies), slices 0..r of the update, r = max(j - 1, 0), read
+        only those copies through the same per-slice arithmetic, so they
+        hold the same bits too. Only the tasks from the block holding r
+        onward run, and the slices below that block take a copy of slice r;
+        a largest change found at a slice up to r is reported at slice 0,
+        the first of its copies in C order. The count of (regime, slice)
+        updates computed is added to slice_updates.
+
         The tasks, one per (regime, sweep_block(grid) time slices), each write
         only their own slab, so no bit depends on the blocks or on the
         threads: the calling thread runs the even tasks and, with
@@ -452,8 +470,14 @@ class DiscreteOperator:
             out = np.empty_like(values)
         for u in self.controls if controls is None else controls:
             self.control_terms(u)  # a bad control raises here; no thread writes the cache
-        edges = [*range(0, n, sweep_block(g)), n, n + 1]  # the terminal slice is a task of its own
+        block = sweep_block(g)
+        r = max(_leading_copies(values) - 1, 0)
+        first = r - r % block  # the block holding r: the edges are the full sweep's from there
+        edges = [*range(first, n, block), n]
+        # the terminal slice is a task of its own, listed after every block so
+        # that the even and the odd tasks differ by one block at most
         tasks = [(m, lo, hi) for m in range(g.n_regimes) for lo, hi in zip(edges, edges[1:])]
+        tasks += [(m, n, n + 1) for m in range(g.n_regimes)]
 
         def run(part):  # per task: its slab of `out`, its largest change and first node
             found = []
@@ -464,7 +488,7 @@ class DiscreteOperator:
                     out[m, lo:hi] = new
                 if change:
                     c, (t, x, y) = _largest_change(new, values[m, lo:hi], None if lo == n else new)
-                    found.append((c, (m, lo + t, x, y)))
+                    found.append((c, (m, 0 if lo + t <= r else lo + t, x, y)))
                 del new  # released before the next block is computed
             return found
 
@@ -477,6 +501,10 @@ class DiscreteOperator:
             finally:
                 wait([odd])  # the worker finishes before anything propagates
             found += odd.result()
+        self.slice_updates += g.n_regimes * (n - first)
+        if out is not None and first:
+            # from a copy: an overlapping source would be buffered at the size of the target
+            out[:, :first] = out[:, r, None].copy()
         if not change:
             return out
         # a NaN first, then the largest change; ties go to the first node in C order
@@ -506,6 +534,21 @@ def _jump_bands(P):
         c0, c1 = (int(cols[0]), int(cols[-1]) + 1) if cols.size else (r0, r0)
         bands.append((r0, r1, c0, c1, np.ascontiguousarray(P[r0:r1, c0:c1])))
     return bands
+
+
+def _leading_copies(V):
+    """The number of time slices after slice 0 of V whose bits equal slice
+    0's in every regime. Compared as integers, -0.0 and +0.0 differ and a
+    NaN matches only its own bits. The runs compared double in length, so
+    a field without copies pays one slice and the cost stays O(j)."""
+    bits = V.view(f"i{V.itemsize}")
+    j, n = 0, V.shape[1] - 1
+    while j < n:
+        same = (bits[:, j + 1 : 2 * j + 2] == bits[:, :1]).all(axis=(0, 2, 3))
+        if not same.all():
+            return j + int(np.argmin(same))
+        j += same.size
+    return j
 
 
 def _largest_change(new, old, out=None):
@@ -541,15 +584,18 @@ def solve(model: MarketModel, grid: Grid4D, cfg: SolverConfig | None = None):
     if cfg.sweep == "backward":
         result = GridField(grid, op.initial_guess())
         iterations = _solve_backward(op, result.values, cfg, slices)
+        updates = iterations * grid.n_regimes  # a pass updates one slice of every regime
         balance = dpp_residual(result, op)  # the closing residual
         residuals.append(balance[0])
     else:
         iterations, V = _solve_jacobi(op, op.initial_guess(), cfg, residuals)
+        updates = op.slice_updates
         result = GridField(grid, V)
     report = ConvergenceReport(
         iterations=iterations, final_residual=residuals[-1] if residuals else 0.0,
         residuals=residuals, mode=cfg.mode, sweep=cfg.sweep, contraction=op.contraction,
         wall_time=time.perf_counter() - t0, operator=op, slices=slices, balance=balance,
+        jump_band_share=op.jump_band_share, slice_updates=updates,
     )
     return result, report
 

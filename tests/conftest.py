@@ -1,7 +1,7 @@
 """Shared test plumbing: the acceptance-criteria result board, the traced
 peak of one call, and the reference forms the solver's sweep blocks are
-checked against bit for bit: the dense jump product, and the
-column-broadcast block update.
+checked against bit for bit: the dense jump product, the column-broadcast
+block update, and the full sweep with every time slice computed on its own.
 
 test_acceptance.py records one line per criterion; the terminal-summary hook
 prints the board after the run so every criterion shows a visible PASS/FAIL
@@ -138,3 +138,17 @@ def column_best_candidate(op, V, m, lo, hi, controls=None, scan=False):
             np.maximum(w, cand, out=w)
         prev = w
     return rows.transpose(1, 2, 0)
+
+
+def per_slice_sweep(op, V, controls=None):
+    """op.sweep(V, controls) with every time slice below the horizon computed
+    on its own, _best_candidate(V, m, t, t + 1), and the settlement payoff
+    on the horizon; returned with its (largest change, first node in C
+    order), a NaN first."""
+    n = op.grid.n_s - 1
+    new = np.stack([np.concatenate([*(op._best_candidate(V, m, t, t + 1, controls)
+                                      for t in range(n)), op.terminal[m, None]])
+                    for m in range(op.grid.n_regimes)])
+    diff = np.abs(new - V)
+    node = np.unravel_index(int(np.argmax(diff)), diff.shape)
+    return new, (float(diff[node]), tuple(map(int, node)))

@@ -153,6 +153,16 @@ def test_criterion_3_contraction_and_monotone_residuals(reference):
     )
 
 
+def test_reference_jacobi_computes_each_run_of_copied_slices_once(reference):
+    """The solve starts from the terminal payoff on all 101 slices, and after
+    sweep k the leading 101 - k are still bitwise copies: of the 168 sweeps'
+    2 x 168 x 100 = 33,600 (regime, slice) updates, 9,000 are copies that
+    no sweep computes."""
+    _, _, report, _ = reference
+    assert len(report.residuals) == 168
+    assert report.slice_updates == 24_600
+
+
 @criterion(4)
 def test_criterion_4_order_preservation(reference):
     """100 ordered field pairs stay ordered through one upwind sweep; the

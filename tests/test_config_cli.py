@@ -180,6 +180,36 @@ class TestConfigParsing:
         cfg = parse_config(data)
         assert cfg.solver.tolerance == 1e-6
         assert cfg.simulation.n_paths == 10000
+        data["solver"] = data["simulation"] = None  # a null section reads as an empty one
+        nulls = parse_config(data)
+        assert (nulls.solver, nulls.simulation) == (cfg.solver, cfg.simulation)
+
+    @pytest.mark.parametrize("section", ["solver", "simulation"])
+    @pytest.mark.parametrize("value", [False, 0, "", []], ids=["false", "zero", "empty-string",
+                                                                "empty-list"])
+    def test_a_falsy_section_is_not_an_empty_one(self, section, value):
+        data, _, _ = deep(SMALL, section)
+        data[section] = value
+        with pytest.raises(ConfigError, match=f"^{section} must be a mapping, got "
+                                              f"{type(value).__name__}$"):
+            parse_config(data)
+
+    @pytest.mark.parametrize("measure, message", [
+        ({"family": "uniform", "half_width": 0}, "half_width must be positive, got 0.0"),
+        ({"family": "uniform", "total_mass": -0.5}, "total_mass must be nonnegative, got -0.5"),
+        ({"family": "double_exponential", "decay": -1}, "decay must be positive, got -1.0"),
+        ({"family": "double_exponential", "decay": 2, "half_width": -3},
+         "half_width must be positive, got -3.0"),
+        ({"family": "double_exponential", "decay": 2, "total_mass": -1},
+         "total_mass must be nonnegative, got -1.0"),
+        ({"family": "atoms", "pairs": [[0.5, 0.2], [1.0, -0.1]]},
+         "pairs must hold nonnegative masses, got (0.2, -0.1)"),
+    ])
+    def test_a_measure_constructor_refusal_names_the_key(self, measure, message):
+        data, node, key = deep(SMALL, "model", "measure")
+        node[key] = measure
+        with pytest.raises(ConfigError, match=f"^{re.escape('model.measure.' + message)}$"):
+            parse_config(data)
 
     @pytest.mark.parametrize("path, text", [
         ("simulation.n_paths", "1000.7"),
@@ -295,6 +325,8 @@ class TestCli:
         assert manifest["run"]["sweep_workers"] == solver.SWEEP_WORKERS
         assert manifest["run"]["sweep_block"] == solver.sweep_block(load_config(cfg).grid)
         assert "passes_per_slice" not in manifest["run"]  # jacobi has no slices
+        # ten slices below the horizon, one block: every sweep computes all of them
+        assert manifest["run"]["slice_updates"] == manifest["run"]["iterations"] * 2 * 10
         assert_run_records(manifest, cfg)
         assert "solved" in capsys.readouterr().out
 
@@ -429,6 +461,7 @@ class TestCli:
         assert (out / "policy.csv").read_text().splitlines()[0] == "s,x,y,regime,G,u_star"
         manifest = json.loads((out / "manifest.json").read_text())
         assert (manifest["threshold_rows"], manifest["threshold_rows_near_cap"]) == (168, 0)
+        assert manifest["run"]["slice_updates"] > 0  # solved here, not loaded
         assert_run_records(manifest, cfg)
 
     def test_policy_manifest_counts_threshold_rows_near_the_cap(self, tmp_path, capsys):
@@ -758,6 +791,9 @@ class TestValueFieldReuse:
             assert run["iterations"] == 0 and run["converged"] is True
             assert run["final_residual"] < SMALL["solver"]["tolerance"]
             assert "passes_per_slice" not in run
+            assert run["slice_updates"] == 0  # the residual check is not a solve
+            assert run["jump_band_share"] == solved["run"]["jump_band_share"]
+        assert solved["run"]["slice_updates"] > 0
         pinned = {name.split("/")[1]: digest
                   for name, digest in TestCli.CSV_SHA256[sweep].items()}
         assert {f.name: hashlib.sha256(f.read_bytes()).hexdigest()

@@ -15,7 +15,8 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from conftest import column_base_block, column_best_candidate, dense_base_block
+from conftest import (column_base_block, column_best_candidate, dense_base_block,
+                      per_slice_sweep)
 from hypothesis import example, given, settings, strategies as st
 
 from oilopt import (
@@ -301,6 +302,46 @@ def test_blocks_and_threads_move_no_bit(op, seed, data):
     assert np.array_equal(values, got_values)
     assert residuals == got_residuals
     assert worst == got_worst
+
+
+@settings(max_examples=20, deadline=None)
+@given(problem=small_problems(), seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_copied_leading_slices_keep_the_per_slice_bits(problem, seed, data):
+    """Whatever run of bitwise copies of slice 0 leads the field (none, one
+    slice, a block less one, a block, every slice below the horizon, and the
+    initial guess's every slice), for the endpoint pair, a dense list and a
+    pinned control, with `out` or without and with `change` or without, the
+    sweep gives the per-slice update's bits and its largest change and node.
+    With slices 0..j copies it computes only the blocks from the one holding
+    slice max(j - 1, 0) on."""
+    model, grid = problem
+    grid = build_grid(horizon=1.0, price_cap=10.0, reserve_capacity=2.0, time_step=0.1,
+                      price_step=0.5, reserve_step=0.5, n_regimes=grid.n_regimes)
+    op = upwind_operator((model, grid))
+    n, u_max = grid.n_s - 1, model.economics.u_max
+    block = data.draw(st.integers(2, 4), label="time slices per block")
+    workers = data.draw(st.sampled_from([1, 2]), label="SWEEP_WORKERS")
+    rng = np.random.default_rng(seed)
+    with (mock.patch.object(solver, "SWEEP_BLOCK_BYTES", block * grid.n_x * grid.n_y * 8),
+          mock.patch.object(solver, "SWEEP_WORKERS", workers)):
+        for length in (0, 1, block - 1, block, n, n + 1):
+            V = op.initial_guess() if length == n + 1 else rng.uniform(-100.0, 400.0, grid.shape)
+            V[:, 1:length] = V[:, :1]
+            r = max(length - 2, 0)
+            updates = grid.n_regimes * (n - (r - r % block))
+            for controls in (None, np.linspace(0.0, u_max, 5), [u_max]):
+                want, want_change = per_slice_sweep(op, V, controls)
+                for given_out in (False, True):
+                    for change in (False, True):
+                        out = np.full_like(V, np.nan) if given_out else None  # no slice left unset
+                        before = op.slice_updates
+                        got = op.sweep(V, controls, out=out, change=change)
+                        assert op.slice_updates - before == updates
+                        if change:
+                            assert got == want_change, (length, controls)
+                            got = out
+                        if got is not None:
+                            assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 @settings(max_examples=25, deadline=None)

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 import yaml
 from conftest import (column_base_block, column_best_candidate, dense_base_block,
-                      traced_peak)
+                      per_slice_sweep, traced_peak)
 
 from oilopt import (
     ConfigError,
@@ -359,6 +359,7 @@ class TestReserveScan:
         passes = [p for p, _ in report.slices]
         assert len(passes) == cfg.grid.n_s - 1
         assert sum(passes) == report.iterations
+        assert report.slice_updates == report.iterations * cfg.grid.n_regimes
         assert max(passes) <= 14
         assert sum(passes) <= 650  # 613 from the cubic warm start, 1,306 from a copy
         tol = cfg.solver.tolerance * cfg.model.dynamics.discount_rate * cfg.grid.time_step / 2
@@ -705,6 +706,129 @@ class TestSweepThreads:
         monkeypatch.setattr(solver, "SWEEP_WORKERS", 2)
         for _ in range(2):
             assert np.array_equal(op.sweep(V), serial)
+
+
+class TestLeadingCopies:
+    """Where slices 0..j of the iterate are bitwise copies of slice 0, sweep
+    computes the blocks from the one holding slice max(j - 1, 0) on and
+    copies the rest (see test_properties.py for the bits on small models)."""
+
+    @staticmethod
+    def operator(monkeypatch, workers):
+        monkeypatch.setattr(solver, "SWEEP_WORKERS", workers)
+        grid = small_grid(horizon=2.5, n_regimes=2)
+        monkeypatch.setattr(solver, "SWEEP_BLOCK_BYTES", block_budget(grid, 10))
+        return DiscreteOperator(reference_model(horizon=2.5), grid, SolverConfig())
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_ties_among_the_copies_are_named_at_slice_0(self, workers, monkeypatch):
+        """From the initial guess every slice below the horizon is a copy, so
+        the largest change ties on all 25 of them; only the last block and
+        the horizon are computed, and the node named is slice 0's, as an
+        argmax over the whole update names it."""
+        op = self.operator(monkeypatch, workers)
+        V = op.initial_guess()
+        worst, info = dpp_residual(GridField(op.grid, V), op)
+        assert (worst, info["node"]) == per_slice_sweep(op, V)[1]
+        assert info["node"][1] == 0 and worst > 0.0
+        assert op.slice_updates == 2 * 5  # the block [20, 25) of each regime
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_a_nan_inside_the_run_is_named_at_slice_0(self, workers, monkeypatch):
+        """A NaN planted at one node of slices 0..14, all of them copies, is
+        in the update of slices 0..13 (and of slice 14 through the price and
+        jump neighbours): the reported change is NaN at slice 0's first NaN,
+        the whole update's first in C order, and the first block is not
+        computed."""
+        op = self.operator(monkeypatch, workers)
+        V = op.initial_guess()
+        V[1, :15, 50, 5] = np.nan
+        change, node = op.sweep(V, change=True)
+        want_change, want_node = per_slice_sweep(op, V)[1]
+        assert math.isnan(change) and math.isnan(want_change)
+        assert node == want_node and node[1] == 0
+        assert op.slice_updates == 2 * 15  # the blocks [10, 20) and [20, 25)
+
+    @pytest.mark.parametrize("copies, blocks", [(25, 1), (15, 2), (5, 3)])
+    def test_the_two_threads_compute_as_many_blocks(self, copies, blocks, monkeypatch):
+        """Slices 0..copies of the field are copies, so `blocks` blocks of
+        each regime are computed, and the calling thread and the pool worker
+        compute as many. With the horizon's tasks listed among the blocks,
+        the calling thread took both blocks of a one-block sweep and four of
+        the six of a three-block one."""
+        op = self.operator(monkeypatch, 2)
+        V = op.initial_guess()
+        V[:, copies + 1:] += 1.0
+        threads, real = [], DiscreteOperator._best_candidate
+        monkeypatch.setattr(DiscreteOperator, "_best_candidate", lambda self, *a, **kw: (
+            threads.append(threading.get_ident()) or real(self, *a, **kw)))
+        op.sweep(V, change=True)
+        assert sorted(threads.count(t) for t in set(threads)) == [blocks, blocks]
+
+    def test_a_signed_zero_breaks_the_run(self):
+        """Copies are equal bits: -0.0 == 0.0 as numbers, but a -0.0 on slice
+        3 ends the run there; a NaN equal in its bits on every slice does
+        not, and one with other bits does."""
+        grid = small_grid(horizon=2.5, n_regimes=2)
+        V = np.zeros(grid.shape)
+        assert solver._leading_copies(V) == grid.n_s - 1
+        V[0, 3, 7, 2] = -0.0
+        assert np.array_equal(V[:, 3], V[:, 0]) and solver._leading_copies(V) == 2
+        V[0, 3, 7, 2] = 0.0
+        V[1, :, 4, 4] = np.nan
+        assert solver._leading_copies(V) == grid.n_s - 1
+        V[1, 9, 4, 4] = -np.nan
+        assert solver._leading_copies(V) == 8
+        op = DiscreteOperator(reference_model(horizon=2.5), grid, SolverConfig())
+        V = np.random.default_rng(23).uniform(-100.0, 400.0, size=grid.shape)
+        V[:, :] = V[:, :1]
+        V[..., 0] = 0.0
+        V[1, 3, 7, 0] = -0.0
+        assert solver._leading_copies(V) == 2
+        want, _ = per_slice_sweep(op, V)
+        assert np.array_equal(op.sweep(V).view(np.int64), want.view(np.int64))
+        assert op.slice_updates == 2 * (grid.n_s - 1)
+
+    def test_sweeping_the_initial_guess_stays_within_the_block_budget(self):
+        """From the initial guess one slice is computed and copied into the
+        19 below it: the copy goes through one slice-sized array, so the
+        traced peak stays within the budget of the full sweep's test. Filling
+        out[:, :r] from the overlapping out[:, r:r + 1] made numpy buffer all
+        19 slices (12 MB against the bound's 2.7 MB on two threads)."""
+        grid = build_grid(horizon=2.0, price_cap=100.0, reserve_capacity=10.0, time_step=0.1,
+                          price_step=0.25, reserve_step=0.1, n_regimes=2)
+        slice_bytes = grid.n_x * grid.n_y * 8
+        assert solver.sweep_block(grid) == 1
+        op = DiscreteOperator(reference_model(horizon=2.0), grid, SolverConfig())
+        V, out = op.initial_guess(), np.empty(grid.shape)
+        bound = 4 * max(solver.SWEEP_BLOCK_BYTES, slice_bytes) * solver.SWEEP_WORKERS
+        peak = traced_peak(lambda: op.sweep(V, out=out))
+        assert peak < bound, f"traced peak {peak / 1e6:.1f} MB"
+        assert np.array_equal(out[:, :-1], np.broadcast_to(out[:, :1], out[:, :-1].shape))
+        assert op.slice_updates == 2
+
+    def test_the_controls_are_built_without_numpy_ma(self):
+        """The endpoint pair is {0, u_max} sorted as float64, one entry when
+        u_max = 0, and building an operator imports no numpy.ma (np.unique
+        did, for nothing else to read)."""
+        for u_max, want in ((50000.0, [0.0, 50000.0]), (0.0, [0.0])):
+            op = DiscreteOperator(reference_model(horizon=1.0, u_max=u_max),
+                                  small_grid(n_regimes=2), SolverConfig())
+            assert op.controls.dtype == np.float64 and op.controls.tolist() == want
+        script = (
+            "import sys\n"
+            "from oilopt import DiscreteOperator, SolverConfig\n"
+            "from test_solver import reference_model, small_grid\n"
+            "DiscreteOperator(reference_model(horizon=1.0), small_grid(n_regimes=2),\n"
+            "                 SolverConfig())\n"
+            "print('numpy.ma' in sys.modules)\n"
+        )
+        here = Path(__file__).resolve().parent
+        path = [str(here.parent / "src"), str(here), os.environ.get("PYTHONPATH")]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+        done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                              text=True, timeout=120, check=True)
+        assert done.stdout.strip() == "False"
 
 
 class TestJumpBands:
