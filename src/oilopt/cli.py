@@ -36,7 +36,7 @@ import numpy as np
 from . import __version__, solver
 from .config import RunConfig, load_config
 from .errors import ConfigError, NumericalError
-from .grid import GridField, write_rows
+from .grid import GridField, output_handle, write_rows
 from .policy import bang_bang_policy, curve_table, write_curve_csv, write_policy_csv
 from .simulate import check_record
 from .solver import ConvergenceReport, DiscreteOperator, dpp_residual, solve
@@ -127,7 +127,7 @@ def _manifest(cfg: RunConfig, args, report=None, extra=None, stored=None) -> dic
 
 def _write_manifest(out_dir: Path, data: dict):
     path = out_dir / "manifest.json"
-    with open(path, "w", encoding="utf-8") as fh:
+    with output_handle(path) as fh:
         json.dump(data, fh, indent=2, sort_keys=True)
         fh.write("\n")
     return path
@@ -142,6 +142,14 @@ def _write_convergence(out_dir: Path, report):
     else:
         write_rows(path, ("iteration", "residual"), enumerate(report.residuals, start=1))
     return path
+
+
+def _timed_write(write, *args) -> dict:
+    """The manifest's csv_writes record of one node CSV: the seconds the
+    write took and the processes that formatted it (write's return value)."""
+    t0 = time.perf_counter()
+    workers = write(*args)
+    return {"seconds": time.perf_counter() - t0, "workers": workers}
 
 
 def _file_record(path: Path) -> dict:
@@ -218,10 +226,12 @@ def _cap_warning(cfg, rows) -> int:
 
 def _cmd_solve(cfg: RunConfig, args, out_dir: Path) -> int:
     field, report = solve(cfg.model, cfg.grid, cfg.solver)
-    field.to_csv(out_dir / "value.csv")
-    np.save(out_dir / "value.npy", field.values)
+    csv_writes = {"value.csv": _timed_write(field.to_csv, out_dir / "value.csv")}
+    with output_handle(out_dir / "value.npy", binary=True) as fh:
+        np.save(fh, field.values)
     _write_convergence(out_dir, report)
-    _write_manifest(out_dir, _manifest(cfg, args, report, _stored_records(out_dir)))
+    extra = {**_stored_records(out_dir), "csv_writes": csv_writes}
+    _write_manifest(out_dir, _manifest(cfg, args, report, extra))
     print(
         f"solved {tuple(cfg.grid.shape)} in {report.iterations} iterations "
         f"(residual {report.final_residual:.3g}, {report.wall_time:.1f}s) -> {out_dir}"
@@ -238,9 +248,11 @@ def _cmd_policy(cfg: RunConfig, args, out_dir: Path) -> int:
             f"warning: {len(flagged)} rows show multiple threshold crossings",
             file=sys.stderr,
         )
-    write_policy_csv(field, report.operator, out_dir / "policy.csv")
+    csv_writes = {"policy.csv": _timed_write(write_policy_csv, field, report.operator,
+                                             out_dir / "policy.csv")}
     write_curve_csv(rows, out_dir / "switching_curve.csv")
-    extra = {"threshold_rows": len(rows), "threshold_rows_near_cap": near_cap}
+    extra = {"threshold_rows": len(rows), "threshold_rows_near_cap": near_cap,
+             "csv_writes": csv_writes}
     _write_manifest(out_dir, _manifest(cfg, args, report, extra, stored))
     print(
         f"policy extracted on {tuple(cfg.grid.shape)} -> {out_dir} "

@@ -8,12 +8,21 @@ regime-major, then time-major: shape (M, n_s, n_x, n_y).
 
 from __future__ import annotations
 
+import shutil
+import tempfile
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import repeat
 
 import numpy as np
+
+from . import fork
+
+# node rows below which a node CSV is formatted in process. On a 2-core VM a
+# split of 25,326 value rows broke even, and one of 101,304 saved 7-35%
+SPLIT_MIN_ROWS = 100_000
+_COPY_CHARS = 1 << 20  # characters per chunk when the worker's half is appended
 
 
 def _node_count(span: float, step: float, name: str) -> int:
@@ -115,17 +124,27 @@ class GridField:
         self.values = values
 
     def to_csv(self, path_or_buf):
-        """Write rows s,x,y,regime,value ordered s-outer, then x, then y, then regime."""
-        write_node_csv(self.grid, ("value",), lambda si: (self.values[:, si],), path_or_buf)
+        """Write rows s,x,y,regime,value ordered s-outer, then x, then y, then
+        regime; return the processes that formatted them (see write_node_csv)."""
+        return write_node_csv(self.grid, ("value",), lambda si: (self.values[:, si],),
+                              path_or_buf)
 
 
 @contextmanager
-def csv_handle(path_or_buf):
-    """Yield a text handle to write to: a path is opened and closed on exit,
-    an already-open buffer is passed through untouched."""
+def output_handle(path_or_buf, binary=False):
+    """Yield a handle to write to, text unless `binary`: a path is opened and
+    closed on exit, an already-open buffer is passed through untouched. An
+    OSError raised while a path is open names that path: a failed write or
+    flush names no file of its own."""
     if isinstance(path_or_buf, (str, bytes)) or hasattr(path_or_buf, "__fspath__"):
-        with open(path_or_buf, "w", encoding="utf-8", newline="") as fh:
-            yield fh
+        try:
+            with (open(path_or_buf, "wb") if binary else
+                  open(path_or_buf, "w", encoding="utf-8", newline="")) as fh:
+                yield fh
+        except OSError as exc:
+            if exc.filename is None:
+                exc.filename = path_or_buf
+            raise
     else:
         yield path_or_buf
 
@@ -133,18 +152,34 @@ def csv_handle(path_or_buf):
 def write_rows(path_or_buf, header, rows):
     """A header line, then one line per row of Python numbers (None for an
     empty cell), each number as its shortest round-trip decimal (repr)."""
-    with csv_handle(path_or_buf) as fh:
+    with output_handle(path_or_buf) as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
             fh.write(",".join("" if v is None else repr(v) for v in row) + "\n")
 
 
-def write_node_csv(grid: Grid4D, columns, slice_columns, path_or_buf):
+def _cells(column: np.ndarray):
+    """One slice's column as strings in row order (x, then y, then regime):
+    an object array holds its strings, a float array is written by repr."""
+    cells = column.transpose(1, 2, 0).ravel().tolist()
+    return cells if column.dtype == object else map(repr, cells)
+
+
+def write_node_csv(grid: Grid4D, columns, slice_columns, path_or_buf) -> int:
     """Node rows s,x,y,regime,<columns> ordered s-outer, then x, then y, then regime.
 
     slice_columns(si) returns one (M, n_x, n_y) array per column, the values
-    on time slice si; it is called once per slice, in order. Numbers are
-    written as shortest round-trip decimal strings.
+    on time slice si: a float array is written as shortest round-trip
+    decimal strings, an object array as the strings it holds. It is called
+    once per slice.
+
+    From SPLIT_MIN_ROWS rows on, where fork.WORKERS is 2 and the fork start
+    method exists, the rows are formatted on two processes: this one formats
+    slices [0, h), h = ceil(n_s / 2), and writes them after the header, while
+    one forked worker formats [h, n_s) into an unnamed temporary file, which
+    is then appended in bounded chunks. slice_columns is then called in order
+    within each half, [h, n_s) in the worker. Either way the file holds the
+    same bytes. Returns the processes that formatted the rows, 1 or 2.
     """
     s_str = [repr(v) for v in grid.s_values.tolist()]
     # the "x,y,regime" part of every row of one time slice, in row order
@@ -154,10 +189,25 @@ def write_node_csv(grid: Grid4D, columns, slice_columns, path_or_buf):
         for ys in map(repr, grid.y_values.tolist())
         for m in range(grid.n_regimes)
     ]
-    with csv_handle(path_or_buf) as fh:
-        fh.write(",".join(("s", "x", "y", "regime", *columns)) + "\n")
-        for si in range(grid.n_s):
-            cols = [map(repr, f.transpose(1, 2, 0).ravel().tolist())
-                    for f in slice_columns(si)]
-            rows = zip(repeat(s_str[si], len(xym)), xym, *cols)
+    n_s = grid.n_s
+
+    def write(fh, lo, hi):  # the rows of slices lo..hi-1
+        for si in range(lo, hi):
+            rows = zip(repeat(s_str[si], len(xym)), xym, *map(_cells, slice_columns(si)))
             fh.write("\n".join(map(",".join, rows)) + "\n")
+
+    with output_handle(path_or_buf) as fh:
+        fh.write(",".join(("s", "x", "y", "regime", *columns)) + "\n")
+        if fork.WORKERS < 2 or n_s * len(xym) < SPLIT_MIN_ROWS or not fork.available():
+            write(fh, 0, n_s)
+            return 1
+        half = (n_s + 1) // 2
+        with tempfile.TemporaryFile("w+", encoding="utf-8", newline="") as tail:
+            def there():
+                write(tail, half, n_s)
+                tail.flush()  # the worker exits without flushing its buffers
+
+            fork.in_two_processes(lambda: write(fh, 0, half), there, "CSV")
+            tail.seek(0)
+            shutil.copyfileobj(tail, fh, _COPY_CHARS)
+        return 2

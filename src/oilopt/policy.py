@@ -121,10 +121,19 @@ def write_curve_csv(rows, path_or_buf):
     write_rows(path_or_buf, ("s", "y", "regime", "x_star"), rows)
 
 
-def write_policy_csv(field: GridField, op: DiscreteOperator, path_or_buf):
-    """Node dump s,x,y,regime,G,u_star of the solved field, one time slice at a time."""
+def write_policy_csv(field: GridField, op: DiscreteOperator, path_or_buf) -> int:
+    """Node dump s,x,y,regime,G,u_star of the solved field, one time slice at a
+    time; returns the processes that formatted it (see write_node_csv).
+
+    u_star holds only +0.0 and u_max (a NaN G waits), so its cells are
+    those two cached reprs."""
+    u_max = op.model.economics.u_max
+    u_str = np.array([repr(0.0), repr(u_max)], dtype=object)
+
     def columns(si):
         G = _switching_block(field.values[:, si], op)
-        return G, _bang_bang(G, op.model.economics.u_max)
+        # compared by bits: -0.0 == 0.0, but u_max = -0.0 writes "-0.0"
+        extracts = _bang_bang(G, u_max).view(np.int64) != 0
+        return G, u_str[extracts.view(np.uint8)]
 
-    write_node_csv(field.grid, ("G", "u_star"), columns, path_or_buf)
+    return write_node_csv(field.grid, ("G", "u_star"), columns, path_or_buf)

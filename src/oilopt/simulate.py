@@ -22,12 +22,12 @@ one-path case.
 Each batch returns its per-stream results (samples, jump counts, clamp
 counts), its timings and its recorded paths; estimate_value joins every
 batch in stream order and reduces them once, a fixed-order pairwise sum
-over the stream index for the mean. A large estimate runs on two processes.
-The streams are cut into two contiguous halves; the calling process steps
-the first and one worker, forked for the call and reaped before it returns,
-steps the second, each as a list of batches. The process count moves no
-bit. Threads would not help: the per-path draws are Generator calls that
-hold the GIL.
+over the stream index for the mean. A large estimate runs on two processes
+(fork.in_two_processes). The streams are cut into two contiguous halves;
+the calling process steps the first and one worker, forked for the call and
+reaped before it returns, steps the second, each as a list of batches. The
+process count moves no bit. Threads would not help: the per-path draws are
+Generator calls that hold the GIL.
 
 The applied extraction rate is min(policy rate, Y/dt): a step may not
 extract more than the remaining reserve, which keeps the booked revenue
@@ -53,18 +53,17 @@ import math
 import numbers
 import operator
 import time
-import traceback
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import fork
 from .grid import GridField
 from .model import MarketModel, profit_rate, terminal_value
-from .solver import SWEEP_WORKERS
 
 NORMAL_BLOCK = 512  # Euler steps per block of drawn normals
 BATCH_PATHS = 10_000  # streams stepped together in one batch
-PATH_WORKERS = SWEEP_WORKERS  # processes per estimate, the caller included
+PATH_WORKERS = fork.WORKERS  # processes per estimate, the caller included
 # path-steps (streams x Euler steps) below which an estimate stays in process:
 # forking costs about 25 ms, and 1,000 streams x 200 steps broke even
 SPLIT_MIN_PATH_STEPS = 200_000
@@ -388,61 +387,6 @@ def check_record(model: MarketModel, start, n_paths: int, dt: float, antithetic:
     return n_streams
 
 
-def _worker_main(share, lo, hi, conn):
-    """The forked worker: send back share(lo, hi), its list of batch results,
-    or the exception it raised with its traceback, for the caller to raise."""
-    try:
-        reply = (True, share(lo, hi), None)
-    except Exception as exc:
-        reply = (False, exc, traceback.format_exc())
-    try:
-        conn.send(reply)
-    except Exception:  # an exception that does not pickle
-        conn.send((False, RuntimeError(f"{type(reply[1]).__name__}: {reply[1]}"), reply[2]))
-    conn.close()
-
-
-def _in_two_processes(share, n):
-    """share(0, h) in this process and share(h, n) in one forked worker,
-    h = ceil(n / 2); both lists of batch results, in stream order.
-
-    share, the model and the policy (any callable or a grid lookup closure)
-    reach the worker by fork inheritance, so none is pickled; only the
-    worker's result comes back over a pipe. Forking a process that has threads is
-    safe here: the solver's sweep thread is idle between sweeps, holding no
-    lock, and the worker never sweeps. The worker is reaped before this
-    returns or raises; its exception is raised here, chained to its traceback.
-    """
-    import multiprocessing  # about 8 ms to import: only a split estimate pays it
-
-    if "fork" not in multiprocessing.get_all_start_methods():
-        return [share(0, n)]
-    ctx = multiprocessing.get_context("fork")
-    half = (n + 1) // 2
-    reader, writer = ctx.Pipe(duplex=False)
-    worker = ctx.Process(target=_worker_main, args=(share, half, n, writer), daemon=True)
-    worker.start()
-    writer.close()  # so a worker that dies leaves EOF on the pipe, not a hang
-    answered = False
-    try:
-        first = share(0, half)
-        try:
-            ok, second, worker_tb = reader.recv()
-        except EOFError:
-            worker.join()
-            raise RuntimeError(f"the Monte Carlo worker process died (exit code "
-                               f"{worker.exitcode}) before returning its paths") from None
-        answered = True
-    finally:
-        reader.close()
-        if not answered:
-            worker.terminate()
-        worker.join()
-    if not ok:
-        raise second from RuntimeError(f"in the Monte Carlo worker process:\n{worker_tb}")
-    return [first, second]
-
-
 def estimate_value(model: MarketModel, policy, start, n_paths: int, dt: float,
                    seed: int, antithetic: bool = False, record: int = 0) -> EstimateReport:
     """Mean payoff under the policy with a standard error.
@@ -476,10 +420,12 @@ def estimate_value(model: MarketModel, policy, start, n_paths: int, dt: float,
                                 record=max(0, min(record, hi, b + BATCH_PATHS) - b))
                 for b in range(lo, hi, BATCH_PATHS)]
 
-    if PATH_WORKERS < 2 or n_streams * n_steps < SPLIT_MIN_PATH_STEPS:
+    if PATH_WORKERS < 2 or n_streams * n_steps < SPLIT_MIN_PATH_STEPS or not fork.available():
         parts = [share(0, n_streams)]
     else:
-        parts = _in_two_processes(share, n_streams)
+        half = (n_streams + 1) // 2
+        parts = fork.in_two_processes(lambda: share(0, half), lambda: share(half, n_streams),
+                                      "Monte Carlo")
     samples, jumps, clamps, draw_s, step_s, lookup_steps, paths = zip(
         *(b for part in parts for b in part))
     samples, jumps, clamps = map(np.concatenate, (samples, jumps, clamps))

@@ -77,14 +77,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, ConvergenceError, MonotonicityError, NumericalError
+from .fork import WORKERS
 from .grid import Grid4D, GridField
 from .model import MarketModel, profit_rate, terminal_value, validate_model
 from .quadrature import ContractionReport, build_quadrature, check_contraction
 
 # bytes per block-sized array of a full sweep: 10 time slices of reference.yaml
 SWEEP_BLOCK_BYTES = 10 * 201 * 21 * 8
-_CPUS = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else range(os.cpu_count() or 1)
-SWEEP_WORKERS = min(2, len(_CPUS))  # threads per full sweep, the caller included
+SWEEP_WORKERS = WORKERS  # threads per full sweep, the caller included
 # rows per band of a jump product (see _jump_bands). On reference.yaml 16 to
 # 64 rows kept the dense product's bits; 16 and 24 ran twice as slow as 32,
 # and 32 to 64 about equally fast (32 does the fewest multiply-adds)

@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import multiprocessing
 import os
 import re
 import subprocess
@@ -21,12 +22,14 @@ from oilopt import (
     cli,
     config,
     dpp_residual,
+    fork,
     policy,
     simulate,
     solve,
     solver,
     verify,
 )
+from oilopt import grid as grid_module
 from oilopt.cli import main
 from oilopt.config import load_config, parse_config
 from oilopt.verify import check_solution, run_verification
@@ -390,6 +393,61 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith(f"cannot write output: {out / blocked}: ")
         assert err.count("\n") == 1 and "Traceback" not in err
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize("command, full", [
+        (["solve"], "value.csv"),
+        (["solve"], "value.npy"),
+        (["solve"], "manifest.json"),
+        (["policy"], "policy.csv"),
+    ])
+    def test_a_full_device_exits_one_naming_the_path(self, tmp_path, capsys, command, full):
+        """A write that fails after its file opened (every write to /dev/full
+        fails with ENOSPC) names the file it was writing: one line, exit 1."""
+        cfg = write_config(tmp_path, SMALL)
+        out = tmp_path / "run"
+        out.mkdir()
+        (out / full).symlink_to("/dev/full")
+        assert main([*command, "--config", cfg, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"cannot write output: {out / full}: No space left on device\n"
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                        reason="needs the fork start method")
+    def test_a_failed_worker_half_names_the_csv(self, tmp_path, capsys, monkeypatch):
+        """The forked worker's half of value.csv goes to a temporary file; its
+        ENOSPC comes back and names value.csv."""
+        monkeypatch.setattr(grid_module, "SPLIT_MIN_ROWS", 0)
+        monkeypatch.setattr(fork, "WORKERS", 2)
+        monkeypatch.setattr(grid_module.tempfile, "TemporaryFile",
+                            lambda *a, **kw: open("/dev/full", "w+", encoding="utf-8"))
+        cfg = write_config(tmp_path, SMALL)
+        out = tmp_path / "run"
+        assert main(["solve", "--config", cfg, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"cannot write output: {out / 'value.csv'}: No space left on device\n"
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("processes", [1, 2])
+    def test_manifests_time_each_node_csv(self, tmp_path, monkeypatch, processes):
+        """csv_writes gives each node CSV's seconds and the processes that
+        formatted it; forced onto two processes, the CSVs keep their pins."""
+        if processes == 2:
+            if "fork" not in multiprocessing.get_all_start_methods():
+                pytest.skip("needs the fork start method")
+            monkeypatch.setattr(grid_module, "SPLIT_MIN_ROWS", 0)
+        monkeypatch.setattr(fork, "WORKERS", processes)
+        cfg = write_config(tmp_path, SMALL)
+        for command, csv in (("solve", "value.csv"), ("policy", "policy.csv")):
+            out = tmp_path / command
+            assert main([command, "--config", cfg, "--out", str(out)]) == 0
+            [(name, record)] = read_manifest(out)["csv_writes"].items()
+            assert (name, sorted(record), record["workers"]) == (csv, ["seconds", "workers"],
+                                                                 processes)
+            assert 0.0 < record["seconds"] < 60.0
+            digest = hashlib.sha256((out / csv).read_bytes()).hexdigest()
+            assert digest == self.CSV_SHA256["jacobi"][f"{command}/{csv}"]
 
     def test_outputs_byte_identical_across_runs(self, tmp_path):
         cfg = write_config(tmp_path, SMALL)

@@ -1,4 +1,7 @@
 import io
+import multiprocessing
+import os
+import time
 
 import numpy as np
 import pytest
@@ -15,7 +18,9 @@ from oilopt import (
     SolverConfig,
     build_grid,
 )
+from oilopt import fork
 from oilopt import grid as grid_module
+from oilopt.policy import extract_policy, switching_function, write_policy_csv
 
 
 @pytest.fixture
@@ -87,14 +92,14 @@ def test_nearest_indices_of_arrays_and_scalars_agree(grid):
     assert grid.nearest_indices(np.array(10.45), 50.25, np.array(4.0)) == (100, 100, 8)  # 0-d
 
 
-def operator_on(grid, measure=None):
-    """Upwind operator on the fixture grid; jump destinations are x + z."""
+def operator_on(grid, measure=None, u_max=1.0):
+    """Upwind operator on `grid`; jump destinations are x + z."""
     M = grid.n_regimes
     dyn = Dynamics(kappa=0.01, mu=(55.0,) * M, sigma=(0.2,) * M, jump_scale=(1.0,) * M,
                    discount_rate=0.05)
     eco = Economics(fixed_cost=0.0, marginal_cost=20.0, reserve_slope=0.0,
-                    reserve_offset=1.0, u_max=1.0, reserve_capacity=10.0, horizon=10.0,
-                    terminal_offset=20.0)
+                    reserve_offset=1.0, u_max=u_max, reserve_capacity=grid.reserve_capacity,
+                    horizon=grid.horizon, terminal_offset=20.0)
     generator = np.zeros((M, M))
     return DiscreteOperator(
         MarketModel(generator=generator, dynamics=dyn, economics=eco,
@@ -224,3 +229,165 @@ def test_csv_to_a_path_writes_the_buffer_text(tmp_path):
     text = (tmp_path / "value.csv").read_text(encoding="utf-8")
     assert text == tiny_csv(field.values)
     assert np.array_equal(csv_values(text), field.values)
+
+
+needs_fork = pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                                reason="needs the fork start method")
+
+
+@pytest.fixture
+def split_csv(monkeypatch):
+    """Format every node CSV on two processes; the returned function runs a
+    writer in one process instead."""
+    monkeypatch.setattr(grid_module, "SPLIT_MIN_ROWS", 0)
+    monkeypatch.setattr(fork, "WORKERS", 2)
+
+    def in_one_process(write, *args):
+        monkeypatch.setattr(fork, "WORKERS", 1)
+        try:
+            return write(*args)
+        finally:
+            monkeypatch.setattr(fork, "WORKERS", 2)
+
+    return in_one_process
+
+
+def node_grid(n_s):
+    return build_grid(horizon=0.5 * (n_s - 1), price_cap=3.0, reserve_capacity=1.5,
+                      time_step=0.5, price_step=0.5, reserve_step=0.5, n_regimes=2)
+
+
+def hard_field(g):
+    """Random values with every HARD_FLOATS entry and a NaN on every slice."""
+    values = np.random.default_rng(g.n_s).normal(scale=50.0, size=g.shape)
+    half = len(HARD_FLOATS) // 2  # 5 of the 7 price nodes
+    values[0, :, :half, 1] = HARD_FLOATS[:half]
+    values[1, :, :half, 2] = HARD_FLOATS[half:]
+    values[1, :, 6, 3] = np.nan
+    return GridField(g, values)
+
+
+def reference_policy_csv(field, op) -> str:
+    """policy.csv built node by node: every cell the repr of its float."""
+    switching = switching_function(field, op)
+    G, u = switching.values, extract_policy(switching, op.model).values
+    g = field.grid
+    lines = ["s,x,y,regime,G,u_star"]
+    for si, s in enumerate(g.s_values.tolist()):
+        for xi, x in enumerate(g.x_values.tolist()):
+            for yi, y in enumerate(g.y_values.tolist()):
+                for m in range(g.n_regimes):
+                    node = (m, si, xi, yi)
+                    lines.append(f"{s!r},{x!r},{y!r},{m},{G[node].item()!r},{u[node].item()!r}")
+    return "\n".join(lines) + "\n"
+
+
+def written(write, args, target, tmp_path):
+    """(bytes, processes) of write(*args, target): a path or a StringIO."""
+    if target == "buffer":
+        buf = io.StringIO()
+        workers = write(*args, buf)
+        return buf.getvalue().encode(), workers
+    path = tmp_path / f"out{len(list(tmp_path.iterdir()))}.csv"
+    workers = write(*args, path)
+    return path.read_bytes(), workers
+
+
+def write_value_csv(field, target):
+    return field.to_csv(target)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")  # G of 1e308
+@pytest.mark.parametrize("u_max", [0.0, -0.0, 2.5])
+def test_u_star_cells_are_the_reprs_of_the_policy(u_max):
+    """u_star's two cached strings are repr(+0.0) and repr(u_max): a NaN G
+    waits (0.0), and u_max = -0.0 writes -0.0 where G > 0."""
+    field = hard_field(node_grid(3))
+    op = operator_on(field.grid, u_max=u_max)
+    text, workers = written(write_policy_csv, (field, op), "buffer", None)
+    assert (text.decode(), workers) == (reference_policy_csv(field, op), 1)
+    assert ",nan,0.0\n" in text.decode() and f",{u_max!r}\n" in text.decode()
+
+
+@needs_fork
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")  # G of 1e308
+class TestTwoProcessCsv:
+    @pytest.mark.parametrize("target", ["path", "buffer"])
+    @pytest.mark.parametrize("n_s", [2, 3, 4, 7])
+    def test_split_writes_the_in_process_bytes(self, split_csv, tmp_path, n_s, target):
+        """value.csv and policy.csv: odd and even slice counts, the smallest
+        (one slice per process), to a path and to a StringIO."""
+        field = hard_field(node_grid(n_s))
+        op = operator_on(field.grid)
+        for write, args in ((write_value_csv, (field,)), (write_policy_csv, (field, op))):
+            split = written(write, args, target, tmp_path)
+            single = written(lambda *a: split_csv(write, *a), args, target, tmp_path)
+            assert (split[1], single[1]) == (2, 1)
+            assert split[0] == single[0]
+        assert split[0].decode() == reference_policy_csv(field, op)  # the last: policy.csv
+
+    def test_each_slice_is_read_once_in_order_within_each_half(self, split_csv, tmp_path):
+        g = node_grid(5)  # slices 0-2 here, 3-4 in the worker
+        field = hard_field(g)
+        log = tmp_path / "calls"
+
+        def columns(si):
+            with open(log, "a", encoding="utf-8") as fh:  # O_APPEND: whole lines
+                fh.write(f"{os.getpid()} {si}\n")
+            return (field.values[:, si],)
+
+        buf = io.StringIO()
+        assert grid_module.write_node_csv(g, ("value",), columns, buf) == 2
+        calls = [tuple(map(int, line.split())) for line in log.read_text().splitlines()]
+        assert [si for pid, si in calls if pid == os.getpid()] == [0, 1, 2]
+        assert [si for pid, si in calls if pid != os.getpid()] == [3, 4]
+        assert len({pid for pid, _ in calls}) == 2
+        assert buf.getvalue() == written(write_value_csv, (field,), "buffer", None)[0].decode()
+
+    def test_worker_exception_reraises_in_the_caller(self, split_csv):
+        field = hard_field(node_grid(4))
+        caller = os.getpid()
+
+        def columns(si):
+            if os.getpid() != caller:
+                raise SliceFailure(f"slice {si} in the worker")
+            return (field.values[:, si],)
+
+        with pytest.raises(SliceFailure, match="slice 2 in the worker"):
+            grid_module.write_node_csv(field.grid, ("value",), columns, io.StringIO())
+        assert multiprocessing.active_children() == []
+
+    def test_a_dead_worker_raises_instead_of_hanging(self, split_csv):
+        field = hard_field(node_grid(4))
+        caller = os.getpid()
+
+        def columns(si):
+            if os.getpid() != caller:
+                os._exit(3)
+            return (field.values[:, si],)
+
+        with pytest.raises(RuntimeError, match=r"CSV worker process died \(exit code 3\)"):
+            grid_module.write_node_csv(field.grid, ("value",), columns, io.StringIO())
+        assert multiprocessing.active_children() == []
+
+    def test_caller_exception_stops_and_reaps_the_worker(self, split_csv):
+        """The worker would sleep for a minute: it must be stopped, not waited for."""
+        field = hard_field(node_grid(4))
+        caller = os.getpid()
+
+        def columns(si):
+            if os.getpid() != caller:
+                time.sleep(60)
+            elif si == 1:
+                raise SliceFailure("caller")
+            return (field.values[:, si],)
+
+        t0 = time.monotonic()
+        with pytest.raises(SliceFailure, match="caller"):
+            grid_module.write_node_csv(field.grid, ("value",), columns, io.StringIO())
+        assert time.monotonic() - t0 < 30.0
+        assert multiprocessing.active_children() == []
+
+
+class SliceFailure(Exception):
+    pass

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from oilopt import config, simulate, solver
+from oilopt import config, grid, simulate, solver
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 REFERENCE = Path(__file__).resolve().parents[1] / "src" / "oilopt" / "configs" / "reference.yaml"
@@ -20,6 +20,7 @@ REFERENCE = Path(__file__).resolve().parents[1] / "src" / "oilopt" / "configs" /
     (simulate, "BATCH_PATHS", 10_000),
     (simulate, "SPLIT_MIN_PATH_STEPS", 200_000),
     (simulate, "NORMAL_BLOCK", 512),
+    (grid, "SPLIT_MIN_ROWS", 100_000),
 ])
 def test_readme_quotes_the_code_constant(module, name, value):
     """Every `module.NAME` (number ...) in README carries the code's value."""
