@@ -173,12 +173,12 @@ def write_node_csv(grid: Grid4D, columns, slice_columns, path_or_buf) -> int:
     decimal strings, an object array as the strings it holds. It is called
     once per slice.
 
-    From SPLIT_MIN_ROWS rows on, where fork.WORKERS is 2 and the fork start
-    method exists, the rows are formatted on two processes: this one formats
-    slices [0, h), h = ceil(n_s / 2), and writes them after the header, while
-    one forked worker formats [h, n_s) into an unnamed temporary file, which
+    From SPLIT_MIN_ROWS rows on, where fork.WORKERS is 2 and os.fork exists,
+    the rows are formatted on two processes: this one formats slices [0, h),
+    h = ceil(n_s / 2), and writes them after the header, while one child
+    made by os.fork formats [h, n_s) into an unnamed temporary file, which
     is then appended in bounded chunks. slice_columns is then called in order
-    within each half, [h, n_s) in the worker. Either way the file holds the
+    within each half, [h, n_s) in the child. Either way the file holds the
     same bytes. Returns the processes that formatted the rows, 1 or 2.
     """
     s_str = [repr(v) for v in grid.s_values.tolist()]
@@ -198,7 +198,7 @@ def write_node_csv(grid: Grid4D, columns, slice_columns, path_or_buf) -> int:
 
     with output_handle(path_or_buf) as fh:
         fh.write(",".join(("s", "x", "y", "regime", *columns)) + "\n")
-        if fork.WORKERS < 2 or n_s * len(xym) < SPLIT_MIN_ROWS or not fork.available():
+        if not fork.worth_splitting(n_s * len(xym), SPLIT_MIN_ROWS):
             write(fh, 0, n_s)
             return 1
         half = (n_s + 1) // 2

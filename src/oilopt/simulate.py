@@ -24,10 +24,10 @@ counts), its timings and its recorded paths; estimate_value joins every
 batch in stream order and reduces them once, a fixed-order pairwise sum
 over the stream index for the mean. A large estimate runs on two processes
 (fork.in_two_processes). The streams are cut into two contiguous halves;
-the calling process steps the first and one worker, forked for the call and
-reaped before it returns, steps the second, each as a list of batches. The
-process count moves no bit. Threads would not help: the per-path draws are
-Generator calls that hold the GIL.
+the calling process steps the first and one child, made by os.fork for the
+call and reaped before it returns, steps the second, each as a list of
+batches. The process count moves no bit. Threads would not help: the
+per-path draws are Generator calls that hold the GIL.
 
 The applied extraction rate is min(policy rate, Y/dt): a step may not
 extract more than the remaining reserve, which keeps the booked revenue
@@ -63,9 +63,8 @@ from .model import MarketModel, profit_rate, terminal_value
 
 NORMAL_BLOCK = 512  # Euler steps per block of drawn normals
 BATCH_PATHS = 10_000  # streams stepped together in one batch
-PATH_WORKERS = fork.WORKERS  # processes per estimate, the caller included
 # path-steps (streams x Euler steps) below which an estimate stays in process:
-# forking costs about 25 ms, and 1,000 streams x 200 steps broke even
+# a split's fork, pipe and reap take about 3 ms; 1,000 streams x 200 steps broke even
 SPLIT_MIN_PATH_STEPS = 200_000
 _TILE = 256  # paths per transposed copy when a block is filled
 
@@ -397,10 +396,10 @@ def estimate_value(model: MarketModel, policy, start, n_paths: int, dt: float,
     O(BATCH_PATHS x NORMAL_BLOCK) normals. The first `record` streams' paths
     (their +normals member when antithetic) come back recorded in `paths`.
 
-    With PATH_WORKERS = 2 and at least SPLIT_MIN_PATH_STEPS path-steps
+    With fork.WORKERS = 2 and at least SPLIT_MIN_PATH_STEPS path-steps
     (streams x Euler steps), the streams are cut into two contiguous halves:
-    this process steps the first and one forked worker the second. Smaller
-    estimates, and platforms without the fork start method, stay in process.
+    this process steps the first and one child made by os.fork the second.
+    Smaller estimates, and platforms without os.fork, stay in process.
     Every batch's results are joined in stream order and reduced here once,
     so neither the batches nor the process count move a bit.
 
@@ -420,12 +419,12 @@ def estimate_value(model: MarketModel, policy, start, n_paths: int, dt: float,
                                 record=max(0, min(record, hi, b + BATCH_PATHS) - b))
                 for b in range(lo, hi, BATCH_PATHS)]
 
-    if PATH_WORKERS < 2 or n_streams * n_steps < SPLIT_MIN_PATH_STEPS or not fork.available():
-        parts = [share(0, n_streams)]
-    else:
+    if fork.worth_splitting(n_streams * n_steps, SPLIT_MIN_PATH_STEPS):
         half = (n_streams + 1) // 2
         parts = fork.in_two_processes(lambda: share(0, half), lambda: share(half, n_streams),
                                       "Monte Carlo")
+    else:
+        parts = [share(0, n_streams)]
     samples, jumps, clamps, draw_s, step_s, lookup_steps, paths = zip(
         *(b for part in parts for b in part))
     samples, jumps, clamps = map(np.concatenate, (samples, jumps, clamps))

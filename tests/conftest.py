@@ -1,17 +1,20 @@
 """Shared test plumbing: the acceptance-criteria result board, the traced
-peak of one call, and the reference forms the solver's sweep blocks are
-checked against bit for bit: the dense jump product, the column-broadcast
-block update, and the full sweep with every time slice computed on its own.
+peak of one call, the check that no forked child is left, and the reference
+forms the solver's sweep blocks are checked against bit for bit: the dense
+jump product, the column-broadcast block update, and the full sweep with
+every time slice computed on its own.
 
 test_acceptance.py records one line per criterion; the terminal-summary hook
 prints the board after the run so every criterion shows a visible PASS/FAIL
 line regardless of output capturing.
 """
 
+import os
 import tracemalloc
 from unittest import mock
 
 import numpy as np
+import pytest
 
 ACCEPTANCE: dict[int, tuple[bool, str]] = {}
 
@@ -35,6 +38,12 @@ def traced_peak(call):
         if not was_tracing:
             tracemalloc.stop()
     return peak - base
+
+
+def assert_no_child():
+    """This process has no child process left, running or unreaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

@@ -13,6 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import yaml
+from conftest import assert_no_child
 
 from oilopt import (
     ConfigError,
@@ -428,6 +429,7 @@ class TestCli:
         err = capsys.readouterr().err
         assert err == f"cannot write output: {out / 'value.csv'}: No space left on device\n"
         assert multiprocessing.active_children() == []
+        assert_no_child()
 
     @pytest.mark.parametrize("processes", [1, 2])
     def test_manifests_time_each_node_csv(self, tmp_path, monkeypatch, processes):
@@ -715,9 +717,9 @@ class TestCli:
 
     @pytest.mark.parametrize("module", ["scipy", "multiprocessing"])
     def test_cli_import_loads_no_module(self, module):
-        """scipy is a test-only dependency: the runtime never imports it.
-        multiprocessing is imported by a split Monte Carlo estimate alone, so
-        commands without one do not pay for it at start-up."""
+        """scipy is a test-only dependency: the runtime never imports it. Nor
+        does it import multiprocessing: the two-process splits fork with
+        os.fork (see test_fork.py for a split run)."""
         src = str(Path(__file__).resolve().parents[1] / "src")
         env = {**os.environ,
                "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}

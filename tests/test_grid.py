@@ -5,6 +5,7 @@ import time
 
 import numpy as np
 import pytest
+from conftest import assert_no_child
 from hypothesis import given, strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -238,7 +239,7 @@ needs_fork = pytest.mark.skipif("fork" not in multiprocessing.get_all_start_meth
 @pytest.fixture
 def split_csv(monkeypatch):
     """Format every node CSV on two processes; the returned function runs a
-    writer in one process instead."""
+    writer in one process instead. No child is left after the test."""
     monkeypatch.setattr(grid_module, "SPLIT_MIN_ROWS", 0)
     monkeypatch.setattr(fork, "WORKERS", 2)
 
@@ -249,7 +250,8 @@ def split_csv(monkeypatch):
         finally:
             monkeypatch.setattr(fork, "WORKERS", 2)
 
-    return in_one_process
+    yield in_one_process
+    assert_no_child()
 
 
 def node_grid(n_s):

@@ -6,7 +6,7 @@ import signal
 
 import numpy as np
 import pytest
-from conftest import traced_peak
+from conftest import assert_no_child, traced_peak
 
 from oilopt import (
     Dynamics,
@@ -25,7 +25,7 @@ from oilopt import (
     solve,
     switching_function,
 )
-from oilopt import simulate, solver
+from oilopt import fork, simulate, solver
 from oilopt.policy import bang_bang_policy
 
 
@@ -367,11 +367,24 @@ class TestBatch:
         assert est.diagnostics["draw_s"] > 0.0 and est.diagnostics["step_s"] > 0.0
         assert est.diagnostics["workers"] == 1  # 64 x 200 path-steps stay in process
 
+    @pytest.mark.parametrize("processes", [1, 2])
+    def test_fork_workers_sets_the_processes_of_a_large_estimate(self, monkeypatch, processes):
+        """fork.WORKERS, read at each call, is the one process count: at 1 an
+        estimate of SPLIT_MIN_PATH_STEPS path-steps (1,000 x 200) stays in
+        process, at 2 it splits."""
+        if processes == 2 and not hasattr(os, "fork"):
+            pytest.skip("needs os.fork")
+        monkeypatch.setattr(fork, "WORKERS", processes)
+        est = estimate_value(jumpy_model(), zero_policy, PIN_START, n_paths=1000, dt=1e-2, seed=5)
+        assert 1000 * est.diagnostics["n_steps"] == simulate.SPLIT_MIN_PATH_STEPS
+        assert est.diagnostics["workers"] == processes
+        assert_no_child()
+
     def test_memory_is_bounded_by_the_normals_block(self, monkeypatch):
         """Peak traced memory is O(paths x NORMAL_BLOCK), not O(paths x steps):
         dense per-path arrays over 5,000 steps would take ~43 MB here. One
         process steps the whole batch: tracemalloc sees no forked worker."""
-        monkeypatch.setattr(simulate, "PATH_WORKERS", 1)
+        monkeypatch.setattr(fork, "WORKERS", 1)
         n_paths, n_steps = 2000, 5000
         block_bytes = n_paths * simulate.NORMAL_BLOCK * 8
         # the block, and as much again for generators, events and temporaries
@@ -424,18 +437,19 @@ def assert_same_estimate(split, single):
 @pytest.fixture
 def two_processes(monkeypatch):
     """Split every estimate over two processes; the returned function runs
-    estimate_value in one process instead."""
-    monkeypatch.setattr(simulate, "PATH_WORKERS", 2)
+    estimate_value in one process instead. No child is left after the test."""
+    monkeypatch.setattr(fork, "WORKERS", 2)
     monkeypatch.setattr(simulate, "SPLIT_MIN_PATH_STEPS", 0)
 
     def in_one_process(*args, **kwargs):
-        monkeypatch.setattr(simulate, "PATH_WORKERS", 1)
+        monkeypatch.setattr(fork, "WORKERS", 1)
         try:
             return estimate_value(*args, **kwargs)
         finally:
-            monkeypatch.setattr(simulate, "PATH_WORKERS", 2)
+            monkeypatch.setattr(fork, "WORKERS", 2)
 
-    return in_one_process
+    yield in_one_process
+    assert_no_child()
 
 
 @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
@@ -553,7 +567,7 @@ class TestEmptyReserves:
         if processes == 2:
             if "fork" not in multiprocessing.get_all_start_methods():
                 pytest.skip("needs the fork start method")
-            monkeypatch.setattr(simulate, "PATH_WORKERS", 2)
+            monkeypatch.setattr(fork, "WORKERS", 2)
             monkeypatch.setattr(simulate, "SPLIT_MIN_PATH_STEPS", 0)
         monkeypatch.setattr(simulate, "BATCH_PATHS", 16)
         start, make = SKIP_CASES[case]
