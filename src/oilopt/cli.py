@@ -110,7 +110,8 @@ def _manifest(cfg: RunConfig, args, report=None, extra=None, stored=None) -> dic
             "sweep": report.sweep,
             "contraction_value": report.contraction.value,
             "wall_time_s": report.wall_time,
-            "sweep_workers": solver.SWEEP_WORKERS,  # threads per full sweep
+            "sweep_workers": report.sweep_workers,  # processes the solve's sweeps ran on
+            "partner_wait_s": report.partner_wait_s,  # and the seconds it waited for the second
             "sweep_block": solver.sweep_block(cfg.grid),  # time slices per sweep task
             "jump_band_share": report.jump_band_share,
             "slice_updates": report.slice_updates,  # (regime, slice) updates the solve computed

@@ -129,7 +129,14 @@ def _policy_callable(policy):
     """(rate function, skip_empty). skip_empty holds for a GridField, whose
     rates are checked here to be finite, >= 0 and not -0.0: an empty reserve
     then applies +0.0 whatever its node holds, as a read would. A callable is
-    read at every step."""
+    read at every step.
+
+    A GridField is read at the nearest node (Grid4D.nearest_indices), except
+    that a path with reserve left, Y > 0, reads reserve node max(nearest, 1):
+    node 0 is the empty-reserve face, where the scheme allows no extraction,
+    and the extracting candidate at node y reads y - l, so node 1 is the
+    first node with reserve. Rounding 0 < Y < l/2 to node 0 stopped every
+    finite-rate path with about l/2 of its reserve left."""
     if isinstance(policy, GridField):
         g = policy.grid
         v = policy.values
@@ -146,6 +153,7 @@ def _policy_callable(policy):
 
         def lookup(t, x, y, regime):
             si, xi, yi = g.nearest_indices(t, x, y)  # xi is a new array, summed into in place
+            np.maximum(yi, y > 0.0, out=yi)  # node 1 at least while reserve is left
             xi *= g.n_y
             xi += yi
             xi += si * per_time

@@ -41,14 +41,14 @@ method, reserve_neighbor, reads y - l for the sweep and the switching field.
 
 Two sweep orders are provided. "jacobi" updates every node from the
 previous full-grid iterate (deterministic, trivially parallel: the update
-is a pure function of the frozen iterate, so any worker partition gives
-bit-identical results; see sweep for its two threads). The operator is the
-same on every time slice and slice t's update reads only slices t and
-t + 1, so where the iterate's leading slices are bitwise copies of slice 0
-(the terminal payoff broadcast to every slice, and what the first sweeps
-leave of it) their updates are copies too: sweep computes one of them and
-copies its bits. BLAS threading is
-left alone: the jump term is a few small products over row bands (see
+is a pure function of the frozen iterate, so any partition of its tasks
+gives bit-identical results; see sweep and _solve_jacobi for its two
+processes). The operator is the same on every time slice and slice t's
+update reads only slices t and t + 1, so where the iterate's leading slices
+are bitwise copies of slice 0 (the terminal payoff broadcast to every
+slice, and what the first sweeps leave of it) their updates are copies too:
+sweep computes one of them and copies its bits. BLAS threading is left
+alone: the jump term is a few small products over row bands (see
 _jump_bands), and on the 2x-refined reference grid OpenBLAS's thread count
 (1, 2 or unset) moved no bit of a backward solve, where the dense 401-wide
 product summed differently per thread count. "backward" walks time slices
@@ -69,22 +69,28 @@ from __future__ import annotations
 
 import functools
 import math
-import os
+import mmap
 import time
-from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import fork
 from .errors import ConfigError, ConvergenceError, MonotonicityError, NumericalError
-from .fork import WORKERS
 from .grid import Grid4D, GridField
 from .model import MarketModel, profit_rate, terminal_value, validate_model
 from .quadrature import ContractionReport, build_quadrature, check_contraction
 
 # bytes per block-sized array of a full sweep: 10 time slices of reference.yaml
 SWEEP_BLOCK_BYTES = 10 * 201 * 21 * 8
-SWEEP_WORKERS = WORKERS  # threads per full sweep, the caller included
+# nodes from which a jacobi solve sweeps on two processes, forked once per
+# solve. On 2 cores, reference.yaml's model broke even at 50,652 nodes (six
+# time slices) and the split won every pair from 92,862 (eleven)
+JACOBI_SPLIT_NODES = 60_000
+# nodes from which a sweep that only finds its largest change (dpp_residual)
+# runs on two processes, forked for the sweep: even at 367,232 nodes, and
+# 10.1 -> 7.9 ms at reference.yaml's 852,642
+RESIDUAL_SPLIT_NODES = 400_000
 # rows per band of a jump product (see _jump_bands). On reference.yaml 16 to
 # 64 rows kept the dense product's bits; 16 and 24 ran twice as slow as 32,
 # and 32 to 64 about equally fast (32 does the fewest multiply-adds)
@@ -95,13 +101,6 @@ def sweep_block(grid: Grid4D) -> int:
     """Time slices per task of a full sweep on `grid`: as many as keep one
     block-sized array within SWEEP_BLOCK_BYTES, and at least one."""
     return max(1, SWEEP_BLOCK_BYTES // (grid.n_x * grid.n_y * 8))
-
-
-@functools.cache
-def _worker(pid: int) -> ThreadPoolExecutor:
-    """Process `pid`'s sweep thread, started by its first threaded sweep (a
-    forked child inherits the executor object, not its thread)."""
-    return ThreadPoolExecutor(max_workers=1, thread_name_prefix="oilopt-sweep")
 
 
 @dataclass(frozen=True)
@@ -139,6 +138,8 @@ class ConvergenceReport:
     balance: tuple | None = None  # backward only: dpp_residual of the returned field
     jump_band_share: float | None = None  # the operator's, kept when the operator is dropped
     slice_updates: int = 0  # (regime, slice) updates of the jacobi sweeps or backward passes
+    sweep_workers: int = 1  # processes the jacobi sweeps or backward passes ran on
+    partner_wait_s: float = 0.0  # seconds the solve waited for its partner process
 
 
 class DiscreteOperator:
@@ -181,6 +182,7 @@ class DiscreteOperator:
         # np.unique would import numpy.ma, which nothing else reads
         self.controls = np.array(sorted({0.0, float(model.economics.u_max)}))
         self.slice_updates = 0  # (regime, slice) updates computed by sweep
+        self.partner_wait_s = 0.0  # seconds sweep waited for a partner's found list
         self._terms = {}
         for u in self.controls:
             self.control_terms(u)  # a refused endpoint fails the build
@@ -283,8 +285,9 @@ class DiscreteOperator:
 
         The cost family is time-independent, so one profit slab per control
         serves every time slice. Terms are built on first use and cached;
-        sweep builds them for its controls before any thread starts. The
-        paper-faithful stencil refuses u > 0 with a MonotonicityError.
+        sweep builds them for its controls before any task runs, and before
+        a split forks. The paper-faithful stencil refuses u > 0 with a
+        MonotonicityError.
         """
         u = float(u)
         terms = self._terms.get(u)
@@ -423,7 +426,7 @@ class DiscreteOperator:
 
     # -- public operations -----------------------------------------------------
 
-    def sweep(self, values: np.ndarray, controls=None, out=None, change=False):
+    def sweep(self, values: np.ndarray, controls=None, out=None, change=False, partner=None):
         """One full-grid update; pure function of the input field.
 
         `controls` replaces the endpoint pair {0, u_max}: a dense list scans
@@ -440,21 +443,28 @@ class DiscreteOperator:
         (_leading_copies), slices 0..r of the update, r = max(j - 1, 0), read
         only those copies through the same per-slice arithmetic, so they
         hold the same bits too. Only the tasks from the block holding r
-        onward run, and the slices below that block take a copy of slice r;
-        a largest change found at a slice up to r is reported at slice 0,
-        the first of its copies in C order. The count of (regime, slice)
-        updates computed is added to slice_updates.
+        onward run, and the task that computes slice r of a regime copies it
+        into the slices below its block; a largest change found at a slice
+        up to r is reported at slice 0, the first of its copies in C order.
+        The count of (regime, slice) updates computed is added to
+        slice_updates.
 
         The tasks, one per (regime, sweep_block(grid) time slices), each write
         only their own slab, so no bit depends on the blocks or on the
-        threads: the calling thread runs the even tasks and, with
-        SWEEP_WORKERS = 2, one pool worker the odd ones (numpy's ufuncs and
-        matmul release the GIL). A task holds three block-sized arrays for the
-        endpoint pair, four for a longer list (see _best_candidate), and
-        none once done, so the byte budget bounds them on any grid:
-        regime-sized blocks (3.4 MB on reference.yaml) made the allocator
-        re-fault its heap every regime, and 10-slice blocks (1.3 MB) raised
-        the 2x-refined verify's peak RSS by 13 MiB.
+        processes. The calling process runs every task, except in two
+        cases, where it runs the even tasks and a second process the odd
+        ones. With `partner`, (half, swap) from _solve_jacobi, this process
+        runs the tasks [half::2], writing its slabs of a shared `out`, and
+        swap(found) hands over its found list for the partner's. A sweep that
+        only finds its largest change (`change` without `out`, dpp_residual)
+        of at least RESIDUAL_SPLIT_NODES nodes forks a child for its odd
+        tasks (fork.in_two_processes), and only the two found lists cross.
+        A task holds three block-sized arrays for the endpoint pair, four
+        for a longer list (see _best_candidate), and none once done, so the
+        byte budget bounds them on any grid: regime-sized blocks (3.4 MB on
+        reference.yaml) made the allocator re-fault its heap every regime,
+        and 10-slice blocks (1.3 MB) raised the 2x-refined verify's peak RSS
+        by 13 MiB.
 
         Raises ValueError before any task runs if `controls` is empty, or if
         `out` shares memory with `values`, which tasks read as others write.
@@ -469,7 +479,7 @@ class DiscreteOperator:
         if out is None and not change:
             out = np.empty_like(values)
         for u in self.controls if controls is None else controls:
-            self.control_terms(u)  # a bad control raises here; no thread writes the cache
+            self.control_terms(u)  # a bad control raises here, in the calling process
         block = sweep_block(g)
         r = max(_leading_copies(values) - 1, 0)
         first = r - r % block  # the block holding r: the edges are the full sweep's from there
@@ -486,25 +496,28 @@ class DiscreteOperator:
                     values, m, lo, hi, controls)
                 if out is not None:
                     out[m, lo:hi] = new
+                    if lo == first > 0:  # the copies of slice r below its block
+                        out[m, :first] = new[r - lo]
                 if change:
                     c, (t, x, y) = _largest_change(new, values[m, lo:hi], None if lo == n else new)
                     found.append((c, (m, 0 if lo + t <= r else lo + t, x, y)))
                 del new  # released before the next block is computed
             return found
 
-        if SWEEP_WORKERS < 2 or len(tasks) < 2:
-            found = run(tasks)
+        if partner is not None:
+            half, swap = partner
+            found = run(tasks[half::2])
+            t0 = time.perf_counter()
+            theirs = swap(found)
+            self.partner_wait_s += time.perf_counter() - t0
+            found = found + theirs if half == 0 else theirs + found
+        elif out is None and fork.worth_splitting(values.size, RESIDUAL_SPLIT_NODES):
+            found, odd = fork.in_two_processes(lambda: run(tasks[0::2]),
+                                               lambda: run(tasks[1::2]), "residual sweep")
+            found += odd
         else:
-            odd = _worker(os.getpid()).submit(run, tasks[1::2])
-            try:
-                found = run(tasks[0::2])
-            finally:
-                wait([odd])  # the worker finishes before anything propagates
-            found += odd.result()
+            found = run(tasks)
         self.slice_updates += g.n_regimes * (n - first)
-        if out is not None and first:
-            # from a copy: an overlapping source would be buffered at the size of the target
-            out[:, :first] = out[:, r, None].copy()
         if not change:
             return out
         # a NaN first, then the largest change; ties go to the first node in C order
@@ -587,36 +600,66 @@ def solve(model: MarketModel, grid: Grid4D, cfg: SolverConfig | None = None):
         updates = iterations * grid.n_regimes  # a pass updates one slice of every regime
         balance = dpp_residual(result, op)  # the closing residual
         residuals.append(balance[0])
+        workers = 1  # a backward pass reads the slice its last regime update wrote
     else:
-        iterations, V = _solve_jacobi(op, op.initial_guess(), cfg, residuals)
+        iterations, V, workers = _solve_jacobi(op, cfg, residuals)
         updates = op.slice_updates
         result = GridField(grid, V)
     report = ConvergenceReport(
         iterations=iterations, final_residual=residuals[-1] if residuals else 0.0,
         residuals=residuals, mode=cfg.mode, sweep=cfg.sweep, contraction=op.contraction,
         wall_time=time.perf_counter() - t0, operator=op, slices=slices, balance=balance,
-        jump_band_share=op.jump_band_share, slice_updates=updates,
+        jump_band_share=op.jump_band_share, slice_updates=updates, sweep_workers=workers,
+        partner_wait_s=op.partner_wait_s,
     )
     return result, report
 
 
-def _solve_jacobi(op, V, cfg, residuals):
-    """Returns (sweeps, the last iterate). A new array per sweep, not two
-    swapped ones: freeing the last keeps glibc's adaptive mmap and trim
-    thresholds above the block temporaries, which otherwise fault anew."""
-    for it in range(1, cfg.max_iterations + 1):
-        Vn = np.empty_like(V)
-        res, node = op.sweep(V, out=Vn, change=True)
-        if not math.isfinite(res):  # V is finite, so a non-finite update shows here
-            raise _non_finite(f"jacobi sweep {it}", *node)
-        residuals.append(res)
-        V = Vn
-        if res < cfg.tolerance:
-            return it, V
-    raise ConvergenceError(
-        f"no convergence after {cfg.max_iterations} sweeps; last residual {residuals[-1]:.6g}",
-        residual_history=residuals,
-    )
+def _solve_jacobi(op, cfg, residuals):
+    """Returns (sweeps, the last iterate, processes) from the initial guess.
+
+    Each sweep reads one of two fields in anonymous shared memory and writes
+    the other. From JACOBI_SPLIT_NODES nodes (fork.worth_splitting) a child
+    forked once for the solve runs the odd tasks of every sweep and this
+    process the even ones (see sweep's `partner`). After each sweep the two
+    swap their found lists, so both stop, raise on a non-finite change or
+    reach the cap at the same sweep, and neither writes a field the other
+    still reads. The child is reaped before this returns or raises; the
+    iterate returned is the shared field itself.
+    """
+    fields = [_shared_field(op.grid.shape) for _ in range(2)]
+    # the guess is a field-sized array freed here, before any fork: glibc's
+    # adaptive mmap and trim thresholds then stay above the block temporaries,
+    # which otherwise fault anew: without it a reference.yaml solve took
+    # 1.25-1.62 s, against 0.76-0.94 s (8 alternated runs on 2 cores)
+    fields[0][...] = op.initial_guess()
+
+    def iterate(partner=None):
+        for it in range(1, cfg.max_iterations + 1):
+            V, out = fields[(it - 1) % 2], fields[it % 2]
+            res, node = op.sweep(V, out=out, change=True, partner=partner)
+            if not math.isfinite(res):  # V is finite, so a non-finite update shows here
+                raise _non_finite(f"jacobi sweep {it}", *node)
+            residuals.append(res)
+            if res < cfg.tolerance:
+                return it
+        raise ConvergenceError(
+            f"no convergence after {cfg.max_iterations} sweeps; last residual "
+            f"{residuals[-1]:.6g}", residual_history=residuals,
+        )
+
+    if fork.worth_splitting(fields[0].size, JACOBI_SPLIT_NODES):
+        sweeps, _ = fork.in_two_processes(lambda swap: iterate((0, swap)),
+                                          lambda swap: iterate((1, swap)), "jacobi", swap=True)
+        return sweeps, fields[sweeps % 2], 2
+    sweeps = iterate()
+    return sweeps, fields[sweeps % 2], 1
+
+
+def _shared_field(shape):
+    """A float64 array of `shape` in anonymous shared memory: what a forked
+    child writes there, its parent reads."""
+    return np.frombuffer(mmap.mmap(-1, 8 * math.prod(shape)), np.float64).reshape(shape)
 
 
 def _solve_backward(op, V, cfg, slices):

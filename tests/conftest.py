@@ -1,5 +1,7 @@
 """Shared test plumbing: the acceptance-criteria result board, the traced
-peak of one call, the check that no forked child is left, and the reference
+peak of one call, the check that no forked child is left, the switch that
+puts every jacobi solve and residual sweep on a given number of
+processes, and the reference
 forms the solver's sweep blocks are checked against bit for bit: the dense
 jump product, the column-broadcast block update, and the full sweep with
 every time slice computed on its own.
@@ -15,6 +17,8 @@ from unittest import mock
 
 import numpy as np
 import pytest
+
+from oilopt import fork, solver
 
 ACCEPTANCE: dict[int, tuple[bool, str]] = {}
 
@@ -44,6 +48,14 @@ def assert_no_child():
     """This process has no child process left, running or unreaped."""
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+def split_sweeps(monkeypatch, processes):
+    """Run every jacobi solve and every dpp_residual sweep on `processes`
+    processes (fork.WORKERS), whatever its node count."""
+    monkeypatch.setattr(fork, "WORKERS", processes)
+    monkeypatch.setattr(solver, "JACOBI_SPLIT_NODES", 0)
+    monkeypatch.setattr(solver, "RESIDUAL_SPLIT_NODES", 0)
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

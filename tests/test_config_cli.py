@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import yaml
-from conftest import assert_no_child
+from conftest import assert_no_child, split_sweeps
 
 from oilopt import (
     ConfigError,
@@ -326,13 +326,34 @@ class TestCli:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["run"]["converged"] is True
         assert manifest["config"]["schema_version"] == 1
-        assert manifest["run"]["sweep_workers"] == solver.SWEEP_WORKERS
         assert manifest["run"]["sweep_block"] == solver.sweep_block(load_config(cfg).grid)
         assert "passes_per_slice" not in manifest["run"]  # jacobi has no slices
         # ten slices below the horizon, one block: every sweep computes all of them
         assert manifest["run"]["slice_updates"] == manifest["run"]["iterations"] * 2 * 10
         assert_run_records(manifest, cfg)
         assert "solved" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("processes, sweep, workers", [
+        (1, "jacobi", 1),
+        pytest.param(2, "jacobi", 2, marks=pytest.mark.skipif(not hasattr(os, "fork"),
+                                                                reason="needs os.fork")),
+        (2, "backward", 1),
+    ])
+    def test_manifest_reports_the_processes_the_sweeps_ran_on(
+            self, tmp_path, monkeypatch, processes, sweep, workers):
+        """run.sweep_workers is the processes the solve's sweeps ran on: one
+        at fork.WORKERS = 1, two for a jacobi solve that splits, and one for
+        backward, whose passes read the slice they write. run.partner_wait_s
+        is the seconds the solve waited for its partner, 0 without one."""
+        split_sweeps(monkeypatch, processes)
+        cfg = write_config(tmp_path, SMALL)
+        out = tmp_path / "run"
+        assert main(["solve", "--config", cfg, "--out", str(out), "--sweep", sweep]) == 0
+        run = json.loads((out / "manifest.json").read_text())["run"]
+        assert run["sweep_workers"] == workers
+        assert (run["partner_wait_s"] > 0.0) == (workers == 2)
+        if hasattr(os, "fork"):
+            assert_no_child()
 
     @pytest.mark.parametrize("refine, shape, block", [(1, (101, 201, 21), 10),
                                                       (2, (201, 401, 41), 2)])
@@ -702,6 +723,18 @@ class TestCli:
                 "single-threshold", "simulation-gap"} <= names
         assert_run_records(manifest, cfg)
 
+    def test_verify_passes_the_simulation_gap_at_a_finite_rate(self, tmp_path, capsys):
+        """finite_rate.yaml's paths extract for years and read the grid policy
+        at every step, between reserve nodes. Read at the nearest reserve
+        node, 2,000 paths (seed 1) stopped with reserve left and fell 9.42
+        below the grid, against an allowance of 3.04."""
+        code = main(["verify", "--config", str(CONFIG_DIR / "finite_rate.yaml"), "--sweep",
+                     "backward", "--paths", "2000", "--seed", "1", "--out", str(tmp_path)])
+        out = capsys.readouterr().out
+        line = next(row for row in out.splitlines() if row.startswith("simulation-gap"))
+        assert line.split()[1] == "PASS", line
+        assert code == 0
+
     def test_entry_point_runs(self, tmp_path):
         cfg = write_config(tmp_path, SMALL)
         # the child finds the package where this test session found it
@@ -715,11 +748,12 @@ class TestCli:
         )
         assert proc.returncode == 0, proc.stderr
 
-    @pytest.mark.parametrize("module", ["scipy", "multiprocessing"])
+    @pytest.mark.parametrize("module", ["scipy", "multiprocessing", "concurrent.futures"])
     def test_cli_import_loads_no_module(self, module):
         """scipy is a test-only dependency: the runtime never imports it. Nor
-        does it import multiprocessing: the two-process splits fork with
-        os.fork (see test_fork.py for a split run)."""
+        does it import multiprocessing or concurrent.futures: the two-process
+        splits fork with os.fork (see test_fork.py for a split run), and no
+        sweep runs on a thread pool."""
         src = str(Path(__file__).resolve().parents[1] / "src")
         env = {**os.environ,
                "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}

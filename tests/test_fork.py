@@ -1,7 +1,8 @@
 """fork.in_two_processes on its own: results in order, a child's exception
 raised in the caller, a dead child's exit code, a caller exception that
-kills the child, and a child that leaves without the caller's exit work.
-After every case this process has no child left."""
+kills the child, a child that leaves without the caller's exit work, and
+jobs that swap values in steps. After every case this process has no
+child left."""
 
 import os
 import signal
@@ -90,6 +91,57 @@ def test_a_dead_child_raises_its_exit_code(there, code):
     with pytest.raises(RuntimeError,
                        match=rf"^the test worker process died \(exit code {code}\) before"):
         fork.in_two_processes(lambda: None, there, "test")
+
+
+def test_swapped_values_cross_in_step():
+    """Each swap returns what the other process handed to its own swap of
+    the same step, in both directions, and the results come back after."""
+    def steps(name):
+        return lambda swap: [swap((name, step)) for step in range(3)]
+
+    here, there = fork.in_two_processes(steps("here"), steps("there"), "test", swap=True)
+    assert here == [("there", step) for step in range(3)]
+    assert there == [("here", step) for step in range(3)]
+
+
+@pytest.mark.parametrize("here_swaps, there_swaps, message", [
+    (2, 3, "swapped more values than the caller"),
+    (3, 2, "swapped fewer values than the caller"),
+])
+def test_unequal_swap_counts_raise_instead_of_hanging(here_swaps, there_swaps, message):
+    """A caller that stops swapping first would wait for a child that waits
+    for its next swap; either way round, the caller raises and kills it."""
+    with pytest.raises(RuntimeError, match=f"^the test worker process {message}$"):
+        fork.in_two_processes(lambda swap: [swap(i) for i in range(here_swaps)],
+                              lambda swap: [swap(i) for i in range(there_swaps)], "test",
+                              swap=True)
+
+
+def test_a_child_exception_in_a_swap_job_is_raised_from_the_swap():
+    def there(swap):
+        swap(1)
+        raise ChildFailure("after one swap")
+
+    with pytest.raises(ChildFailure, match="after one swap"):
+        fork.in_two_processes(lambda swap: [swap(i) for i in range(5)], there, "test", swap=True)
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity") or len(os.sched_getaffinity(0)) < 2,
+                    reason="needs two CPUs to pin to")
+def test_a_swap_job_keeps_one_cpu_per_process_and_restores_the_callers():
+    """A pipe's wakeup would move the woken process onto the writer's CPU,
+    so the two processes of a swap job keep one CPU each; the caller gets
+    its own CPUs back, also when the job raises."""
+    cpus = os.sched_getaffinity(0)
+    here, there = fork.in_two_processes(lambda swap: os.sched_getaffinity(0),
+                                        lambda swap: os.sched_getaffinity(0), "test", swap=True)
+    assert len(here) == len(there) == 1 and here | there <= cpus and here != there
+    assert os.sched_getaffinity(0) == cpus
+    with pytest.raises(ChildFailure):
+        fork.in_two_processes(lambda swap: (_ for _ in ()).throw(ChildFailure("here")),
+                              lambda swap: None, "test", swap=True)
+    assert os.sched_getaffinity(0) == cpus
+    assert fork.in_two_processes(lambda: os.sched_getaffinity(0), lambda: None, "test")[0] == cpus
 
 
 def test_a_caller_exception_kills_the_child():

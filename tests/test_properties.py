@@ -7,16 +7,20 @@ positive center denominators, a raised price or reserve row that lowers no
 node (for the paper-faithful stencil too, wherever it builds), and order
 preservation of one sweep, for any jump measure. The banded jump product
 keeps the dense product's bits on every such model, and the plane-wise
-block update the column-broadcast form's, non-finite values included.
+block update the column-broadcast form's, non-finite values included. One
+metamorphic identity needs no reference value: relabelling the regimes of a
+two-regime model relabels its jacobi field, bit for bit.
 """
 
+import contextlib
 import dataclasses
+import os
 from unittest import mock
 
 import numpy as np
 import pytest
-from conftest import (column_base_block, column_best_candidate, dense_base_block,
-                      per_slice_sweep)
+from conftest import (assert_no_child, column_base_block, column_best_candidate,
+                      dense_base_block, per_slice_sweep)
 from hypothesis import example, given, settings, strategies as st
 
 from oilopt import (
@@ -30,6 +34,7 @@ from oilopt import (
     SolverConfig,
     build_grid,
     dpp_residual,
+    fork,
     solve,
     solver,
 )
@@ -56,10 +61,22 @@ def upwind_operator(problem):
     return DiscreteOperator(*problem, SolverConfig(mode="upwind"))
 
 
+@contextlib.contextmanager
+def split_sweeps(processes):
+    """Run every jacobi solve and residual sweep on `processes` processes,
+    whatever its node count (conftest.split_sweeps, for a hypothesis test,
+    which takes no function-scoped fixture)."""
+    with (mock.patch.object(fork, "WORKERS", processes),
+          mock.patch.object(solver, "JACOBI_SPLIT_NODES", 0),
+          mock.patch.object(solver, "RESIDUAL_SPLIT_NODES", 0)):
+        yield
+
+
 @st.composite
-def small_problems(draw):
-    """(model, grid): a 1-2 regime model with a grid of 3 x 21 x 5 nodes per regime."""
-    n = draw(st.integers(1, 2))
+def small_problems(draw, regimes=st.integers(1, 2)):
+    """(model, grid): a model with `regimes` regimes, 1 or 2, and a grid of
+    3 x 21 x 5 nodes per regime."""
+    n = draw(regimes)
     if n == 1:
         generator = [[0.0]]
     else:
@@ -92,9 +109,9 @@ def small_problems(draw):
     return model, small_grid(n)
 
 
-def small_models():
-    """Upwind operators on small_problems()."""
-    return small_problems().map(upwind_operator)
+def small_models(regimes=st.integers(1, 2)):
+    """Upwind operators on small_problems(regimes)."""
+    return small_problems(regimes).map(upwind_operator)
 
 
 def skewed_atom_problem(z):
@@ -275,24 +292,27 @@ def test_sweep_preserves_order(op, seed):
 
 @settings(max_examples=25, deadline=None)
 @given(op=small_models(), seed=st.integers(0, 2**32 - 1), data=st.data())
-def test_blocks_and_threads_move_no_bit(op, seed, data):
-    """Any block size and either thread count gives the bits of one block
-    swept serially: every sweep, the jacobi residual history and field, and
-    dpp_residual's worst node."""
+def test_blocks_and_processes_move_no_bit(op, seed, data):
+    """Any block size and either process count, the split forced on, gives
+    the bits of one block swept in one process: every sweep, the jacobi
+    residual history and field, and dpp_residual's worst node. No child is
+    left."""
     n_s, u_max = op.grid.n_s, op.model.economics.u_max
     block = data.draw(st.integers(1, n_s), label="time slices per block")
-    workers = data.draw(st.sampled_from([1, 2]), label="SWEEP_WORKERS")
+    workers = data.draw(st.sampled_from([1, 2] if hasattr(os, "fork") else [1]),
+                        label="fork.WORKERS")
     V = np.random.default_rng(seed).uniform(-100.0, 400.0, size=op.grid.shape)
     field = GridField(op.grid, V)
     cfg = SolverConfig(mode="upwind")
 
-    def run(block_size, threads):
+    def run(block_size, processes):
         budget = block_size * op.grid.n_x * op.grid.n_y * 8
         with (mock.patch.object(solver, "SWEEP_BLOCK_BYTES", budget),
-              mock.patch.object(solver, "SWEEP_WORKERS", threads)):
+              split_sweeps(processes)):
             assert solver.sweep_block(op.grid) == block_size
             sweeps = [op.sweep(V, c) for c in (None, [0.0], [u_max], np.linspace(0.0, u_max, 7))]
             solved, report = solve(op.model, op.grid, cfg)
+            assert report.sweep_workers == processes
             return sweeps, solved.values, report.residuals, dpp_residual(field, op)
 
     sweeps, values, residuals, worst = run(n_s, 1)
@@ -300,8 +320,52 @@ def test_blocks_and_threads_move_no_bit(op, seed, data):
     for one, other in zip(sweeps, got_sweeps):
         assert np.array_equal(one, other)
     assert np.array_equal(values, got_values)
-    assert residuals == got_residuals
-    assert worst == got_worst
+    assert (residuals, worst) == (got_residuals, got_worst)
+    if hasattr(os, "fork"):
+        assert_no_child()
+
+
+def relabelled(model):
+    """`model` with its two regimes swapped: the generator's rows and
+    columns, and every per-regime parameter."""
+    d = model.dynamics
+    flip = {name: getattr(d, name)[::-1] for name in ("mu", "sigma", "jump_scale")}
+    return dataclasses.replace(model, generator=model.generator[::-1, ::-1].copy(),
+                               dynamics=dataclasses.replace(d, **flip))
+
+
+def reference_problem(u_max=50000.0):
+    """reference.yaml's two-regime model on small_problems()' grid."""
+    dyn = Dynamics(kappa=0.01, mu=(55.0, 35.0), sigma=(0.2, 0.3), jump_scale=(0.1, 0.1),
+                   discount_rate=0.05)
+    eco = Economics(fixed_cost=5.0, marginal_cost=20.0, reserve_slope=0.0, reserve_offset=1.0,
+                    u_max=u_max, reserve_capacity=2.0, horizon=1.0, terminal_offset=20.0)
+    model = MarketModel(generator=np.array([[-0.01, 0.01], [0.15, -0.15]]), dynamics=dyn,
+                        economics=eco, measure=LevyMeasure.uniform(1.0, 0.5))
+    return model, small_grid(2)
+
+
+@settings(max_examples=25, deadline=None)
+@example(problem=reference_problem())
+@example(problem=reference_problem(u_max=1.0))
+@given(problem=small_problems(regimes=st.just(2)))
+def test_relabelling_the_regimes_relabels_the_jacobi_field(problem):
+    """Swapping the two regimes of a model swaps the regimes of its jacobi
+    field, bit for bit, in as many sweeps, on two processes when os.fork
+    exists. Every term of one regime's update reads its own parameters and
+    the one other regime, so a term indexed by position rather than by
+    regime would show here."""
+    model, grid = problem
+    cfg = SolverConfig(mode="upwind")
+    processes = 2 if hasattr(os, "fork") else 1
+    with split_sweeps(processes):
+        field, report = solve(model, grid, cfg)
+        swapped, swapped_report = solve(relabelled(model), grid, cfg)
+    assert report.sweep_workers == swapped_report.sweep_workers == processes
+    assert swapped_report.iterations == report.iterations
+    assert np.array_equal(swapped.values[::-1].view(np.int64), field.values.view(np.int64))
+    if processes == 2:
+        assert_no_child()
 
 
 @settings(max_examples=20, deadline=None)
@@ -320,10 +384,11 @@ def test_copied_leading_slices_keep_the_per_slice_bits(problem, seed, data):
     op = upwind_operator((model, grid))
     n, u_max = grid.n_s - 1, model.economics.u_max
     block = data.draw(st.integers(2, 4), label="time slices per block")
-    workers = data.draw(st.sampled_from([1, 2]), label="SWEEP_WORKERS")
+    workers = data.draw(st.sampled_from([1, 2] if hasattr(os, "fork") else [1]),
+                        label="fork.WORKERS")
     rng = np.random.default_rng(seed)
     with (mock.patch.object(solver, "SWEEP_BLOCK_BYTES", block * grid.n_x * grid.n_y * 8),
-          mock.patch.object(solver, "SWEEP_WORKERS", workers)):
+          split_sweeps(workers)):
         for length in (0, 1, block - 1, block, n, n + 1):
             V = op.initial_guess() if length == n + 1 else rng.uniform(-100.0, 400.0, grid.shape)
             V[:, 1:length] = V[:, :1]

@@ -17,6 +17,8 @@ REFERENCE = Path(__file__).resolve().parents[1] / "src" / "oilopt" / "configs" /
 @pytest.mark.parametrize("module, name, value", [
     (solver, "SWEEP_BLOCK_BYTES", 337_680),
     (solver, "_JUMP_BAND_ROWS", 32),
+    (solver, "JACOBI_SPLIT_NODES", 60_000),
+    (solver, "RESIDUAL_SPLIT_NODES", 400_000),
     (simulate, "BATCH_PATHS", 10_000),
     (simulate, "SPLIT_MIN_PATH_STEPS", 200_000),
     (simulate, "NORMAL_BLOCK", 512),

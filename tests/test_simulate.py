@@ -7,6 +7,7 @@ import signal
 import numpy as np
 import pytest
 from conftest import assert_no_child, traced_peak
+from hypothesis import example, given, settings, strategies as st
 
 from oilopt import (
     Dynamics,
@@ -296,7 +297,7 @@ PINNED_ESTIMATES = {
     "callable": (lambda: (fast_switching(jumpy_model()), threshold_policy, {}),
                  (312.1610946509451, 8.333641699570643, 1.0, 0, 0)),
     "gridfield": (lambda: (fast_switching(jumpy_model()), grid_policy(), {}),
-                  (376.0818482991003, 3.6391369860317164, 1.0, 0, 0)),
+                  (376.1075280660615, 3.639252596850015, 1.0, 0, 0)),
 }
 
 
@@ -520,13 +521,16 @@ class TestTwoProcesses:
             signal.signal(signal.SIGALRM, previous)
         assert multiprocessing.active_children() == []
 
-    def test_split_after_a_threaded_jacobi_solve(self, two_processes, monkeypatch):
-        """The sweep thread is alive when the worker forks; the worker must
-        still finish, with the one-process bits."""
-        monkeypatch.setattr(solver, "SWEEP_WORKERS", 2)
+    def test_split_after_a_split_jacobi_solve(self, two_processes, monkeypatch):
+        """The field comes from a jacobi solve on two processes, in shared
+        memory, whose partner is reaped before the worker forks; the worker
+        must still finish, with the one-process bits."""
+        monkeypatch.setattr(solver, "JACOBI_SPLIT_NODES", 0)
         model = jumpy_model(horizon=1.0)
         grid = build_grid(1.0, 100.0, 10.0, 0.1, 0.5, 0.5, 2)
         field, report = solve(model, grid, SolverConfig(sweep="jacobi"))
+        assert report.sweep_workers == 2
+        assert_no_child()
         policy = extract_policy(switching_function(field, report.operator), model)
         kw = dict(n_paths=40, dt=1e-2, seed=8, record=30)
         split = estimate_value(model, policy, PIN_START, **kw)
@@ -534,10 +538,16 @@ class TestTwoProcesses:
 
 
 def grid_read(policy):
-    """A plain callable reading `policy` at Grid4D.nearest_indices' node,
-    which the simulator reads at every step."""
+    """A plain callable reading `policy` where the simulator reads a grid
+    policy, at every step: Grid4D.nearest_indices' node, with reserve node 1
+    at least while reserve is left."""
     g = policy.grid
-    return lambda t, x, y, regime: policy.values[(regime, *g.nearest_indices(t, x, y))]
+
+    def read(t, x, y, regime):
+        si, xi, yi = g.nearest_indices(t, x, y)
+        return policy.values[regime, si, xi, np.where(y > 0.0, np.maximum(yi, 1), yi)]
+
+    return read
 
 
 EMPTYING_START = (0.0, 50.0, 0.5, 0)
@@ -606,7 +616,7 @@ class TestEmptyReserves:
         """Summed over batches: 1 per batch where every path empties at step
         0, n_steps per batch for a callable, and in between for the pinned
         grid-policy case once its batches are small enough to empty before
-        the horizon (5 of its 64 paths keep reserve to the end)."""
+        the horizon (6 of its 64 paths keep reserve to the end)."""
         def lookups(policy, start, **kw):
             est = estimate_value(fast_switching(jumpy_model()), policy, start, **PIN_KW, **kw)
             return est.diagnostics["policy_lookup_steps"]
@@ -618,7 +628,7 @@ class TestEmptyReserves:
         assert lookups(emptying_grid_policy(), EMPTYING_START) == 8
         assert lookups(emptying_grid_policy(), EMPTYING_START, antithetic=True) == 4
         assert lookups(threshold_policy, PIN_START) == 1600
-        assert lookups(grid_policy(), PIN_START) == 1556
+        assert lookups(grid_policy(), PIN_START) == 1529
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -1e-300, -0.0],
                              ids=["nan", "inf", "negative", "minus_zero"])
@@ -647,6 +657,44 @@ class TestEmptyReserves:
         policy = bang_bang_policy(field, report.operator)
         assert set(np.unique(policy.values).tolist()) == {0.0, model.economics.u_max}
         assert simulate._policy_callable(policy)[1]
+
+
+class TestGridPolicyReserveRead:
+    """A path with reserve left never reads the empty-reserve face, where the
+    scheme's policy extracts nothing."""
+
+    @settings(max_examples=50, deadline=None)
+    @example(l=0.5, cells=20, fractions=[0.001, 0.0124, 0.0125, 1.0])
+    @given(l=st.sampled_from([0.1, 0.125, 0.2, 0.25, 0.5]), cells=st.integers(1, 40),
+           fractions=st.lists(st.floats(1e-9, 1.0), min_size=1, max_size=8))
+    def test_reserve_left_reads_node_1_at_least(self, l, cells, fractions):
+        """On a grid of `cells` reserve cells of l, a GridField policy read at
+        Y in (0, K] takes reserve node max(nearest, 1), and at Y = 0 node 0."""
+        K = cells * l
+        g = build_grid(horizon=1.0, price_cap=2.0, reserve_capacity=K, time_step=0.5,
+                       price_step=0.5, reserve_step=l, n_regimes=2)
+        node = np.broadcast_to(np.arange(g.n_y, dtype=float), g.shape).copy()
+        lookup, _ = simulate._policy_callable(GridField(g, node))
+        Y = np.array([0.0, *fractions]) * K
+        read = lookup(0.5, np.full(Y.size, 1.0), Y, np.arange(Y.size) % 2)
+        nearest = g.nearest_indices(0.5, 1.0, Y)[2]
+        assert read[0] == 0.0 and np.all(read[1:] >= 1.0)
+        assert np.array_equal(read[1:], np.maximum(nearest[1:], 1))
+
+    def test_finite_rate_paths_that_extract_to_the_end_empty_their_reserve(self):
+        """At u_max = 5 a path drains the start reserve of 4 in 0.8 years. A
+        policy that extracts on every node with reserve, and nowhere on the
+        empty-reserve face, empties every recorded path by the horizon; read
+        at the nearest node, each stopped once Y fell below l/2 = 0.25."""
+        model = jumpy_model(horizon=1.0, u_max=5.0)
+        g = build_grid(1.0, 100.0, 10.0, 0.1, 0.5, 0.5, 2)
+        rates = np.full(g.shape, 5.0)
+        rates[..., 0] = 0.0
+        est = estimate_value(model, GridField(g, rates), PIN_START, n_paths=8, dt=1e-2, seed=1,
+                             record=8)
+        for rec in est.paths:
+            assert rec.y[-1] == 0.0
+            assert np.all(rec.u[:-1][rec.y[:-1] > 0.0] > 0.0)  # it extracted while reserve was left
 
 
 class TestAnalyticOracle:

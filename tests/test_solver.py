@@ -2,19 +2,18 @@
 
 import dataclasses
 import math
-import multiprocessing
 import os
 import re
+import signal
 import subprocess
 import sys
-import threading
 from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
-from conftest import (column_base_block, column_best_candidate, dense_base_block,
-                      per_slice_sweep, traced_peak)
+from conftest import (assert_no_child, column_base_block, column_best_candidate,
+                      dense_base_block, per_slice_sweep, split_sweeps, traced_peak)
 
 from oilopt import (
     ConfigError,
@@ -35,10 +34,43 @@ from oilopt import (
     profit_rate,
     solve,
 )
-from oilopt import solver
+from oilopt import fork, solver
 from oilopt.config import load_config, parse_config
 
 REFERENCE = Path(__file__).resolve().parents[1] / "src" / "oilopt" / "configs" / "reference.yaml"
+
+needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+
+
+@pytest.fixture(autouse=True)
+def no_child_left():
+    """Every split solve and split residual reaps its second process."""
+    yield
+    if hasattr(os, "fork"):
+        assert_no_child()
+
+
+def processes(n):
+    """A parameter of 1 or 2 processes; 2 needs os.fork."""
+    return pytest.param(n, marks=needs_fork if n == 2 else ())
+
+
+def recorded_pids(monkeypatch, tmp_path, owner, name, when=lambda *args: True):
+    """Patch owner.name to note this process's pid in a file before each call
+    for which when(*args) holds, whichever process makes it; returns a
+    function that reads the pids back, one per noted call."""
+    log = tmp_path / f"{name}.pids"
+    log.touch()
+    real = getattr(owner, name)
+
+    def noting(*args, **kwargs):
+        if when(*args):
+            with open(log, "a", encoding="utf-8") as fh:
+                fh.write(f"{os.getpid()}\n")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, noting)
+    return lambda: [int(pid) for pid in log.read_text(encoding="utf-8").split()]
 
 
 def single_regime_model(u_max=0.0, fixed_cost=0.0, kappa=0.01, sigma=0.2,
@@ -472,21 +504,24 @@ class TestSweepBlocks:
             whole = [op._best_candidate(V, m, 0, n, controls) for m in range(2)]
             assert np.array_equal(op.sweep(V, controls)[:, :n], np.stack(whole))
 
-    def test_sweep_temporaries_are_bounded_by_the_budget(self):
-        """A full sweep's traced peak is O(block bytes x threads), not
+    @pytest.mark.parametrize("workers", [processes(1), processes(2)])
+    def test_sweep_temporaries_are_bounded_by_the_budget(self, workers, monkeypatch):
+        """A full sweep's traced peak in each process is O(block bytes), not
         O(slices per block x slice bytes): about three block-sized arrays are
-        alive per thread (the base block, the best candidate and one
-        extracting candidate; the task loop drops each block's update before
-        the next block is computed). The slice here (401 x 101 nodes, 324 KB)
-        is just under the budget, so a block is one slice; ten-slice blocks
-        peak at about 26 MB against the bound's 2.7 MB on two threads."""
+        alive (the base block, the best candidate and one extracting
+        candidate; the task loop drops each block's update before the next
+        block is computed). The slice here (401 x 101 nodes, 324 KB) is just
+        under the budget, so a block is one slice; ten-slice blocks peak at
+        about 26 MB against the bound's 1.35 MB. On two processes the bound
+        holds in the calling one, which tracemalloc sees."""
+        split_sweeps(monkeypatch, workers)
         grid = build_grid(horizon=2.0, price_cap=100.0, reserve_capacity=10.0, time_step=0.1,
                           price_step=0.25, reserve_step=0.1, n_regimes=2)
         slice_bytes = grid.n_x * grid.n_y * 8
         assert solver.sweep_block(grid) == 1 and slice_bytes > 0.9 * solver.SWEEP_BLOCK_BYTES
         op = DiscreteOperator(reference_model(horizon=2.0), grid, SolverConfig())
         V = np.random.default_rng(19).uniform(-100.0, 400.0, size=grid.shape)
-        bound = 4 * max(solver.SWEEP_BLOCK_BYTES, slice_bytes) * solver.SWEEP_WORKERS
+        bound = 4 * max(solver.SWEEP_BLOCK_BYTES, slice_bytes)
         peak = traced_peak(lambda: op.sweep(V, change=True))
         assert peak < bound, f"traced peak {peak / 1e6:.1f} MB"
 
@@ -507,13 +542,13 @@ class TestSweepBlocks:
             grid.n_x * grid.n_y * 8)
         assert arrays < 4.5, f"traced peak {arrays:.2f} slice arrays"
 
-    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("workers", [processes(1), processes(2)])
     def test_an_update_written_over_its_input_is_refused(self, workers, monkeypatch):
         """The tasks read neighbors from `values` while others write `out`,
         so an `out` that shares memory with `values` would make the update
-        depend on task order and thread timing; sweep refuses it before any
+        depend on task order and process timing; sweep refuses it before any
         task runs, and leaves the input as it was."""
-        monkeypatch.setattr(solver, "SWEEP_WORKERS", workers)
+        split_sweeps(monkeypatch, workers)
         op = DiscreteOperator(reference_model(horizon=2.5), small_grid(horizon=2.5, n_regimes=2),
                               SolverConfig())
         V = op.initial_guess()
@@ -526,12 +561,12 @@ class TestSweepBlocks:
         assert np.array_equal(V, kept)
         assert np.array_equal(op.sweep(V, out=np.empty_like(V)), op.sweep(V))
 
-    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("workers", [processes(1), processes(2)])
     def test_an_empty_control_list_is_refused(self, workers, monkeypatch):
         """The update is a max over the controls, which no empty list has:
-        sweep names the empty list before any task runs, with and without
-        `change`, and leaves the input as it was."""
-        monkeypatch.setattr(solver, "SWEEP_WORKERS", workers)
+        sweep names the empty list before any task runs or any process
+        forks, with and without `change`, and leaves the input as it was."""
+        split_sweeps(monkeypatch, workers)
         op = DiscreteOperator(reference_model(horizon=2.5), small_grid(horizon=2.5, n_regimes=2),
                               SolverConfig())
         V = np.random.default_rng(3).uniform(-100.0, 400.0, size=op.grid.shape)
@@ -567,17 +602,19 @@ class TestSweepBlocks:
                         (m, scan, name)
 
 
-class TestSweepThreads:
-    """The blocks of a full sweep run on the calling thread (even tasks) and
-    one pool worker (odd tasks), each reducing its own largest change.
-    Every test forces the worker count, so it holds on a one-CPU machine."""
+class TestSweepProcesses:
+    """A jacobi solve runs the even tasks of every sweep in the calling
+    process and the odd ones in a partner forked for the solve, over shared
+    iterates; a residual sweep forks its partner for the sweep. Each reduces
+    its own largest change. Every test forces the process count and the
+    split, so it holds on a one-CPU machine, and no child is left after it."""
 
-    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("workers", [processes(1), processes(2)])
     def test_nan_in_the_last_block_names_sweep_and_node(self, workers, monkeypatch):
         """A NaN planted by sweep 3 in the last block of the last regime must
         raise the typed error naming that sweep and node, not be dropped by
         the reduction of the block maxima."""
-        monkeypatch.setattr(solver, "SWEEP_WORKERS", workers)
+        split_sweeps(monkeypatch, workers)
         model, grid = reference_model(horizon=2.5), small_grid(horizon=2.5, n_regimes=2)
         block, n = 10, grid.n_s - 1
         monkeypatch.setattr(solver, "SWEEP_BLOCK_BYTES", block_budget(grid, block))
@@ -600,12 +637,12 @@ class TestSweepThreads:
             "price index 50, reserve index 5"
         )
 
-    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("workers", [processes(1), processes(2)])
     def test_equal_maxima_in_two_blocks_give_the_first_node(self, workers, monkeypatch):
-        """Two equal mismatches, in the worker's block 1 and the calling
-        thread's block 2: dpp_residual reports the first in C order, as an
+        """Two equal mismatches, in the partner's block 1 and the calling
+        process's block 2: dpp_residual reports the first in C order, as an
         argmax over the full mismatch field does."""
-        monkeypatch.setattr(solver, "SWEEP_WORKERS", workers)
+        split_sweeps(monkeypatch, workers)
         model, grid = reference_model(horizon=2.5), small_grid(horizon=2.5, n_regimes=2)
         block = 10
         monkeypatch.setattr(solver, "SWEEP_BLOCK_BYTES", block_budget(grid, block))
@@ -621,91 +658,171 @@ class TestSweepThreads:
         worst, info = dpp_residual(GridField(grid, V), op)
         assert (worst, info["node"]) == (float(mism[expect]), first) == (mism.max(), expect)
 
-    def test_paper_faithful_control_too_large_raises_in_the_calling_thread(self, monkeypatch):
+    @needs_fork
+    def test_paper_faithful_control_too_large_raises_in_the_calling_process(
+            self, monkeypatch, tmp_path):
         """A paper-faithful operator built at u_max = 0 sweeps at u = 0, and a
         pinned positive control raises the operator's MonotonicityError from
-        sweep, before any task runs; only the calling thread ever builds
-        control terms."""
-        monkeypatch.setattr(solver, "SWEEP_WORKERS", 2)
-        op = DiscreteOperator(single_regime_model(), small_grid(price_cap=57.5),
-                              SolverConfig(mode="paper_faithful"))
-        builders = []
-        real = DiscreteOperator.control_terms
-
-        def recording(self, u):
-            if float(u) not in self._terms:
-                builders.append(threading.current_thread() is threading.main_thread())
-            return real(self, u)
-
-        monkeypatch.setattr(DiscreteOperator, "control_terms", recording)
-        tasks = []
-        real_task = DiscreteOperator._best_candidate
-        monkeypatch.setattr(DiscreteOperator, "_best_candidate",
-                            lambda self, *a, **kw: tasks.append(a) or real_task(self, *a, **kw))
-        V = op.initial_guess()
-        op.sweep(V, controls=[0.0])
-        swept = len(tasks)
+        sweep, before any task runs or any partner forks; only the calling
+        process ever builds control terms, before it forks."""
+        split_sweeps(monkeypatch, 2)
+        grid = small_grid(price_cap=57.5)
+        monkeypatch.setattr(solver, "SWEEP_BLOCK_BYTES", block_budget(grid, 2))  # five blocks
+        op = DiscreteOperator(single_regime_model(), grid, SolverConfig(mode="paper_faithful"))
+        builders = recorded_pids(monkeypatch, tmp_path, DiscreteOperator, "control_terms",
+                                 lambda self, u: float(u) not in self._terms)
+        tasks = recorded_pids(monkeypatch, tmp_path, DiscreteOperator, "_best_candidate")
+        V = np.random.default_rng(2).uniform(-100.0, 400.0, size=grid.shape)
+        op.sweep(V, controls=[0.0], change=True)
+        swept = tasks()
         weight = "the weight -u/(rl) = -0.2 on V(y + l) at u=0.005"
         with pytest.raises(MonotonicityError, match=re.escape(weight)):
-            op.sweep(V, controls=[0.005])
-        assert swept > 0 and len(tasks) == swept
-        assert builders and all(builders)
+            op.sweep(V, controls=[0.005], change=True)
+        assert len(set(swept)) == 2 and tasks() == swept  # both processes swept, then none
+        assert set(builders()) == {os.getpid()}
 
-    def test_threaded_sweeps_hold_under_a_short_switch_interval(self, monkeypatch):
-        """Thread switches forced every microsecond, one slice per task, and
-        a dense control scan whose terms a fresh operator builds during the
-        threaded sweep: the bits equal the serial sweep's every time."""
+    @needs_fork
+    def test_a_fresh_operators_dense_scan_keeps_the_one_process_bits(self, monkeypatch):
+        """One slice per task and a dense control scan whose terms a fresh
+        operator builds in the sweep that splits: the residual equals the
+        one-process residual every time, and so does the update."""
         model, grid = reference_model(horizon=2.5), small_grid(horizon=2.5, n_regimes=2)
         V = np.random.default_rng(13).uniform(-100.0, 400.0, size=grid.shape)
         dense = np.linspace(0.0, 50000.0, 9)
-        monkeypatch.setattr(solver, "SWEEP_WORKERS", 1)
-        serial = DiscreteOperator(model, grid, SolverConfig()).sweep(V, dense)
-        monkeypatch.setattr(solver, "SWEEP_WORKERS", 2)
+        split_sweeps(monkeypatch, 1)
+        one = DiscreteOperator(model, grid, SolverConfig())
+        serial, serial_change = one.sweep(V, dense), one.sweep(V, dense, change=True)
+        split_sweeps(monkeypatch, 2)
         monkeypatch.setattr(solver, "SWEEP_BLOCK_BYTES", block_budget(grid, 1))
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for _ in range(5):
-                op = DiscreteOperator(model, grid, SolverConfig())
-                assert np.array_equal(op.sweep(V, dense), serial)
-        finally:
-            sys.setswitchinterval(interval)
+        for _ in range(3):
+            op = DiscreteOperator(model, grid, SolverConfig())
+            assert op.sweep(V, dense, change=True) == serial_change
+            assert np.array_equal(op.sweep(V, dense), serial)
 
-    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
-    def test_a_forked_process_starts_its_own_sweep_thread(self, monkeypatch):
-        """A child forked after a threaded sweep inherits the pool object but
-        not its thread; its own sweeps must still finish, with the same bits."""
-        monkeypatch.setattr(solver, "SWEEP_WORKERS", 2)
-        op = DiscreteOperator(reference_model(horizon=2.5), small_grid(horizon=2.5, n_regimes=2),
-                              SolverConfig())
-        V = np.random.default_rng(17).uniform(-100.0, 400.0, size=op.grid.shape)
-        expect = op.sweep(V)  # starts this process's sweep thread
+    @needs_fork
+    def test_a_forked_process_splits_its_own_sweeps(self, monkeypatch):
+        """A child forked after a split solve (here the child of a split job)
+        splits its own residual sweep and solve again, with the same bits."""
+        split_sweeps(monkeypatch, 2)
+        model, grid = reference_model(horizon=2.5), small_grid(horizon=2.5, n_regimes=2)
+        field, report = solve(model, grid)
+        assert report.sweep_workers == 2
+        V = np.random.default_rng(17).uniform(-100.0, 400.0, size=grid.shape)
+        expect = report.operator.sweep(V, change=True)
 
         def child():
-            sys.exit(0 if np.array_equal(op.sweep(V), expect) else 1)
+            again, again_report = solve(model, grid)
+            return (report.operator.sweep(V, change=True), again_report.sweep_workers,
+                    again.values.tobytes() == field.values.tobytes())
 
-        proc = multiprocessing.get_context("fork").Process(target=child)
-        proc.start()
-        proc.join(timeout=60)
-        if proc.is_alive():
-            proc.kill()
-            proc.join()
-        assert proc.exitcode == 0
+        _, (change, workers, same) = fork.in_two_processes(lambda: None, child, "test")
+        assert (change, workers, same) == (expect, 2, True)
 
-    def test_threaded_sweep_matches_serial_on_a_blas_threaded_grid(self, monkeypatch):
-        """With 401 price nodes OpenBLAS threaded the dense jump product
-        under the sweep's own threads; the bits must not move (for the BLAS
-        thread count itself, see TestJumpBands)."""
+    @needs_fork
+    def test_split_sweeps_match_one_process_on_a_blas_threaded_grid(self, monkeypatch):
+        """With 401 price nodes OpenBLAS threaded the dense jump product; the
+        split residual and the split solve keep the one-process bits (for the
+        BLAS thread count itself, see TestJumpBands)."""
         model = reference_model(horizon=1.0)
         grid = blas_threaded_grid()
         assert grid.n_x >= 401
         op = DiscreteOperator(model, grid, SolverConfig())
         V = np.random.default_rng(11).uniform(-100.0, 400.0, size=grid.shape)
-        monkeypatch.setattr(solver, "SWEEP_WORKERS", 1)
-        serial = op.sweep(V)
-        monkeypatch.setattr(solver, "SWEEP_WORKERS", 2)
+        split_sweeps(monkeypatch, 1)
+        serial = op.sweep(V, change=True)
+        field, report = solve(model, grid)
+        split_sweeps(monkeypatch, 2)
         for _ in range(2):
-            assert np.array_equal(op.sweep(V), serial)
+            assert op.sweep(V, change=True) == serial
+        split, split_report = solve(model, grid)
+        assert (report.sweep_workers, split_report.sweep_workers) == (1, 2)
+        assert split.values.tobytes() == field.values.tobytes()
+        assert split_report.residuals == report.residuals
+        assert split_report.slice_updates == report.slice_updates
+
+    @needs_fork
+    def test_two_split_solves_at_once_keep_the_one_process_bits(self, monkeypatch):
+        """Two split solves at once, four processes on at most two CPUs, one
+        slice per task: the swap after each sweep is the only barrier between
+        its writes and the next sweep's reads, so a process descheduled
+        mid-sweep must still leave the one-process field and residuals. The
+        alarm bounds the wait if a swap hangs."""
+        model, grid = reference_model(horizon=2.5), small_grid(horizon=2.5, n_regimes=2)
+        monkeypatch.setattr(solver, "SWEEP_BLOCK_BYTES", block_budget(grid, 1))
+        split_sweeps(monkeypatch, 1)
+        field, report = solve(model, grid)
+        split_sweeps(monkeypatch, 2)
+
+        def split_solve():
+            again, again_report = solve(model, grid)
+            return (again.values.tobytes() == field.values.tobytes(),
+                    again_report.residuals == report.residuals, again_report.sweep_workers)
+
+        def alarm(signum, frame):
+            raise TimeoutError("a split solve waited a minute for its partner")
+
+        previous = signal.signal(signal.SIGALRM, alarm)
+        signal.alarm(60)
+        try:
+            here, there = fork.in_two_processes(split_solve, split_solve, "test")
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert here == there == (True, True, 2)
+
+    @needs_fork
+    def test_a_partner_killed_mid_solve_names_the_jacobi_job(self, monkeypatch):
+        """The partner SIGKILLs itself in sweep 3: the caller raises a
+        RuntimeError naming the jacobi job and the signal, and reaps it."""
+        split_sweeps(monkeypatch, 2)
+        caller, real, calls = os.getpid(), DiscreteOperator._best_candidate, []
+
+        def dying(self, *args, **kwargs):
+            calls.append(1)
+            if os.getpid() != caller and len(calls) == 3:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return real(self, *args, **kwargs)
+
+        monkeypatch.setattr(DiscreteOperator, "_best_candidate", dying)
+        model, grid = reference_model(horizon=2.5), small_grid(horizon=2.5, n_regimes=2)
+        with pytest.raises(RuntimeError, match=re.escape(
+                f"the jacobi worker process died (exit code {-signal.SIGKILL}) before")):
+            solve(model, grid, SolverConfig(tolerance=1e-8))
+
+    @needs_fork
+    def test_a_partner_exception_is_raised_by_the_caller(self, monkeypatch):
+        """An exception in the partner's sweep 2 comes back from the swap and
+        is raised in the caller, chained to the partner's traceback."""
+        split_sweeps(monkeypatch, 2)
+        caller, real, calls = os.getpid(), DiscreteOperator._best_candidate, []
+
+        def failing(self, *args, **kwargs):
+            calls.append(1)
+            if os.getpid() != caller and len(calls) == 2:
+                raise MemoryError("no room for a block")
+            return real(self, *args, **kwargs)
+
+        monkeypatch.setattr(DiscreteOperator, "_best_candidate", failing)
+        model, grid = reference_model(horizon=2.5), small_grid(horizon=2.5, n_regimes=2)
+        with pytest.raises(MemoryError, match="no room for a block") as err:
+            solve(model, grid, SolverConfig(tolerance=1e-8))
+        assert "in the jacobi worker process" in str(err.value.__cause__)
+
+    @pytest.mark.parametrize("workers, sweep, want", [
+        (1, "jacobi", 1),
+        pytest.param(2, "jacobi", 2, marks=needs_fork),
+        pytest.param(2, "backward", 1, marks=needs_fork),
+    ])
+    def test_the_report_counts_the_processes_and_the_wait(self, workers, sweep, want,
+                                                         monkeypatch):
+        """sweep_workers is the processes the sweeps or passes ran on, and
+        partner_wait_s the seconds the caller waited for its partner: none on
+        one process or for backward's passes, which read the slice they write."""
+        split_sweeps(monkeypatch, workers)
+        _, report = solve(reference_model(horizon=2.5), small_grid(horizon=2.5, n_regimes=2),
+                          SolverConfig(sweep=sweep))
+        assert report.sweep_workers == want
+        assert (report.partner_wait_s > 0.0) == (want == 2)
 
 
 class TestLeadingCopies:
@@ -715,12 +832,12 @@ class TestLeadingCopies:
 
     @staticmethod
     def operator(monkeypatch, workers):
-        monkeypatch.setattr(solver, "SWEEP_WORKERS", workers)
+        split_sweeps(monkeypatch, workers)
         grid = small_grid(horizon=2.5, n_regimes=2)
         monkeypatch.setattr(solver, "SWEEP_BLOCK_BYTES", block_budget(grid, 10))
         return DiscreteOperator(reference_model(horizon=2.5), grid, SolverConfig())
 
-    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("workers", [processes(1), processes(2)])
     def test_ties_among_the_copies_are_named_at_slice_0(self, workers, monkeypatch):
         """From the initial guess every slice below the horizon is a copy, so
         the largest change ties on all 25 of them; only the last block and
@@ -733,7 +850,7 @@ class TestLeadingCopies:
         assert info["node"][1] == 0 and worst > 0.0
         assert op.slice_updates == 2 * 5  # the block [20, 25) of each regime
 
-    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("workers", [processes(1), processes(2)])
     def test_a_nan_inside_the_run_is_named_at_slice_0(self, workers, monkeypatch):
         """A NaN planted at one node of slices 0..14, all of them copies, is
         in the update of slices 0..13 (and of slice 14 through the price and
@@ -749,21 +866,22 @@ class TestLeadingCopies:
         assert node == want_node and node[1] == 0
         assert op.slice_updates == 2 * 15  # the blocks [10, 20) and [20, 25)
 
+    @needs_fork
     @pytest.mark.parametrize("copies, blocks", [(25, 1), (15, 2), (5, 3)])
-    def test_the_two_threads_compute_as_many_blocks(self, copies, blocks, monkeypatch):
+    def test_the_two_processes_compute_as_many_blocks(self, copies, blocks, monkeypatch,
+                                                      tmp_path):
         """Slices 0..copies of the field are copies, so `blocks` blocks of
-        each regime are computed, and the calling thread and the pool worker
+        each regime are computed, and the calling process and its partner
         compute as many. With the horizon's tasks listed among the blocks,
-        the calling thread took both blocks of a one-block sweep and four of
-        the six of a three-block one."""
+        the calling process would take both blocks of a one-block sweep and
+        four of the six of a three-block one."""
         op = self.operator(monkeypatch, 2)
         V = op.initial_guess()
         V[:, copies + 1:] += 1.0
-        threads, real = [], DiscreteOperator._best_candidate
-        monkeypatch.setattr(DiscreteOperator, "_best_candidate", lambda self, *a, **kw: (
-            threads.append(threading.get_ident()) or real(self, *a, **kw)))
+        pids = recorded_pids(monkeypatch, tmp_path, DiscreteOperator, "_best_candidate")
         op.sweep(V, change=True)
-        assert sorted(threads.count(t) for t in set(threads)) == [blocks, blocks]
+        counts = [pids().count(pid) for pid in set(pids())]
+        assert os.getpid() in pids() and sorted(counts) == [blocks, blocks]
 
     def test_a_signed_zero_breaks_the_run(self):
         """Copies are equal bits: -0.0 == 0.0 as numbers, but a -0.0 on slice
@@ -791,17 +909,17 @@ class TestLeadingCopies:
 
     def test_sweeping_the_initial_guess_stays_within_the_block_budget(self):
         """From the initial guess one slice is computed and copied into the
-        19 below it: the copy goes through one slice-sized array, so the
+        19 below it, regime by regime from the block that computed it, so the
         traced peak stays within the budget of the full sweep's test. Filling
         out[:, :r] from the overlapping out[:, r:r + 1] made numpy buffer all
-        19 slices (12 MB against the bound's 2.7 MB on two threads)."""
+        19 slices (12 MB against the bound's 1.35 MB)."""
         grid = build_grid(horizon=2.0, price_cap=100.0, reserve_capacity=10.0, time_step=0.1,
                           price_step=0.25, reserve_step=0.1, n_regimes=2)
         slice_bytes = grid.n_x * grid.n_y * 8
         assert solver.sweep_block(grid) == 1
         op = DiscreteOperator(reference_model(horizon=2.0), grid, SolverConfig())
         V, out = op.initial_guess(), np.empty(grid.shape)
-        bound = 4 * max(solver.SWEEP_BLOCK_BYTES, slice_bytes) * solver.SWEEP_WORKERS
+        bound = 4 * max(solver.SWEEP_BLOCK_BYTES, slice_bytes)
         peak = traced_peak(lambda: op.sweep(V, out=out))
         assert peak < bound, f"traced peak {peak / 1e6:.1f} MB"
         assert np.array_equal(out[:, :-1], np.broadcast_to(out[:, :1], out[:, :-1].shape))
@@ -883,7 +1001,7 @@ class TestJumpBands:
         areas = sum((r1 - r0) * (c1 - c0) for bands in op.jump_bands for r0, r1, c0, c1, _ in bands)
         assert op.jump_band_share == areas / (op.grid.n_regimes * n * n) < 0.25
 
-    # 0 * inf in the product and inf - inf in the change, on either sweep thread
+    # 0 * inf in the product and inf - inf in the change, in either process
     @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
     def test_an_infinite_entry_fails_in_its_regime_and_slice(self):
         """inf at (1, 40, 150, 7) of reference.yaml's initial guess: the
