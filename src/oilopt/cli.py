@@ -111,7 +111,7 @@ def _manifest(cfg: RunConfig, args, report=None, extra=None, stored=None) -> dic
             "contraction_value": report.contraction.value,
             "wall_time_s": report.wall_time,
             "sweep_workers": report.sweep_workers,  # processes the solve's sweeps ran on
-            "partner_wait_s": report.partner_wait_s,  # and the seconds it waited for the second
+            "partner_wait_s": report.partner_wait_s,  # seconds its sweeps waited for a partner
             "sweep_block": solver.sweep_block(cfg.grid),  # time slices per sweep task
             "jump_band_share": report.jump_band_share,
             "slice_updates": report.slice_updates,  # (regime, slice) updates the solve computed
@@ -180,7 +180,8 @@ def _value_field(cfg: RunConfig, out_dir: Path):
     (no pickles), and one dpp_residual sweep of this command's operator over
     that field stays below the tolerance: the field then solves this
     operator at this tolerance, whatever wrote it. Its report counts 0
-    iterations and carries that residual and the time spent here.
+    iterations and carries that residual, the seconds that sweep waited for
+    its partner process and the time spent here.
     """
     t0 = time.perf_counter()
     field = None
@@ -204,7 +205,7 @@ def _value_field(cfg: RunConfig, out_dir: Path):
                 iterations=0, final_residual=residual, mode=cfg.solver.mode,
                 sweep=cfg.solver.sweep, contraction=op.contraction,
                 wall_time=time.perf_counter() - t0, operator=op,
-                jump_band_share=op.jump_band_share,
+                jump_band_share=op.jump_band_share, partner_wait_s=op.partner_wait_s,
             )
             return field, report, records
     return (*solve(cfg.model, cfg.grid, cfg.solver), None)

@@ -1,10 +1,10 @@
 """Two parts of one job at once: one in the calling process, one in a forked child.
 
 The Monte Carlo's streams, the node CSV writers' time slices and the
-solver's sweep tasks are split in two this way. The child inherits its
-work, with every array and closure it reads, from os.fork; only values
-handed over on purpose cross the pipes between the two, pickled: the
-child's result, and for a job that runs in steps, what each step found."""
+solver's sweep tasks are split in two this way, by one protocol. The child
+inherits its work, with every array and closure it reads, from os.fork;
+only values handed over on purpose cross the pipes between the two,
+pickled: what each step of a job found, and the child's result."""
 
 import os
 import pickle
@@ -41,8 +41,8 @@ def _receive(pipe):
     return pickle.loads(data)
 
 
-def _child(there, swap: bool, inbox, writer: int, cpus):
-    """The forked child: send back there(), or its exception and traceback.
+def _child(there, inbox, writer: int, cpus):
+    """The forked child: send back there(swap), or its exception and traceback.
     It leaves through os._exit whatever happens, so the caller's buffered
     files are not flushed twice and its atexit handlers do not run here."""
     try:
@@ -54,7 +54,7 @@ def _child(there, swap: bool, inbox, writer: int, cpus):
                 return _receive(inbox)
 
             try:
-                reply = (True, there(exchange) if swap else there(), None)
+                reply = (True, there(exchange), None)
             except Exception as exc:
                 reply = (False, exc, traceback.format_exc())
             try:
@@ -84,38 +84,42 @@ def _value(message, job: str, swapped: bool):
     return value
 
 
-def in_two_processes(here, there, job: str, swap: bool = False):
-    """(here(), there()): here() runs in this process while a child forked for
-    the call runs there(); call it only where worth_splitting holds.
+def in_two_processes(here, there, job: str):
+    """(here(swap), there(swap)): here runs in this process while a child
+    forked for the call runs there; call it only where worth_splitting holds.
 
-    With swap=True each is called with one argument, a function swap(value)
-    that hands `value` to the other process and returns the value the other
-    process handed to its own swap call: a job that runs in steps swaps what
-    each step found, so that both take the same next step. Each call waits
-    for the other process's, and both must make as many. Given two CPUs,
-    the two processes keep one each until the call returns: a pipe's
-    wakeup moves the woken process onto the writer's CPU, and unpinned the
-    two steps of a 3.5 ms step ran in turn, not at once.
+    swap(value) hands `value` to the other process and returns the value the
+    other process handed to its own swap call: a job that runs in steps swaps
+    what each step found, so that both take the same next step; a job of one
+    step ignores it. Each call waits for the other process's, and both must
+    make as many. Given two CPUs, the two processes keep one each until the
+    call returns: a pipe's wakeup moves the woken process onto the writer's
+    CPU, and unpinned the two halves of a 3.5 ms step ran in turn.
 
-    The child is reaped before this returns or raises. Its exception is
-    raised here, from a swap or at the end, chained to its traceback; a
-    child that dies without answering raises RuntimeError with its exit
-    code, and so do unequal swap counts; an exception in here() kills the
-    child. `job` names the work in those messages."""
+    The child is reaped, and the caller's CPUs and descriptors are as they
+    were, before this returns or raises, also if the pin or the fork fails.
+    The child's exception is raised here, from a swap or at the end, chained
+    to its traceback; a child that dies without answering raises
+    RuntimeError with its exit code, and so do unequal swap counts; an
+    exception in here kills the child. `job` names the work in those
+    messages."""
     sys.stdout.flush()  # else a line buffered here could be written by both
     sys.stderr.flush()
-    cpus = sorted(os.sched_getaffinity(0)) if swap and hasattr(os, "sched_setaffinity") else []
+    cpus = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_setaffinity") else []
     up, up_writer = os.pipe()  # child to caller: swapped values, then the reply
     down_reader, down = os.pipe()  # caller to child: swapped values
-    pid = os.fork()
+    try:
+        pid = os.fork()
+    except BaseException:
+        for fd in (up, up_writer, down_reader, down):
+            os.close(fd)
+        raise
     if pid == 0:
         os.close(up)
         os.close(down)
-        _child(there, swap, open(down_reader, "rb"), up_writer, cpus[1:2])
+        _child(there, open(down_reader, "rb"), up_writer, cpus[1:2])
     os.close(up_writer)  # so a child that dies leaves EOF on the pipe, not a hang
     os.close(down_reader)
-    if len(cpus) > 1:
-        os.sched_setaffinity(0, cpus[:1])
     try:
         with open(up, "rb") as inbox, open(down, "wb") as outbox:
             def exchange(value):
@@ -126,7 +130,9 @@ def in_two_processes(here, there, job: str, swap: bool = False):
                     raise _Died from None
                 return theirs
 
-            first = here(exchange) if swap else here()
+            if len(cpus) > 1:
+                os.sched_setaffinity(0, cpus[:1])
+            first = here(exchange)
             second = _value(_receive(inbox), job, False)
     except _Died:  # the child closed its pipes: it is leaving
         raise _died(job, os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])) from None

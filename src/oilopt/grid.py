@@ -203,11 +203,11 @@ def write_node_csv(grid: Grid4D, columns, slice_columns, path_or_buf) -> int:
             return 1
         half = (n_s + 1) // 2
         with tempfile.TemporaryFile("w+", encoding="utf-8", newline="") as tail:
-            def there():
+            def there(_):
                 write(tail, half, n_s)
                 tail.flush()  # the worker exits without flushing its buffers
 
-            fork.in_two_processes(lambda: write(fh, 0, half), there, "CSV")
+            fork.in_two_processes(lambda _: write(fh, 0, half), there, "CSV")
             tail.seek(0)
             shutil.copyfileobj(tail, fh, _COPY_CHARS)
         return 2

@@ -380,15 +380,19 @@ def simulate_path(model: MarketModel, policy, start, dt, seed_or_stream) -> Path
 
 def check_record(model: MarketModel, start, n_paths: int, dt: float, antithetic: bool,
                  record: int = 0) -> int:
-    """Check every simulation input (start node and dt, n_paths >= 2, even
-    n_paths when antithetic, `record` paths within the streams) and return the
-    stream count: n_paths, or n_paths // 2 with antithetic pairing."""
+    """Check every simulation input (start node and dt, two samples at least
+    for a standard error: n_paths >= 2, or an even n_paths >= 4 when
+    antithetic, whose pairs are the samples; `record` paths within the
+    streams) and return the stream count: n_paths, or n_paths // 2 with
+    antithetic pairing."""
     _validate_start(model, start, dt)
     if n_paths < 2:
         raise ValueError("n_paths must be at least 2 for a standard error")
     if antithetic and n_paths % 2:
         raise ValueError("antithetic estimation needs an even n_paths")
     n_streams = n_paths // 2 if antithetic else n_paths
+    if n_streams < 2:
+        raise ValueError("antithetic estimation needs n_paths >= 4: two pairs for a standard error")
     if not 0 <= record <= n_streams:
         raise ValueError(f"cannot record {record} paths: {n_streams} streams are simulated")
     return n_streams
@@ -429,7 +433,7 @@ def estimate_value(model: MarketModel, policy, start, n_paths: int, dt: float,
 
     if fork.worth_splitting(n_streams * n_steps, SPLIT_MIN_PATH_STEPS):
         half = (n_streams + 1) // 2
-        parts = fork.in_two_processes(lambda: share(0, half), lambda: share(half, n_streams),
+        parts = fork.in_two_processes(lambda _: share(0, half), lambda _: share(half, n_streams),
                                       "Monte Carlo")
     else:
         parts = [share(0, n_streams)]

@@ -42,7 +42,7 @@ method, reserve_neighbor, reads y - l for the sweep and the switching field.
 Two sweep orders are provided. "jacobi" updates every node from the
 previous full-grid iterate (deterministic, trivially parallel: the update
 is a pure function of the frozen iterate, so any partition of its tasks
-gives bit-identical results; see sweep and _solve_jacobi for its two
+gives bit-identical results; see sweep and _on_processes for its two
 processes). The operator is the same on every time slice and slice t's
 update reads only slices t and t + 1, so where the iterate's leading slices
 are bitwise copies of slice 0 (the terminal payoff broadcast to every
@@ -87,9 +87,9 @@ SWEEP_BLOCK_BYTES = 10 * 201 * 21 * 8
 # solve. On 2 cores, reference.yaml's model broke even at 50,652 nodes (six
 # time slices) and the split won every pair from 92,862 (eleven)
 JACOBI_SPLIT_NODES = 60_000
-# nodes from which a sweep that only finds its largest change (dpp_residual)
-# runs on two processes, forked for the sweep: even at 367,232 nodes, and
-# 10.1 -> 7.9 ms at reference.yaml's 852,642
+# nodes from which dpp_residual's sweep runs on two processes, forked for
+# the sweep: even at 367,232 nodes, and 10.1 -> 7.9 ms at reference.yaml's
+# 852,642
 RESIDUAL_SPLIT_NODES = 400_000
 # rows per band of a jump product (see _jump_bands). On reference.yaml 16 to
 # 64 rows kept the dense product's bits; 16 and 24 ran twice as slow as 32,
@@ -139,7 +139,7 @@ class ConvergenceReport:
     jump_band_share: float | None = None  # the operator's, kept when the operator is dropped
     slice_updates: int = 0  # (regime, slice) updates of the jacobi sweeps or backward passes
     sweep_workers: int = 1  # processes the jacobi sweeps or backward passes ran on
-    partner_wait_s: float = 0.0  # seconds the solve waited for its partner process
+    partner_wait_s: float = 0.0  # seconds its sweeps, residuals included, waited for a partner
 
 
 class DiscreteOperator:
@@ -285,9 +285,8 @@ class DiscreteOperator:
 
         The cost family is time-independent, so one profit slab per control
         serves every time slice. Terms are built on first use and cached;
-        sweep builds them for its controls before any task runs, and before
-        a split forks. The paper-faithful stencil refuses u > 0 with a
-        MonotonicityError.
+        sweep builds them for its controls before any task runs. The
+        paper-faithful stencil refuses u > 0 with a MonotonicityError.
         """
         u = float(u)
         terms = self._terms.get(u)
@@ -451,20 +450,16 @@ class DiscreteOperator:
 
         The tasks, one per (regime, sweep_block(grid) time slices), each write
         only their own slab, so no bit depends on the blocks or on the
-        processes. The calling process runs every task, except in two
-        cases, where it runs the even tasks and a second process the odd
-        ones. With `partner`, (half, swap) from _solve_jacobi, this process
-        runs the tasks [half::2], writing its slabs of a shared `out`, and
-        swap(found) hands over its found list for the partner's. A sweep that
-        only finds its largest change (`change` without `out`, dpp_residual)
-        of at least RESIDUAL_SPLIT_NODES nodes forks a child for its odd
-        tasks (fork.in_two_processes), and only the two found lists cross.
-        A task holds three block-sized arrays for the endpoint pair, four
-        for a longer list (see _best_candidate), and none once done, so the
-        byte budget bounds them on any grid: regime-sized blocks (3.4 MB on
-        reference.yaml) made the allocator re-fault its heap every regime,
-        and 10-slice blocks (1.3 MB) raised the 2x-refined verify's peak RSS
-        by 13 MiB.
+        processes. Without `partner` this process runs every task; with
+        `partner`, (half, swap) from _on_processes, it runs the tasks
+        [half::2] and the partner process the others, over a shared `out`,
+        and swap(found) trades their found lists, its wait added to
+        partner_wait_s. A task holds three block-sized arrays for the endpoint
+        pair, four for a longer list (see _best_candidate), and none once
+        done, so the byte budget bounds them on any grid: regime-sized blocks
+        (3.4 MB on reference.yaml) made the allocator re-fault its heap every
+        regime, and 10-slice blocks (1.3 MB) raised the 2x-refined verify's
+        peak RSS by 13 MiB.
 
         Raises ValueError before any task runs if `controls` is empty, or if
         `out` shares memory with `values`, which tasks read as others write.
@@ -504,19 +499,14 @@ class DiscreteOperator:
                 del new  # released before the next block is computed
             return found
 
-        if partner is not None:
+        if partner is None:
+            found = run(tasks)
+        else:
             half, swap = partner
             found = run(tasks[half::2])
             t0 = time.perf_counter()
-            theirs = swap(found)
+            found += swap(found)  # in either order: every task reports a node of its own
             self.partner_wait_s += time.perf_counter() - t0
-            found = found + theirs if half == 0 else theirs + found
-        elif out is None and fork.worth_splitting(values.size, RESIDUAL_SPLIT_NODES):
-            found, odd = fork.in_two_processes(lambda: run(tasks[0::2]),
-                                               lambda: run(tasks[1::2]), "residual sweep")
-            found += odd
-        else:
-            found = run(tasks)
         self.slice_updates += g.n_regimes * (n - first)
         if not change:
             return out
@@ -615,17 +605,25 @@ def solve(model: MarketModel, grid: Grid4D, cfg: SolverConfig | None = None):
     return result, report
 
 
+def _on_processes(job, nodes, min_nodes, name):
+    """(job(partner), processes): job(None) here below min_nodes nodes
+    (fork.worth_splitting), else job((0, swap)) here and job((1, swap)) in a
+    child forked for the call (fork.in_two_processes), as sweep's `partner`."""
+    if not fork.worth_splitting(nodes, min_nodes):
+        return job(None), 1
+    here, _ = fork.in_two_processes(lambda swap: job((0, swap)), lambda swap: job((1, swap)), name)
+    return here, 2
+
+
 def _solve_jacobi(op, cfg, residuals):
     """Returns (sweeps, the last iterate, processes) from the initial guess.
 
     Each sweep reads one of two fields in anonymous shared memory and writes
-    the other. From JACOBI_SPLIT_NODES nodes (fork.worth_splitting) a child
-    forked once for the solve runs the odd tasks of every sweep and this
-    process the even ones (see sweep's `partner`). After each sweep the two
-    swap their found lists, so both stop, raise on a non-finite change or
-    reach the cap at the same sweep, and neither writes a field the other
-    still reads. The child is reaped before this returns or raises; the
-    iterate returned is the shared field itself.
+    the other. From JACOBI_SPLIT_NODES nodes a child forked once for the
+    solve (_on_processes) runs the odd tasks of every sweep and this process
+    the even ones, and the two swap their found lists after each, so both
+    stop, raise or reach the cap at the same sweep, and neither writes a
+    field the other still reads. The iterate returned is the shared field.
     """
     fields = [_shared_field(op.grid.shape) for _ in range(2)]
     # the guess is a field-sized array freed here, before any fork: glibc's
@@ -634,7 +632,7 @@ def _solve_jacobi(op, cfg, residuals):
     # 1.25-1.62 s, against 0.76-0.94 s (8 alternated runs on 2 cores)
     fields[0][...] = op.initial_guess()
 
-    def iterate(partner=None):
+    def iterate(partner):
         for it in range(1, cfg.max_iterations + 1):
             V, out = fields[(it - 1) % 2], fields[it % 2]
             res, node = op.sweep(V, out=out, change=True, partner=partner)
@@ -648,12 +646,8 @@ def _solve_jacobi(op, cfg, residuals):
             f"{residuals[-1]:.6g}", residual_history=residuals,
         )
 
-    if fork.worth_splitting(fields[0].size, JACOBI_SPLIT_NODES):
-        sweeps, _ = fork.in_two_processes(lambda swap: iterate((0, swap)),
-                                          lambda swap: iterate((1, swap)), "jacobi", swap=True)
-        return sweeps, fields[sweeps % 2], 2
-    sweeps = iterate()
-    return sweeps, fields[sweeps % 2], 1
+    sweeps, workers = _on_processes(iterate, fields[0].size, JACOBI_SPLIT_NODES, "jacobi")
+    return sweeps, fields[sweeps % 2], workers
 
 
 def _shared_field(shape):
@@ -728,6 +722,10 @@ def dpp_residual(field: GridField, op: DiscreteOperator):
     value against the best of one-step profit plus discounted continuation.
     Terminal nodes are pinned by construction and contribute zero. Returns
     (worst mismatch, {"node": (regime, s_idx, x_idx, y_idx), "nodes": count}).
+    From RESIDUAL_SPLIT_NODES nodes the sweep's tasks run on two processes
+    (_on_processes), and only their found lists cross.
     """
-    worst, node = op.sweep(field.values, change=True)
+    (worst, node), _ = _on_processes(
+        lambda partner: op.sweep(field.values, change=True, partner=partner),
+        field.values.size, RESIDUAL_SPLIT_NODES, "residual sweep")
     return worst, {"node": node, "nodes": int(field.values.size)}

@@ -181,12 +181,13 @@ def check_monte_carlo(cfg: RunConfig, field, policy) -> list[CheckResult]:
     allowance = 3.0 * est.std_error + MC_DISCRETIZATION_CONSTANT * (
         g.price_step + g.time_step + g.reserve_step
     )
+    within = gap <= allowance
     return [
         CheckResult(
             "simulation-gap",
-            "pass" if gap <= allowance else "fail",
+            "pass" if within else "fail",
             f"grid {v_grid:.4f} vs simulated {est.mean:.4f} (SE {est.std_error:.4f}), "
-            f"gap {gap:.4f} <= allowance {allowance:.4f} "
+            f"gap {gap:.4f} {'<=' if within else '>'} allowance {allowance:.4f} "
             f"[3*SE + {MC_DISCRETIZATION_CONSTANT}*(h+k+l)], {est.n_paths} paths",
             gap,
         )

@@ -1,7 +1,7 @@
 """Shared test plumbing: the acceptance-criteria result board, the traced
-peak of one call, the check that no forked child is left, the switch that
-puts every jacobi solve and residual sweep on a given number of
-processes, and the reference
+peak of one call, the checks that no forked child and no descriptor is
+left, the switch that puts every jacobi solve and residual sweep on a given
+number of processes, and the reference
 forms the solver's sweep blocks are checked against bit for bit: the dense
 jump product, the column-broadcast block update, and the full sweep with
 every time slice computed on its own.
@@ -11,6 +11,7 @@ prints the board after the run so every criterion shows a visible PASS/FAIL
 line regardless of output capturing.
 """
 
+import contextlib
 import os
 import tracemalloc
 from unittest import mock
@@ -48,6 +49,22 @@ def assert_no_child():
     """This process has no child process left, running or unreaped."""
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+def open_descriptors():
+    """The numbers of this process's open file descriptors, as listed in
+    /proc/self/fd (an empty set where that does not exist)."""
+    return set(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else set()
+
+
+@contextlib.contextmanager
+def leaves_nothing():
+    """The body leaves this process no child process, running or unreaped,
+    and no file descriptor open that was not open before it."""
+    before = open_descriptors()
+    yield
+    assert_no_child()
+    assert open_descriptors() == before
 
 
 def split_sweeps(monkeypatch, processes):

@@ -344,14 +344,15 @@ class TestCli:
         """run.sweep_workers is the processes the solve's sweeps ran on: one
         at fork.WORKERS = 1, two for a jacobi solve that splits, and one for
         backward, whose passes read the slice they write. run.partner_wait_s
-        is the seconds the solve waited for its partner, 0 without one."""
+        is the seconds the solve's sweeps waited for a partner, backward's
+        closing residual too: 0 on one process."""
         split_sweeps(monkeypatch, processes)
         cfg = write_config(tmp_path, SMALL)
         out = tmp_path / "run"
         assert main(["solve", "--config", cfg, "--out", str(out), "--sweep", sweep]) == 0
         run = json.loads((out / "manifest.json").read_text())["run"]
         assert run["sweep_workers"] == workers
-        assert (run["partner_wait_s"] > 0.0) == (workers == 2)
+        assert (run["partner_wait_s"] > 0.0) == (processes == 2)
         if hasattr(os, "fork"):
             assert_no_child()
 
@@ -637,6 +638,8 @@ class TestCli:
                      "start reserve 20.0 outside [0, 10.0]", id="start-above-capacity"),
         pytest.param([], {"antithetic": True, "n_paths": 401},
                      "antithetic estimation needs an even n_paths", id="odd-antithetic"),
+        pytest.param(["--paths", "2"], {"antithetic": True},
+                     "antithetic estimation needs n_paths >= 4", id="one-antithetic-pair"),
     ])
     def test_bad_simulation_input_exits_one_before_the_solve(
             self, tmp_path, capsys, monkeypatch, command, flags, simulation, message):
@@ -648,6 +651,18 @@ class TestCli:
         cfg = write_config(tmp_path, data)
         assert main([*command, "--config", cfg, "--out", str(tmp_path / "run"), *flags]) == 1
         assert message in capsys.readouterr().err
+        assert solves == []
+
+    def test_one_antithetic_pair_is_invalid_input(self, tmp_path, capsys, monkeypatch):
+        """oracle.yaml pairs its paths, so --paths 2 is one sample: its
+        standard error was NaN, and the gap check printed FAIL against an
+        allowance of nan. It is refused before the solve."""
+        solves = no_solve(monkeypatch)
+        assert main(["verify", "--config", str(CONFIG_DIR / "oracle.yaml"), "--paths", "2",
+                     "--out", str(tmp_path / "run")]) == 1
+        assert capsys.readouterr().err == (
+            "invalid input: antithetic estimation needs n_paths >= 4: two pairs for a "
+            "standard error\n")
         assert solves == []
 
     @pytest.mark.parametrize("value", ["inf", "nan"])
@@ -732,8 +747,20 @@ class TestCli:
                      "backward", "--paths", "2000", "--seed", "1", "--out", str(tmp_path)])
         out = capsys.readouterr().out
         line = next(row for row in out.splitlines() if row.startswith("simulation-gap"))
-        assert line.split()[1] == "PASS", line
+        assert line.split()[1] == "PASS" and " <= allowance " in line, line
         assert code == 0
+
+    def test_a_failing_simulation_gap_says_the_gap_exceeds_the_allowance(self):
+        """An all-zero value field read as the policy too: 300 paths that
+        never extract settle far above the grid's 0, and the failing line
+        says `>`, not the `<=` of a passing one."""
+        cfg = load_config(CONFIG_DIR / "reference.yaml")
+        cfg = dataclasses.replace(
+            cfg, simulation=dataclasses.replace(cfg.simulation, n_paths=300, dt=0.01))
+        zero = GridField(cfg.grid, np.zeros(cfg.grid.shape))
+        (result,) = verify.check_monte_carlo(cfg, zero, zero)
+        assert result.status == "fail" and result.value > 0.0
+        assert " > allowance " in result.detail and "<=" not in result.detail, result.detail
 
     def test_entry_point_runs(self, tmp_path):
         cfg = write_config(tmp_path, SMALL)
@@ -892,6 +919,21 @@ class TestValueFieldReuse:
                   for name, digest in TestCli.CSV_SHA256[sweep].items()}
         assert {f.name: hashlib.sha256(f.read_bytes()).hexdigest()
                 for f in sorted(out.glob("*.csv"))} == pinned
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_the_stored_field_check_reports_its_partner_wait(self, tmp_path, monkeypatch):
+        """The residual sweep over a stored field splits like any other, and
+        the report that policy and simulate write as `run` counts its wait:
+        none on one process."""
+        cfg = write_config(tmp_path, SMALL)
+        out = tmp_path / "run"
+        assert main(["solve", "--config", cfg, "--out", str(out)]) == 0
+        for processes in (1, 2):
+            split_sweeps(monkeypatch, processes)
+            _, report, records = cli._value_field(load_config(cfg), out)
+            assert records is not None and report.iterations == 0
+            assert (report.partner_wait_s > 0.0) == (processes == 2)
+        assert_no_child()
 
     def test_verify_solves_after_solve(self, tmp_path, monkeypatch):
         solves = counted_solves(monkeypatch)

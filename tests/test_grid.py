@@ -5,7 +5,7 @@ import time
 
 import numpy as np
 import pytest
-from conftest import assert_no_child
+from conftest import leaves_nothing
 from hypothesis import given, strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -239,7 +239,8 @@ needs_fork = pytest.mark.skipif("fork" not in multiprocessing.get_all_start_meth
 @pytest.fixture
 def split_csv(monkeypatch):
     """Format every node CSV on two processes; the returned function runs a
-    writer in one process instead. No child is left after the test."""
+    writer in one process instead. No child and no new descriptor is left
+    after the test."""
     monkeypatch.setattr(grid_module, "SPLIT_MIN_ROWS", 0)
     monkeypatch.setattr(fork, "WORKERS", 2)
 
@@ -250,8 +251,8 @@ def split_csv(monkeypatch):
         finally:
             monkeypatch.setattr(fork, "WORKERS", 2)
 
-    yield in_one_process
-    assert_no_child()
+    with leaves_nothing():
+        yield in_one_process
 
 
 def node_grid(n_s):

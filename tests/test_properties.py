@@ -19,8 +19,8 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from conftest import (assert_no_child, column_base_block, column_best_candidate,
-                      dense_base_block, per_slice_sweep)
+from conftest import (column_base_block, column_best_candidate, dense_base_block,
+                      leaves_nothing, per_slice_sweep)
 from hypothesis import example, given, settings, strategies as st
 
 from oilopt import (
@@ -295,8 +295,8 @@ def test_sweep_preserves_order(op, seed):
 def test_blocks_and_processes_move_no_bit(op, seed, data):
     """Any block size and either process count, the split forced on, gives
     the bits of one block swept in one process: every sweep, the jacobi
-    residual history and field, and dpp_residual's worst node. No child is
-    left."""
+    residual history and field, and dpp_residual's worst node. No child and
+    no new descriptor is left."""
     n_s, u_max = op.grid.n_s, op.model.economics.u_max
     block = data.draw(st.integers(1, n_s), label="time slices per block")
     workers = data.draw(st.sampled_from([1, 2] if hasattr(os, "fork") else [1]),
@@ -315,14 +315,13 @@ def test_blocks_and_processes_move_no_bit(op, seed, data):
             assert report.sweep_workers == processes
             return sweeps, solved.values, report.residuals, dpp_residual(field, op)
 
-    sweeps, values, residuals, worst = run(n_s, 1)
-    got_sweeps, got_values, got_residuals, got_worst = run(block, workers)
+    with leaves_nothing() if hasattr(os, "fork") else contextlib.nullcontext():
+        sweeps, values, residuals, worst = run(n_s, 1)
+        got_sweeps, got_values, got_residuals, got_worst = run(block, workers)
     for one, other in zip(sweeps, got_sweeps):
         assert np.array_equal(one, other)
     assert np.array_equal(values, got_values)
     assert (residuals, worst) == (got_residuals, got_worst)
-    if hasattr(os, "fork"):
-        assert_no_child()
 
 
 def relabelled(model):
@@ -352,20 +351,70 @@ def reference_problem(u_max=50000.0):
 def test_relabelling_the_regimes_relabels_the_jacobi_field(problem):
     """Swapping the two regimes of a model swaps the regimes of its jacobi
     field, bit for bit, in as many sweeps, on two processes when os.fork
-    exists. Every term of one regime's update reads its own parameters and
-    the one other regime, so a term indexed by position rather than by
-    regime would show here."""
+    exists, with no child and no new descriptor left. Every term of one
+    regime's update reads its own parameters and the one other regime, so a
+    term indexed by position rather than by regime would show here."""
     model, grid = problem
     cfg = SolverConfig(mode="upwind")
     processes = 2 if hasattr(os, "fork") else 1
-    with split_sweeps(processes):
+    with (split_sweeps(processes),
+          leaves_nothing() if processes == 2 else contextlib.nullcontext()):
         field, report = solve(model, grid, cfg)
         swapped, swapped_report = solve(relabelled(model), grid, cfg)
     assert report.sweep_workers == swapped_report.sweep_workers == processes
     assert swapped_report.iterations == report.iterations
     assert np.array_equal(swapped.values[::-1].view(np.int64), field.values.view(np.int64))
-    if processes == 2:
-        assert_no_child()
+
+
+def finer_in_time(problem):
+    """`problem` with its grid cut into 11 time slices (k = 0.1), not 3."""
+    model, grid = problem
+    return model, dataclasses.replace(grid, time_step=0.1)
+
+
+def with_economics(model, **changes):
+    return dataclasses.replace(model, economics=dataclasses.replace(model.economics, **changes))
+
+
+@settings(max_examples=10, deadline=None)
+@example(problem=reference_problem(), shift=3)
+@example(problem=reference_problem(u_max=1.0), shift=3)
+@given(problem=small_problems(), shift=st.integers(1, 9))
+def test_a_shorter_horizon_reproduces_the_last_slices(problem, shift):
+    """A backward solve whose horizon is `shift` time steps shorter gives
+    slices shift.. of the full solve, bit for bit: the operator and the
+    settlement are the same on every slice, and a slice's warm start,
+    passes and stopping rule read only the slices between it and the
+    horizon."""
+    model, grid = finer_in_time(problem)
+    cfg = SolverConfig(mode="upwind", sweep="backward")
+    full, _ = solve(model, grid, cfg)
+    horizon = grid.horizon - shift * grid.time_step
+    short, _ = solve(with_economics(model, horizon=horizon),
+                     dataclasses.replace(grid, horizon=horizon), cfg)
+    assert short.values.shape[1] == grid.n_s - shift
+    assert np.array_equal(short.values.view(np.int64), full.values[:, shift:].view(np.int64))
+
+
+@settings(max_examples=10, deadline=None)
+@example(problem=reference_problem(), cost=7.5)
+@example(problem=reference_problem(u_max=1.0), cost=7.5)
+@given(problem=small_problems(), cost=st.floats(0.0, 5.0))
+def test_a_fixed_cost_is_paid_as_an_annuity(problem, cost):
+    """Moving the fixed cost from a to a' moves the value n time steps
+    before the horizon by -(a' - a) k sum_{j=1..n} (1 + rk)^-j at every
+    node, within the solve's tolerance: the cost enters every control's
+    profit alike, and a constant on a slice passes the price, jump and
+    regime weights unchanged, so each step back discounts it by 1 + rk."""
+    model, grid = finer_in_time(problem)
+    cfg = SolverConfig(mode="upwind", sweep="backward")
+    field, _ = solve(model, grid, cfg)
+    dearer, _ = solve(with_economics(model, fixed_cost=cost), grid, cfg)
+    discount = 1.0 + model.dynamics.discount_rate * grid.time_step
+    annuity = [grid.time_step * sum(discount ** -j for j in range(1, grid.n_s - t))
+               for t in range(grid.n_s)]
+    want = -(cost - model.economics.fixed_cost) * np.array(annuity)[None, :, None, None]
+    assert np.max(np.abs(dearer.values - field.values - want)) <= cfg.tolerance
 
 
 @settings(max_examples=20, deadline=None)
@@ -375,9 +424,10 @@ def test_copied_leading_slices_keep_the_per_slice_bits(problem, seed, data):
     slice, a block less one, a block, every slice below the horizon, and the
     initial guess's every slice), for the endpoint pair, a dense list and a
     pinned control, with `out` or without and with `change` or without, the
-    sweep gives the per-slice update's bits and its largest change and node.
-    With slices 0..j copies it computes only the blocks from the one holding
-    slice max(j - 1, 0) on."""
+    sweep gives the per-slice update's bits and its largest change and node,
+    and so does dpp_residual, on either process count. With slices 0..j
+    copies it computes only the blocks from the one holding slice
+    max(j - 1, 0) on."""
     model, grid = problem
     grid = build_grid(horizon=1.0, price_cap=10.0, reserve_capacity=2.0, time_step=0.1,
                       price_step=0.5, reserve_step=0.5, n_regimes=grid.n_regimes)
@@ -407,6 +457,11 @@ def test_copied_leading_slices_keep_the_per_slice_bits(problem, seed, data):
                             got = out
                         if got is not None:
                             assert np.array_equal(got.view(np.int64), want.view(np.int64))
+                if controls is None:
+                    before = op.slice_updates
+                    worst, info = dpp_residual(GridField(grid, V), op)
+                    assert (worst, info["node"]) == want_change, length
+                    assert op.slice_updates - before == updates
 
 
 @settings(max_examples=25, deadline=None)

@@ -6,7 +6,7 @@ import signal
 
 import numpy as np
 import pytest
-from conftest import assert_no_child, traced_peak
+from conftest import assert_no_child, leaves_nothing, traced_peak
 from hypothesis import example, given, settings, strategies as st
 
 from oilopt import (
@@ -245,6 +245,21 @@ class TestEstimate:
             estimate_value(model, zero_policy, start, n_paths=11, dt=1e-2, seed=0,
                            antithetic=True)
 
+    def test_one_antithetic_pair_is_refused(self):
+        """Two antithetic paths are one pair, one sample: np.std(ddof=1) gave
+        a NaN standard error, with two RuntimeWarnings. Two pairs are the
+        fewest, and give a finite one."""
+        model, start = jumpy_model(), (0.0, 50.0, 4.0, 0)
+        with pytest.raises(ValueError, match="antithetic estimation needs n_paths >= 4"):
+            simulate.check_record(model, start, 2, 0.01, True)
+        with pytest.raises(ValueError, match="antithetic estimation needs n_paths >= 4"):
+            estimate_value(model, zero_policy, start, n_paths=2, dt=1e-2, seed=0,
+                           antithetic=True)
+        assert simulate.check_record(model, start, 4, 0.01, True) == 2
+        est = estimate_value(model, zero_policy, start, n_paths=4, dt=1e-2, seed=0,
+                             antithetic=True)
+        assert math.isfinite(est.std_error)
+
     @pytest.mark.parametrize("regime", [1.7, -0.5, True, np.True_, math.nan])
     def test_non_integer_start_regime_is_refused(self, regime):
         """int() read 1.7 and True as regime 1 and -0.5 as regime 0."""
@@ -438,7 +453,8 @@ def assert_same_estimate(split, single):
 @pytest.fixture
 def two_processes(monkeypatch):
     """Split every estimate over two processes; the returned function runs
-    estimate_value in one process instead. No child is left after the test."""
+    estimate_value in one process instead. No child and no new descriptor
+    is left after the test."""
     monkeypatch.setattr(fork, "WORKERS", 2)
     monkeypatch.setattr(simulate, "SPLIT_MIN_PATH_STEPS", 0)
 
@@ -449,8 +465,8 @@ def two_processes(monkeypatch):
         finally:
             monkeypatch.setattr(fork, "WORKERS", 2)
 
-    yield in_one_process
-    assert_no_child()
+    with leaves_nothing():
+        yield in_one_process
 
 
 @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),

@@ -12,8 +12,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 import yaml
-from conftest import (assert_no_child, column_base_block, column_best_candidate,
-                      dense_base_block, per_slice_sweep, split_sweeps, traced_peak)
+from conftest import (column_base_block, column_best_candidate, dense_base_block,
+                      leaves_nothing, per_slice_sweep, split_sweeps, traced_peak)
 
 from oilopt import (
     ConfigError,
@@ -44,10 +44,13 @@ needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
 
 @pytest.fixture(autouse=True)
 def no_child_left():
-    """Every split solve and split residual reaps its second process."""
-    yield
-    if hasattr(os, "fork"):
-        assert_no_child()
+    """Every split solve and split residual reaps its second process and
+    closes its pipes."""
+    if not hasattr(os, "fork"):
+        yield
+        return
+    with leaves_nothing():
+        yield
 
 
 def processes(n):
@@ -512,8 +515,9 @@ class TestSweepBlocks:
         candidate; the task loop drops each block's update before the next
         block is computed). The slice here (401 x 101 nodes, 324 KB) is just
         under the budget, so a block is one slice; ten-slice blocks peak at
-        about 26 MB against the bound's 1.35 MB. On two processes the bound
-        holds in the calling one, which tracemalloc sees."""
+        about 26 MB against the bound's 1.35 MB. The sweep is dpp_residual's;
+        on two processes the bound holds in the calling one, which
+        tracemalloc sees."""
         split_sweeps(monkeypatch, workers)
         grid = build_grid(horizon=2.0, price_cap=100.0, reserve_capacity=10.0, time_step=0.1,
                           price_step=0.25, reserve_step=0.1, n_regimes=2)
@@ -522,7 +526,7 @@ class TestSweepBlocks:
         op = DiscreteOperator(reference_model(horizon=2.0), grid, SolverConfig())
         V = np.random.default_rng(19).uniform(-100.0, 400.0, size=grid.shape)
         bound = 4 * max(solver.SWEEP_BLOCK_BYTES, slice_bytes)
-        peak = traced_peak(lambda: op.sweep(V, change=True))
+        peak = traced_peak(lambda: dpp_residual(GridField(grid, V), op))
         assert peak < bound, f"traced peak {peak / 1e6:.1f} MB"
 
     @pytest.mark.parametrize("points", [4, 7])
@@ -605,9 +609,10 @@ class TestSweepBlocks:
 class TestSweepProcesses:
     """A jacobi solve runs the even tasks of every sweep in the calling
     process and the odd ones in a partner forked for the solve, over shared
-    iterates; a residual sweep forks its partner for the sweep. Each reduces
-    its own largest change. Every test forces the process count and the
-    split, so it holds on a one-CPU machine, and no child is left after it."""
+    iterates; dpp_residual forks its partner for its one sweep, and a sweep
+    called on its own never forks. The two swap their found lists. Every
+    test forces the process count and the split, so it holds on a one-CPU
+    machine, and no child is left after it."""
 
     @pytest.mark.parametrize("workers", [processes(1), processes(2)])
     def test_nan_in_the_last_block_names_sweep_and_node(self, workers, monkeypatch):
@@ -661,10 +666,10 @@ class TestSweepProcesses:
     @needs_fork
     def test_paper_faithful_control_too_large_raises_in_the_calling_process(
             self, monkeypatch, tmp_path):
-        """A paper-faithful operator built at u_max = 0 sweeps at u = 0, and a
-        pinned positive control raises the operator's MonotonicityError from
-        sweep, before any task runs or any partner forks; only the calling
-        process ever builds control terms, before it forks."""
+        """A paper-faithful operator built at u_max = 0 has its residual
+        swept at u = 0 on two processes, and a pinned positive control raises
+        the operator's MonotonicityError from sweep, before any task runs;
+        only the calling process ever builds control terms, before it forks."""
         split_sweeps(monkeypatch, 2)
         grid = small_grid(price_cap=57.5)
         monkeypatch.setattr(solver, "SWEEP_BLOCK_BYTES", block_budget(grid, 2))  # five blocks
@@ -673,7 +678,8 @@ class TestSweepProcesses:
                                  lambda self, u: float(u) not in self._terms)
         tasks = recorded_pids(monkeypatch, tmp_path, DiscreteOperator, "_best_candidate")
         V = np.random.default_rng(2).uniform(-100.0, 400.0, size=grid.shape)
-        op.sweep(V, controls=[0.0], change=True)
+        assert op.controls.tolist() == [0.0]
+        dpp_residual(GridField(grid, V), op)
         swept = tasks()
         weight = "the weight -u/(rl) = -0.2 on V(y + l) at u=0.005"
         with pytest.raises(MonotonicityError, match=re.escape(weight)):
@@ -684,8 +690,9 @@ class TestSweepProcesses:
     @needs_fork
     def test_a_fresh_operators_dense_scan_keeps_the_one_process_bits(self, monkeypatch):
         """One slice per task and a dense control scan whose terms a fresh
-        operator builds in the sweep that splits: the residual equals the
-        one-process residual every time, and so does the update."""
+        operator builds in each process of a sweep split with `partner`: the
+        largest change equals the one-process change every time, and a
+        sweep without a partner keeps the update's bits."""
         model, grid = reference_model(horizon=2.5), small_grid(horizon=2.5, n_regimes=2)
         V = np.random.default_rng(13).uniform(-100.0, 400.0, size=grid.shape)
         dense = np.linspace(0.0, 50000.0, 9)
@@ -696,7 +703,10 @@ class TestSweepProcesses:
         monkeypatch.setattr(solver, "SWEEP_BLOCK_BYTES", block_budget(grid, 1))
         for _ in range(3):
             op = DiscreteOperator(model, grid, SolverConfig())
-            assert op.sweep(V, dense, change=True) == serial_change
+            change, processes = solver._on_processes(
+                lambda partner: op.sweep(V, dense, change=True, partner=partner), V.size, 0,
+                "test")
+            assert (change, processes) == (serial_change, 2)
             assert np.array_equal(op.sweep(V, dense), serial)
 
     @needs_fork
@@ -707,16 +717,17 @@ class TestSweepProcesses:
         model, grid = reference_model(horizon=2.5), small_grid(horizon=2.5, n_regimes=2)
         field, report = solve(model, grid)
         assert report.sweep_workers == 2
-        V = np.random.default_rng(17).uniform(-100.0, 400.0, size=grid.shape)
-        expect = report.operator.sweep(V, change=True)
+        op, V = report.operator, np.random.default_rng(17).uniform(-100.0, 400.0, size=grid.shape)
+        expect = dpp_residual(GridField(grid, V), op)
 
-        def child():
+        def child(_):
             again, again_report = solve(model, grid)
-            return (report.operator.sweep(V, change=True), again_report.sweep_workers,
-                    again.values.tobytes() == field.values.tobytes())
+            waited = op.partner_wait_s
+            return (dpp_residual(GridField(grid, V), op), op.partner_wait_s > waited,
+                    again_report.sweep_workers, again.values.tobytes() == field.values.tobytes())
 
-        _, (change, workers, same) = fork.in_two_processes(lambda: None, child, "test")
-        assert (change, workers, same) == (expect, 2, True)
+        _, (residual, split, workers, same) = fork.in_two_processes(lambda _: None, child, "test")
+        assert (residual, split, workers, same) == (expect, True, 2, True)
 
     @needs_fork
     def test_split_sweeps_match_one_process_on_a_blas_threaded_grid(self, monkeypatch):
@@ -733,7 +744,8 @@ class TestSweepProcesses:
         field, report = solve(model, grid)
         split_sweeps(monkeypatch, 2)
         for _ in range(2):
-            assert op.sweep(V, change=True) == serial
+            worst, info = dpp_residual(GridField(grid, V), op)
+            assert (worst, info["node"]) == serial
         split, split_report = solve(model, grid)
         assert (report.sweep_workers, split_report.sweep_workers) == (1, 2)
         assert split.values.tobytes() == field.values.tobytes()
@@ -764,7 +776,8 @@ class TestSweepProcesses:
         previous = signal.signal(signal.SIGALRM, alarm)
         signal.alarm(60)
         try:
-            here, there = fork.in_two_processes(split_solve, split_solve, "test")
+            here, there = fork.in_two_processes(lambda _: split_solve(), lambda _: split_solve(),
+                                                "test")
         finally:
             signal.alarm(0)
             signal.signal(signal.SIGALRM, previous)
@@ -815,14 +828,36 @@ class TestSweepProcesses:
     ])
     def test_the_report_counts_the_processes_and_the_wait(self, workers, sweep, want,
                                                          monkeypatch):
-        """sweep_workers is the processes the sweeps or passes ran on, and
-        partner_wait_s the seconds the caller waited for its partner: none on
-        one process or for backward's passes, which read the slice they write."""
+        """sweep_workers is the processes the sweeps or passes ran on: one
+        for backward's passes, which read the slice they write. partner_wait_s
+        is the seconds the caller waited for a partner in every sweep the
+        report covers, backward's closing residual too: none on one process."""
         split_sweeps(monkeypatch, workers)
         _, report = solve(reference_model(horizon=2.5), small_grid(horizon=2.5, n_regimes=2),
                           SolverConfig(sweep=sweep))
         assert report.sweep_workers == want
-        assert (report.partner_wait_s > 0.0) == (want == 2)
+        assert (report.partner_wait_s > 0.0) == (workers == 2)
+
+    @needs_fork
+    def test_a_sweep_never_forks_and_the_residual_splits(self, monkeypatch, tmp_path):
+        """With every split forced on, a sweep called on its own computes
+        every block in the calling process; dpp_residual of the same field
+        computes them on two processes and names the same change and node,
+        bit for bit."""
+        split_sweeps(monkeypatch, 2)
+        model, grid = reference_model(horizon=2.5), small_grid(horizon=2.5, n_regimes=2)
+        monkeypatch.setattr(solver, "SWEEP_BLOCK_BYTES", block_budget(grid, 10))
+        op = DiscreteOperator(model, grid, SolverConfig())
+        V = np.random.default_rng(31).uniform(-100.0, 400.0, size=grid.shape)
+        pids = recorded_pids(monkeypatch, tmp_path, DiscreteOperator, "_best_candidate")
+        change, node = op.sweep(V, change=True)
+        assert set(pids()) == {os.getpid()} and op.partner_wait_s == 0.0
+        alone = len(pids())
+        worst, info = dpp_residual(GridField(grid, V), op)
+        split = pids()[alone:]
+        assert os.getpid() in split and len(set(split)) == 2 and len(split) == alone
+        assert (np.float64(worst).view(np.int64), info["node"]) == (
+            np.float64(change).view(np.int64), node)
 
 
 class TestLeadingCopies:
@@ -860,7 +895,8 @@ class TestLeadingCopies:
         op = self.operator(monkeypatch, workers)
         V = op.initial_guess()
         V[1, :15, 50, 5] = np.nan
-        change, node = op.sweep(V, change=True)
+        change, info = dpp_residual(GridField(op.grid, V), op)
+        node = info["node"]
         want_change, want_node = per_slice_sweep(op, V)[1]
         assert math.isnan(change) and math.isnan(want_change)
         assert node == want_node and node[1] == 0
@@ -879,7 +915,7 @@ class TestLeadingCopies:
         V = op.initial_guess()
         V[:, copies + 1:] += 1.0
         pids = recorded_pids(monkeypatch, tmp_path, DiscreteOperator, "_best_candidate")
-        op.sweep(V, change=True)
+        dpp_residual(GridField(op.grid, V), op)
         counts = [pids().count(pid) for pid in set(pids())]
         assert os.getpid() in pids() and sorted(counts) == [blocks, blocks]
 
