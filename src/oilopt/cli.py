@@ -266,7 +266,7 @@ def _cmd_policy(cfg: RunConfig, args, out_dir: Path) -> int:
 def _cmd_simulate(cfg: RunConfig, args, out_dir: Path) -> int:
     sim = cfg.simulation
     check_record(cfg.model, sim.start, sim.n_paths, sim.dt, sim.antithetic,
-                 args.record)  # before the solve
+                 args.record, sim.seed)  # before the solve
     field, report, stored = _value_field(cfg, out_dir)
     t0 = time.perf_counter()
     policy = bang_bang_policy(field, report.operator)

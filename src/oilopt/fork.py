@@ -1,7 +1,8 @@
 """Two parts of one job at once: one in the calling process, one in a forked child.
 
-The Monte Carlo's streams, the node CSV writers' time slices and the
-solver's sweep tasks are split in two this way, by one protocol. The child
+split is the one entry point: the jacobi solve, dpp_residual's sweep, the
+node CSV writers and the Monte Carlo each hand it a job and a size, and it
+decides whether the job runs whole here or as two parts. The child
 inherits its work, with every array and closure it reads, from os.fork;
 only values handed over on purpose cross the pipes between the two,
 pickled: what each step of a job found, and the child's result."""
@@ -15,10 +16,19 @@ _CPUS = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else range(o
 WORKERS = min(2, len(_CPUS))  # processes one split job uses, the caller included
 
 
-def worth_splitting(units: int, min_units: int) -> bool:
-    """Whether a job of `units` work units runs on two processes: from
-    min_units on, where WORKERS (read at each call) is 2 and os.fork exists."""
-    return WORKERS >= 2 and units >= min_units and hasattr(os, "fork")
+def split(job, units: int, min_units: int, name: str) -> list:
+    """The results of a job of `units` work units, as a list of its parts.
+
+    Below min_units, where WORKERS (read at each call) is 1, or where
+    os.fork is missing, it returns [job(0, 1, None)], run in this process.
+    Otherwise it returns [job(0, 2, swap), job(1, 2, swap)]: the first runs
+    here and the second in a child forked for the call (in_two_processes,
+    whose swap and errors these are; `name` names the job in them). A
+    caller runs on len(parts) processes; part i of count picks its own
+    share of the work, and only a job of steps calls swap."""
+    if WORKERS < 2 or units < min_units or not hasattr(os, "fork"):
+        return [job(0, 1, None)]
+    return list(in_two_processes(lambda swap: job(0, 2, swap), lambda swap: job(1, 2, swap), name))
 
 
 class _Died(Exception):
@@ -86,7 +96,7 @@ def _value(message, job: str, swapped: bool):
 
 def in_two_processes(here, there, job: str):
     """(here(swap), there(swap)): here runs in this process while a child
-    forked for the call runs there; call it only where worth_splitting holds.
+    forked for the call runs there; split calls it for a job of two parts.
 
     swap(value) hands `value` to the other process and returns the value the
     other process handed to its own swap call: a job that runs in steps swaps

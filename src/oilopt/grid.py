@@ -173,13 +173,13 @@ def write_node_csv(grid: Grid4D, columns, slice_columns, path_or_buf) -> int:
     decimal strings, an object array as the strings it holds. It is called
     once per slice.
 
-    From SPLIT_MIN_ROWS rows on, where fork.WORKERS is 2 and os.fork exists,
-    the rows are formatted on two processes: this one formats slices [0, h),
-    h = ceil(n_s / 2), and writes them after the header, while one child
-    made by os.fork formats [h, n_s) into an unnamed temporary file, which
-    is then appended in bounded chunks. slice_columns is then called in order
-    within each half, [h, n_s) in the child. Either way the file holds the
-    same bytes. Returns the processes that formatted the rows, 1 or 2.
+    The rows are formatted by fork.split, from SPLIT_MIN_ROWS rows on as
+    two parts: part i of count formats the contiguous slices [lo_i, lo_i+1),
+    lo_i = ceil(n_s * i / count). This process writes part 0 after the
+    header; the child that formats part 1 writes it into an unnamed
+    temporary file, which is then appended in bounded chunks. slice_columns
+    is called in order within each part. Either way the file holds the same
+    bytes. Returns the processes that formatted the rows, 1 or 2.
     """
     s_str = [repr(v) for v in grid.s_values.tolist()]
     # the "x,y,regime" part of every row of one time slice, in row order
@@ -191,23 +191,18 @@ def write_node_csv(grid: Grid4D, columns, slice_columns, path_or_buf) -> int:
     ]
     n_s = grid.n_s
 
-    def write(fh, lo, hi):  # the rows of slices lo..hi-1
-        for si in range(lo, hi):
-            rows = zip(repeat(s_str[si], len(xym)), xym, *map(_cells, slice_columns(si)))
-            fh.write("\n".join(map(",".join, rows)) + "\n")
-
-    with output_handle(path_or_buf) as fh:
+    with (output_handle(path_or_buf) as fh,
+          tempfile.TemporaryFile("w+", encoding="utf-8", newline="") as tail):
         fh.write(",".join(("s", "x", "y", "regime", *columns)) + "\n")
-        if not fork.worth_splitting(n_s * len(xym), SPLIT_MIN_ROWS):
-            write(fh, 0, n_s)
-            return 1
-        half = (n_s + 1) // 2
-        with tempfile.TemporaryFile("w+", encoding="utf-8", newline="") as tail:
-            def there(_):
-                write(tail, half, n_s)
-                tail.flush()  # the worker exits without flushing its buffers
 
-            fork.in_two_processes(lambda _: write(fh, 0, half), there, "CSV")
-            tail.seek(0)
-            shutil.copyfileobj(tail, fh, _COPY_CHARS)
-        return 2
+        def part(i, count, _):
+            out = tail if i else fh
+            for si in range(-(-n_s * i // count), -(-n_s * (i + 1) // count)):
+                rows = zip(repeat(s_str[si], len(xym)), xym, *map(_cells, slice_columns(si)))
+                out.write("\n".join(map(",".join, rows)) + "\n")
+            out.flush()  # a forked child exits without flushing its buffers
+
+        parts = fork.split(part, n_s * len(xym), SPLIT_MIN_ROWS, "CSV")
+        tail.seek(0)
+        shutil.copyfileobj(tail, fh, _COPY_CHARS)
+    return len(parts)

@@ -22,12 +22,12 @@ one-path case.
 Each batch returns its per-stream results (samples, jump counts, clamp
 counts), its timings and its recorded paths; estimate_value joins every
 batch in stream order and reduces them once, a fixed-order pairwise sum
-over the stream index for the mean. A large estimate runs on two processes
-(fork.in_two_processes). The streams are cut into two contiguous halves;
-the calling process steps the first and one child, made by os.fork for the
-call and reaped before it returns, steps the second, each as a list of
-batches. The process count moves no bit. Threads would not help: the
-per-path draws are Generator calls that hold the GIL.
+over the stream index for the mean. fork.split runs a large estimate as
+two parts: the streams are cut into contiguous parts, the calling process
+steps the first and one child, made by os.fork for the call and reaped
+before it returns, steps the second, each as a list of batches. The
+process count moves no bit. Threads would not help: the per-path draws
+are Generator calls that hold the GIL.
 
 The applied extraction rate is min(policy rate, Y/dt): a step may not
 extract more than the remaining reserve, which keeps the booked revenue
@@ -379,13 +379,15 @@ def simulate_path(model: MarketModel, policy, start, dt, seed_or_stream) -> Path
 
 
 def check_record(model: MarketModel, start, n_paths: int, dt: float, antithetic: bool,
-                 record: int = 0) -> int:
+                 record: int = 0, seed: int = 0) -> int:
     """Check every simulation input (start node and dt, two samples at least
     for a standard error: n_paths >= 2, or an even n_paths >= 4 when
     antithetic, whose pairs are the samples; `record` paths within the
-    streams) and return the stream count: n_paths, or n_paths // 2 with
-    antithetic pairing."""
+    streams; a seed >= 0, as SeedSequence takes) and return the stream
+    count: n_paths, or n_paths // 2 with antithetic pairing."""
     _validate_start(model, start, dt)
+    if seed < 0:
+        raise ValueError(f"seed must be a nonnegative integer, got {seed}")
     if n_paths < 2:
         raise ValueError("n_paths must be at least 2 for a standard error")
     if antithetic and n_paths % 2:
@@ -408,11 +410,11 @@ def estimate_value(model: MarketModel, policy, start, n_paths: int, dt: float,
     O(BATCH_PATHS x NORMAL_BLOCK) normals. The first `record` streams' paths
     (their +normals member when antithetic) come back recorded in `paths`.
 
-    With fork.WORKERS = 2 and at least SPLIT_MIN_PATH_STEPS path-steps
-    (streams x Euler steps), the streams are cut into two contiguous halves:
-    this process steps the first and one child made by os.fork the second.
-    Smaller estimates, and platforms without os.fork, stay in process.
-    Every batch's results are joined in stream order and reduced here once,
+    fork.split runs the estimate, from SPLIT_MIN_PATH_STEPS path-steps
+    (streams x Euler steps) as two parts: part i of count steps the
+    contiguous streams [lo_i, lo_i+1), lo_i = ceil(n_streams * i / count),
+    part 0 in this process and part 1 in a child made by os.fork. Every
+    batch's results are joined in stream order and reduced here once,
     so neither the batches nor the process count move a bit.
 
     The diagnostics count price clamps on every simulated path, and carry
@@ -420,25 +422,21 @@ def estimate_value(model: MarketModel, policy, start, n_paths: int, dt: float,
     drawing (draw_s) and stepping (step_s), and the Euler steps that read the
     policy (policy_lookup_steps), each summed over the batches.
     """
-    n_streams = check_record(model, start, n_paths, dt, antithetic, record)
+    n_streams = check_record(model, start, n_paths, dt, antithetic, record, seed)
     n_steps = _clock(model.economics.horizon, start[0], dt)[0]
     streams = np.random.SeedSequence(seed).spawn(n_streams)
     rates = _policy_callable(policy)
 
-    def share(lo, hi):  # streams[lo:hi] in BATCH_PATHS batches, recording below `record`
+    def part(i, count, _):  # its streams in BATCH_PATHS batches, recording below `record`
+        lo, hi = (-(-n_streams * j // count) for j in (i, i + 1))
         return [_simulate_block(model, rates, start, dt, streams[b : min(b + BATCH_PATHS, hi)],
                                 antithetic=antithetic,
                                 record=max(0, min(record, hi, b + BATCH_PATHS) - b))
                 for b in range(lo, hi, BATCH_PATHS)]
 
-    if fork.worth_splitting(n_streams * n_steps, SPLIT_MIN_PATH_STEPS):
-        half = (n_streams + 1) // 2
-        parts = fork.in_two_processes(lambda _: share(0, half), lambda _: share(half, n_streams),
-                                      "Monte Carlo")
-    else:
-        parts = [share(0, n_streams)]
+    parts = fork.split(part, n_streams * n_steps, SPLIT_MIN_PATH_STEPS, "Monte Carlo")
     samples, jumps, clamps, draw_s, step_s, lookup_steps, paths = zip(
-        *(b for part in parts for b in part))
+        *(b for batches in parts for b in batches))
     samples, jumps, clamps = map(np.concatenate, (samples, jumps, clamps))
     mean = float(np.sum(samples) / samples.size)
     sd = float(np.std(samples, ddof=1))

@@ -42,7 +42,7 @@ method, reserve_neighbor, reads y - l for the sweep and the switching field.
 Two sweep orders are provided. "jacobi" updates every node from the
 previous full-grid iterate (deterministic, trivially parallel: the update
 is a pure function of the frozen iterate, so any partition of its tasks
-gives bit-identical results; see sweep and _on_processes for its two
+gives bit-identical results; see sweep and _solve_jacobi for its two
 processes). The operator is the same on every time slice and slice t's
 update reads only slices t and t + 1, so where the iterate's leading slices
 are bitwise copies of slice 0 (the terminal payoff broadcast to every
@@ -425,7 +425,7 @@ class DiscreteOperator:
 
     # -- public operations -----------------------------------------------------
 
-    def sweep(self, values: np.ndarray, controls=None, out=None, change=False, partner=None):
+    def sweep(self, values: np.ndarray, controls=None, out=None, change=False, part=(0, 1, None)):
         """One full-grid update; pure function of the input field.
 
         `controls` replaces the endpoint pair {0, u_max}: a dense list scans
@@ -450,9 +450,9 @@ class DiscreteOperator:
 
         The tasks, one per (regime, sweep_block(grid) time slices), each write
         only their own slab, so no bit depends on the blocks or on the
-        processes. Without `partner` this process runs every task; with
-        `partner`, (half, swap) from _on_processes, it runs the tasks
-        [half::2] and the partner process the others, over a shared `out`,
+        processes. `part` is (i, count, swap) as fork.split hands it to a
+        job: this process runs the tasks [i::count], by default all of them;
+        given a swap, the other process runs the rest over a shared `out`,
         and swap(found) trades their found lists, its wait added to
         partner_wait_s. A task holds three block-sized arrays for the endpoint
         pair, four for a longer list (see _best_candidate), and none once
@@ -484,26 +484,20 @@ class DiscreteOperator:
         tasks = [(m, lo, hi) for m in range(g.n_regimes) for lo, hi in zip(edges, edges[1:])]
         tasks += [(m, n, n + 1) for m in range(g.n_regimes)]
 
-        def run(part):  # per task: its slab of `out`, its largest change and first node
-            found = []
-            for m, lo, hi in part:
-                new = self.terminal[m, None] if lo == n else self._best_candidate(
-                    values, m, lo, hi, controls)
-                if out is not None:
-                    out[m, lo:hi] = new
-                    if lo == first > 0:  # the copies of slice r below its block
-                        out[m, :first] = new[r - lo]
-                if change:
-                    c, (t, x, y) = _largest_change(new, values[m, lo:hi], None if lo == n else new)
-                    found.append((c, (m, 0 if lo + t <= r else lo + t, x, y)))
-                del new  # released before the next block is computed
-            return found
-
-        if partner is None:
-            found = run(tasks)
-        else:
-            half, swap = partner
-            found = run(tasks[half::2])
+        i, count, swap = part
+        found = []  # per task: its largest change and first node
+        for m, lo, hi in tasks[i::count]:
+            new = self.terminal[m, None] if lo == n else self._best_candidate(
+                values, m, lo, hi, controls)
+            if out is not None:
+                out[m, lo:hi] = new
+                if lo == first > 0:  # the copies of slice r below its block
+                    out[m, :first] = new[r - lo]
+            if change:
+                c, (t, x, y) = _largest_change(new, values[m, lo:hi], None if lo == n else new)
+                found.append((c, (m, 0 if lo + t <= r else lo + t, x, y)))
+            del new  # released before the next block is computed
+        if swap is not None:
             t0 = time.perf_counter()
             found += swap(found)  # in either order: every task reports a node of its own
             self.partner_wait_s += time.perf_counter() - t0
@@ -605,25 +599,16 @@ def solve(model: MarketModel, grid: Grid4D, cfg: SolverConfig | None = None):
     return result, report
 
 
-def _on_processes(job, nodes, min_nodes, name):
-    """(job(partner), processes): job(None) here below min_nodes nodes
-    (fork.worth_splitting), else job((0, swap)) here and job((1, swap)) in a
-    child forked for the call (fork.in_two_processes), as sweep's `partner`."""
-    if not fork.worth_splitting(nodes, min_nodes):
-        return job(None), 1
-    here, _ = fork.in_two_processes(lambda swap: job((0, swap)), lambda swap: job((1, swap)), name)
-    return here, 2
-
-
 def _solve_jacobi(op, cfg, residuals):
     """Returns (sweeps, the last iterate, processes) from the initial guess.
 
     Each sweep reads one of two fields in anonymous shared memory and writes
-    the other. From JACOBI_SPLIT_NODES nodes a child forked once for the
-    solve (_on_processes) runs the odd tasks of every sweep and this process
-    the even ones, and the two swap their found lists after each, so both
-    stop, raise or reach the cap at the same sweep, and neither writes a
-    field the other still reads. The iterate returned is the shared field.
+    the other. From JACOBI_SPLIT_NODES nodes fork.split runs the solve as
+    two parts: a child forked once for the solve runs the odd tasks of
+    every sweep and this process the even ones, and the two swap their
+    found lists after each, so both stop, raise or reach the cap at the
+    same sweep, and neither writes a field the other still reads. The
+    iterate returned is the shared field.
     """
     fields = [_shared_field(op.grid.shape) for _ in range(2)]
     # the guess is a field-sized array freed here, before any fork: glibc's
@@ -632,10 +617,10 @@ def _solve_jacobi(op, cfg, residuals):
     # 1.25-1.62 s, against 0.76-0.94 s (8 alternated runs on 2 cores)
     fields[0][...] = op.initial_guess()
 
-    def iterate(partner):
+    def iterate(*part):
         for it in range(1, cfg.max_iterations + 1):
             V, out = fields[(it - 1) % 2], fields[it % 2]
-            res, node = op.sweep(V, out=out, change=True, partner=partner)
+            res, node = op.sweep(V, out=out, change=True, part=part)
             if not math.isfinite(res):  # V is finite, so a non-finite update shows here
                 raise _non_finite(f"jacobi sweep {it}", *node)
             residuals.append(res)
@@ -646,8 +631,8 @@ def _solve_jacobi(op, cfg, residuals):
             f"{residuals[-1]:.6g}", residual_history=residuals,
         )
 
-    sweeps, workers = _on_processes(iterate, fields[0].size, JACOBI_SPLIT_NODES, "jacobi")
-    return sweeps, fields[sweeps % 2], workers
+    parts = fork.split(iterate, fields[0].size, JACOBI_SPLIT_NODES, "jacobi")
+    return parts[0], fields[parts[0] % 2], len(parts)
 
 
 def _shared_field(shape):
@@ -722,10 +707,9 @@ def dpp_residual(field: GridField, op: DiscreteOperator):
     value against the best of one-step profit plus discounted continuation.
     Terminal nodes are pinned by construction and contribute zero. Returns
     (worst mismatch, {"node": (regime, s_idx, x_idx, y_idx), "nodes": count}).
-    From RESIDUAL_SPLIT_NODES nodes the sweep's tasks run on two processes
-    (_on_processes), and only their found lists cross.
+    From RESIDUAL_SPLIT_NODES nodes fork.split runs the sweep's tasks on
+    two processes, and only their found lists cross.
     """
-    (worst, node), _ = _on_processes(
-        lambda partner: op.sweep(field.values, change=True, partner=partner),
-        field.values.size, RESIDUAL_SPLIT_NODES, "residual sweep")
+    worst, node = fork.split(lambda *part: op.sweep(field.values, change=True, part=part),
+                             field.values.size, RESIDUAL_SPLIT_NODES, "residual sweep")[0]
     return worst, {"node": node, "nodes": int(field.values.size)}

@@ -200,7 +200,7 @@ def run_verification(cfg: RunConfig, skip_simulation: bool = False):
     The Monte Carlo check reads only the policy array, so the report's
     operator is dropped before it (report.operator is then None)."""
     sim = cfg.simulation
-    check_record(cfg.model, sim.start, sim.n_paths, sim.dt, sim.antithetic)
+    check_record(cfg.model, sim.start, sim.n_paths, sim.dt, sim.antithetic, seed=sim.seed)
     results = check_quadrature(cfg)
     if any(r.status == "fail" for r in results):
         return results, None, None

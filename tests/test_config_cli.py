@@ -640,6 +640,10 @@ class TestCli:
                      "antithetic estimation needs an even n_paths", id="odd-antithetic"),
         pytest.param(["--paths", "2"], {"antithetic": True},
                      "antithetic estimation needs n_paths >= 4", id="one-antithetic-pair"),
+        pytest.param(["--seed", "-1"], {}, "seed must be a nonnegative integer, got -1",
+                     id="negative-seed"),
+        pytest.param([], {"seed": -1}, "seed must be a nonnegative integer, got -1",
+                     id="negative-seed-yaml"),
     ])
     def test_bad_simulation_input_exits_one_before_the_solve(
             self, tmp_path, capsys, monkeypatch, command, flags, simulation, message):

@@ -1,11 +1,15 @@
-"""fork.in_two_processes on its own: results in order, a child's exception
-raised in the caller, a dead child's exit code, a caller exception that
-kills the child, a child that leaves without the caller's exit work, jobs
-that swap values in steps, one CPU per process, and a pin or a fork that
-fails. After every case this process has no child and no new descriptor
-left."""
+"""fork.split, the one entry point of a two-process job: one part in this
+process below its threshold, at one process or without os.fork, else two
+parts from two processes, and the contiguous cut the Monte Carlo and the
+node CSVs take of their work. Then fork.in_two_processes on its own:
+results in order, a child's exception raised in the caller, a dead child's
+exit code, a caller exception that kills the child, a child that leaves
+without the caller's exit work, jobs that swap values in steps, one CPU per
+process, and a pin or a fork that fails. After every case this process has
+no child and no new descriptor left."""
 
 import errno
+import io
 import os
 import signal
 import subprocess
@@ -13,14 +17,17 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 from conftest import assert_no_child, leaves_nothing, open_descriptors
 
-from oilopt import fork
+from oilopt import GridField, build_grid, estimate_value, fork, grid, simulate
+from oilopt.config import load_config
 
 pytestmark = pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
+REFERENCE = Path(SRC) / "oilopt" / "configs" / "reference.yaml"
 
 
 @pytest.fixture(autouse=True)
@@ -38,6 +45,96 @@ class TwoArguments(Exception):
 
     def __init__(self, a, b):
         super().__init__(f"{a} and {b}")
+
+
+def where(i, count, swap):
+    """A job's part: its place, this process and, given a swap, what the
+    other part handed over."""
+    return i, count, os.getpid(), None if swap is None else swap(f"from part {i}")
+
+
+def not_forking():
+    raise AssertionError("os.fork called for a job of one part")
+
+
+@pytest.mark.parametrize("units, workers, has_fork", [
+    (9, 2, True),  # below min_units
+    (10, 1, True),  # one process
+    (10, 2, False),  # no os.fork on this platform
+], ids=["below-min-units", "one-worker", "no-fork"])
+def test_split_runs_one_part_here(monkeypatch, units, workers, has_fork):
+    monkeypatch.setattr(fork, "WORKERS", workers)
+    if has_fork:
+        monkeypatch.setattr(os, "fork", not_forking)
+    else:
+        monkeypatch.delattr(os, "fork")
+    assert fork.split(where, units, 10, "test") == [(0, 1, os.getpid(), None)]
+
+
+def test_split_runs_two_parts_from_min_units_on(monkeypatch):
+    monkeypatch.setattr(fork, "WORKERS", 2)
+    here, there = fork.split(where, 10, 10, "test")
+    assert here == (0, 2, os.getpid(), "from part 1")
+    assert there[:2] == (1, 2) and there[2] != os.getpid() and there[3] == "from part 0"
+
+
+def logged(path):
+    """Append this process's pid and the given items to `path`, one line per call."""
+    def log(*items):
+        with open(path, "a", encoding="utf-8") as fh:  # O_APPEND: whole lines
+            fh.write(" ".join(map(str, (os.getpid(), *items))) + "\n")
+
+    def read():
+        lines = [list(map(int, line.split())) for line in path.read_text().splitlines()]
+        return ([items for pid, *items in lines if pid == os.getpid()],
+                [items for pid, *items in lines if pid != os.getpid()])
+
+    return log, read
+
+
+def test_three_monte_carlo_streams_split_as_two_and_one(monkeypatch, tmp_path):
+    """Streams [0, 2) are stepped here and [2, 3) in the child: the
+    contiguous cut ceil(3 i / 2) of part i."""
+    monkeypatch.setattr(fork, "WORKERS", 2)
+    monkeypatch.setattr(simulate, "SPLIT_MIN_PATH_STEPS", 0)
+    log, read = logged(tmp_path / "streams")
+    real = simulate._simulate_block
+
+    def block(model, policy, start, dt, streams, **kw):
+        log(*(s.spawn_key[-1] for s in streams))
+        return real(model, policy, start, dt, streams, **kw)
+
+    monkeypatch.setattr(simulate, "_simulate_block", block)
+    cfg = load_config(REFERENCE)
+    est = estimate_value(cfg.model, lambda t, x, y, regime: np.zeros(np.shape(x)),
+                         cfg.simulation.start, n_paths=3, dt=0.05, seed=1)
+    assert est.diagnostics["workers"] == 2
+    assert read() == ([[0, 1]], [[2]])
+
+
+@pytest.mark.parametrize("n_s", [3, 5, 7])
+def test_an_odd_slice_count_splits_as_the_halves_did(monkeypatch, tmp_path, n_s):
+    """write_node_csv formats slices [0, h) here and [h, n_s) in the child,
+    h = (n_s + 1) // 2, the halves it cut before fork.split cut part i at
+    ceil(n_s i / 2), and the file holds the one-process bytes."""
+    monkeypatch.setattr(fork, "WORKERS", 2)
+    monkeypatch.setattr(grid, "SPLIT_MIN_ROWS", 0)
+    g = build_grid(horizon=0.5 * (n_s - 1), price_cap=3.0, reserve_capacity=1.5,
+                   time_step=0.5, price_step=0.5, reserve_step=0.5, n_regimes=2)
+    values = np.random.default_rng(n_s).normal(scale=50.0, size=g.shape)
+    log, read = logged(tmp_path / "slices")
+
+    def columns(si):
+        log(si)
+        return (values[:, si],)
+
+    assert grid.write_node_csv(g, ("value",), columns, tmp_path / "out.csv") == 2
+    half = (n_s + 1) // 2
+    assert read() == ([[si] for si in range(half)], [[si] for si in range(half, n_s)])
+    monkeypatch.setattr(fork, "WORKERS", 1)
+    one = io.StringIO()
+    assert GridField(g, values).to_csv(one) == 1
+    assert (tmp_path / "out.csv").read_text(encoding="utf-8") == one.getvalue()
 
 
 def test_results_come_back_in_order():
@@ -249,5 +346,4 @@ est = estimate_value(cfg.model, lambda t, x, y, regime: np.zeros(np.shape(x)),
 assert est.diagnostics["workers"] == 2
 print(sorted(m for m in sys.modules if m.split(".")[0] == "multiprocessing"))
 """
-    reference = Path(SRC) / "oilopt" / "configs" / "reference.yaml"
-    assert run_script(script, str(tmp_path / "value.csv"), str(reference)).strip() == "[]"
+    assert run_script(script, str(tmp_path / "value.csv"), str(REFERENCE)).strip() == "[]"

@@ -1,8 +1,10 @@
-"""README quotes the solver's and the Monte Carlo's tuning constants and
-names the configuration's integer keys; each quote must be what the code
-says, so a retuned constant or a retyped field cannot leave its
+"""README quotes the solver's and the Monte Carlo's tuning constants,
+names the configuration's integer keys and names the package's modules'
+functions and constants; each quote must be what the code says, so a
+retuned constant, a retyped field or a removed helper cannot leave its
 documentation behind."""
 
+import importlib
 import re
 from pathlib import Path
 
@@ -47,3 +49,37 @@ def test_readme_lists_the_keys_read_as_integers(monkeypatch):
     config.load_config(REFERENCE)
     listed = re.search(r"The integer keys\s+\(([^)]*)\)", README.read_text()).group(1)
     assert sorted(re.findall(r"`([\w.]+)`", listed)) == sorted(integers)
+
+
+# a backticked name in README that starts with one of these modules or classes
+NAMED = re.compile(r"`((?:fork|solver|simulate|grid|cli|verify|policy|DiscreteOperator)"
+                   r"(?:\.\w+)+)")
+# names of that form that are no attribute: output files and YAML key paths
+NOT_ATTRIBUTES = {"policy.csv"}
+
+
+def resolves(name: str) -> bool:
+    """Whether `module.attr...` (or `DiscreteOperator.attr...`) is an
+    attribute of the oilopt package."""
+    head, *rest = name.split(".")
+    obj = (solver.DiscreteOperator if head == "DiscreteOperator"
+           else importlib.import_module(f"oilopt.{head}"))
+    for attr in rest:
+        if not hasattr(obj, attr):
+            return False
+        obj = getattr(obj, attr)
+    return True
+
+
+def test_readme_names_only_what_the_package_has():
+    names = set(NAMED.findall(README.read_text())) - NOT_ATTRIBUTES
+    assert names, "README names no module attribute"
+    assert sorted(name for name in names if not resolves(name)) == []
+
+
+@pytest.mark.parametrize("name", ["solver._on_processes", "fork.worth_splitting",
+                                  "DiscreteOperator.sweep_with_policy"])
+def test_a_removed_helper_does_not_resolve(name):
+    """The check above would refuse README naming a helper the code dropped."""
+    assert NAMED.findall(f"see `{name}` and `{name}(x)`") == [name, name]
+    assert not resolves(name)

@@ -244,6 +244,8 @@ class TestEstimate:
         with pytest.raises(ValueError):
             estimate_value(model, zero_policy, start, n_paths=11, dt=1e-2, seed=0,
                            antithetic=True)
+        with pytest.raises(ValueError, match="^seed must be a nonnegative integer, got -1$"):
+            estimate_value(model, zero_policy, start, n_paths=10, dt=1e-2, seed=-1)
 
     def test_one_antithetic_pair_is_refused(self):
         """Two antithetic paths are one pair, one sample: np.std(ddof=1) gave

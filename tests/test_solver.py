@@ -690,9 +690,9 @@ class TestSweepProcesses:
     @needs_fork
     def test_a_fresh_operators_dense_scan_keeps_the_one_process_bits(self, monkeypatch):
         """One slice per task and a dense control scan whose terms a fresh
-        operator builds in each process of a sweep split with `partner`: the
-        largest change equals the one-process change every time, and a
-        sweep without a partner keeps the update's bits."""
+        operator builds in each process of a sweep split by fork.split: the
+        largest change equals the one-process change in both parts every
+        time, and a sweep of one part keeps the update's bits."""
         model, grid = reference_model(horizon=2.5), small_grid(horizon=2.5, n_regimes=2)
         V = np.random.default_rng(13).uniform(-100.0, 400.0, size=grid.shape)
         dense = np.linspace(0.0, 50000.0, 9)
@@ -703,10 +703,9 @@ class TestSweepProcesses:
         monkeypatch.setattr(solver, "SWEEP_BLOCK_BYTES", block_budget(grid, 1))
         for _ in range(3):
             op = DiscreteOperator(model, grid, SolverConfig())
-            change, processes = solver._on_processes(
-                lambda partner: op.sweep(V, dense, change=True, partner=partner), V.size, 0,
-                "test")
-            assert (change, processes) == (serial_change, 2)
+            parts = fork.split(lambda *part: op.sweep(V, dense, change=True, part=part), V.size, 0,
+                               "test")
+            assert parts == [serial_change, serial_change]
             assert np.array_equal(op.sweep(V, dense), serial)
 
     @needs_fork
